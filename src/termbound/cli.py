@@ -220,8 +220,9 @@ def cmd_embed(args) -> int:
 def cmd_bound(args) -> int:
     with open(args.sigma_file) as fh:
         doc = json.load(fh)
-    rows = doc["rows"]
-    sigma = SequenceFn.from_rows(rows)
+    if not isinstance(doc, dict) or not isinstance(doc.get("rows"), list):
+        raise ParseError('sigma file must be a JSON object with a list "rows"')
+    sigma = SequenceFn.from_rows(doc["rows"])
     if doc.get("k") is not None and doc["k"] != sigma.k:
         raise ParseError(f"file says k={doc['k']} but rows have {sigma.k} components")
     bound = bound_g(sigma, args.n, max_value=args.max_bound)
@@ -298,18 +299,25 @@ def cmd_check(args) -> int:
         invariant = invariant_from_doc(json.load(fh))
     s0 = initial_state(program, _parse_assignments(args.set or []))
     report = check_invariant(program, s0, invariant, args.max_steps)
-    doc = report.to_doc()
+    # A violation on a prefix is a violation of the whole trace, but a
+    # clean prefix says nothing about the pairs the budget cut off.
+    if not report.ok:
+        verdict, code = "FAIL", 1
+    elif not report.reached_final:
+        verdict, code = "inconclusive (budget)", 3
+    else:
+        verdict, code = "pass", 0
     _emit(
         args,
-        doc,
+        report.to_doc(),
         [
             f"pairs checked: {report.pairs_checked}",
             f"uncovered: {report.uncovered_total}",
             f"rank violations: {report.rank_violation_total}",
-            f"verdict: {'pass' if report.ok else 'FAIL'}",
+            f"verdict: {verdict}",
         ],
     )
-    return 0 if report.ok else 1
+    return code
 
 
 def cmd_pipeline(args) -> int:

@@ -15,7 +15,8 @@ along edges, so the labelled image lives in the bounded-tree poset of
 ``ktree`` and its height is an ordinal measure below ``w^k`` that
 strictly decreases whenever the sequence grows. That measure, ``f_star``,
 is the bridge from homogeneous sequences to integer vectors ordered
-lexicographically.
+lexicographically. ``IncrementalMeasure`` keeps its vector up to date
+one point at a time; rebuilding the tree (``f_star_vec``) is its oracle.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .errors import (
     NoRelation,
     NotHomogeneous,
 )
-from .ktree import LabelledTree, Node, height_tree
+from .ktree import LabelledTree, Node, height_nil, height_tree
 from .ordinals import OMEGA, Ordinal, cmp, nat_prod_nat, nat_sum, nat_sum_all
 from .ordinals import to_vector as _ordinal_to_vector
 
@@ -231,12 +232,31 @@ class NodeProfile:
         return self.ancestors[self.colors.index(color)]
 
 
-def _profile_of_path(points: tuple[Point, ...], colors: tuple[int, ...]) -> NodeProfile:
+def _nearest_ancestors(
+    points: tuple[Point, ...], colors: tuple[int, ...]
+) -> dict[int, Point]:
+    """Color -> lowest of ``points`` whose outgoing edge has that color."""
     nearest: dict[int, Point] = {}
     for p, c in zip(points, colors):
         nearest[c] = p  # later entries are deeper, keep the lowest
-    cs = tuple(sorted(nearest))
-    return NodeProfile(len(cs), cs, tuple(nearest[c] for c in cs))
+    return nearest
+
+
+def _label(point: Point, nearest: dict[int, Point], k: int) -> Ordinal:
+    """Label below ``w * k`` of the node at ``point`` given its nearest
+    ancestor per color.
+
+    The root (no ancestors) gets ``max(coords) + 1`` plus ``w * (k-1)``;
+    a node with i distinct colors above it gets the natural sum of the
+    h-th coordinate of its nearest color-h ancestor over those colors,
+    plus ``w * (k-i)``.
+    """
+    if not nearest:
+        return nat_sum(max(z + 1 for z in point), nat_prod_nat(OMEGA, k - 1))
+    return nat_sum(
+        nat_sum_all(p[h - 1] for h, p in nearest.items()),
+        nat_prod_nat(OMEGA, k - len(nearest)),
+    )
 
 
 def node_profile(t: ErdosTree, branch: ColoredList) -> NodeProfile:
@@ -244,7 +264,9 @@ def node_profile(t: ErdosTree, branch: ColoredList) -> NodeProfile:
     the branch, the lowest proper ancestor followed by an edge of that
     color. The root is the only 0-color node."""
     t._locate(branch)
-    return _profile_of_path(branch.points[:-1], branch.colors)
+    nearest = _nearest_ancestors(branch.points[:-1], branch.colors)
+    cs = tuple(sorted(nearest))
+    return NodeProfile(len(cs), cs, tuple(nearest[c] for c in cs))
 
 
 def label_alpha(t: ErdosTree, branch: ColoredList) -> Ordinal:
@@ -256,14 +278,8 @@ def label_alpha(t: ErdosTree, branch: ColoredList) -> Ordinal:
     ``w * (k-j)``.
     """
     node = t._locate(branch)
-    profile = _profile_of_path(branch.points[:-1], branch.colors)
-    if profile.i == 0:
-        finite = max(z + 1 for z in node.point)
-        return nat_sum(finite, nat_prod_nat(OMEGA, t.k - 1))
-    coords = nat_sum_all(
-        profile.ancestor(h)[h - 1] for h in profile.colors
-    )
-    return nat_sum(coords, nat_prod_nat(OMEGA, t.k - profile.i))
+    nearest = _nearest_ancestors(branch.points[:-1], branch.colors)
+    return _label(node.point, nearest, t.k)
 
 
 def to_labelled_tree(t: ErdosTree) -> LabelledTree:
@@ -279,16 +295,7 @@ def to_labelled_tree(t: ErdosTree) -> LabelledTree:
         colors: tuple[int, ...],
         parent_label: Ordinal | None,
     ) -> Node:
-        profile = _profile_of_path(points, colors)
-        if profile.i == 0:
-            label = nat_sum(
-                max(z + 1 for z in n.point), nat_prod_nat(OMEGA, t.k - 1)
-            )
-        else:
-            label = nat_sum(
-                nat_sum_all(profile.ancestor(h)[h - 1] for h in profile.colors),
-                nat_prod_nat(OMEGA, t.k - profile.i),
-            )
+        label = _label(n.point, _nearest_ancestors(points, colors), t.k)
         if parent_label is not None and cmp(label, parent_label) >= 0:
             raise LabelNotDecreasing(
                 f"label {label} of {n.point} not below parent label {parent_label}"
@@ -326,6 +333,77 @@ def height_of_tree(t: ErdosTree) -> Ordinal:
 def f_star_vec(s: Sequence[Sequence[int]], k: int) -> tuple[int, ...]:
     """The measure as a vector of k naturals, lexicographically ordered."""
     return _ordinal_to_vector(f_star(s, k), k)
+
+
+@dataclass(slots=True)
+class _LNode:
+    point: Point
+    label: Ordinal
+    children: list["_LNode | None"]
+
+
+class IncrementalMeasure:
+    """``f_star_vec`` of a growing homogeneous sequence, one point at a time.
+
+    The height of the labelled tree is the natural sum, over its empty
+    slots, of ``h_k`` at the slot owner's label, and below ``w^k`` a
+    natural sum is a coefficient-wise vector sum. A label depends only on
+    the node's ancestors, so adding a leaf labelled ``L`` in a slot owned
+    by a node labelled ``P`` changes no existing label and moves the
+    vector by ``k * vec(h_k(L)) - vec(h_k(P))``. The first point replaces
+    the empty tree, whose one slot is owned by ``w * k``, so nothing is
+    subtracted. An insert therefore costs one descent, not a rebuild;
+    ``f_star_vec`` of the prefix is the test oracle.
+
+    The caller guarantees homogeneity: only the descent path is compared
+    with the new point, as in ``ErdosTree.insert``.
+    """
+
+    def __init__(self, k: int):
+        self.k = k
+        self._root: _LNode | None = None
+        self._vector: tuple[int, ...] = ()
+        self._height_vec: dict[Ordinal, tuple[int, ...]] = {}
+
+    def _vec_h(self, label: Ordinal) -> tuple[int, ...]:
+        vec = self._height_vec.get(label)
+        if vec is None:
+            vec = _ordinal_to_vector(height_nil(self.k, label), self.k)
+            self._height_vec[label] = vec
+        return vec
+
+    def insert(self, y: Sequence[int]) -> tuple[int, ...]:
+        """Add ``y`` as a new leaf; the measure vector of the longer prefix.
+
+        Raises LabelNotDecreasing, like ``to_labelled_tree``, if the new
+        label is not below its parent's.
+        """
+        y = _check_point(y, self.k)
+        k = self.k
+        nearest: dict[int, Point] = {}
+        owner, color = None, 0
+        cur = self._root
+        while cur is not None:
+            color = color_of(y, cur.point)
+            nearest[color] = cur.point
+            owner, cur = cur, cur.children[color - 1]
+        label = _label(y, nearest, k)
+        leaf = _LNode(y, label, [None] * k)
+        gained = self._vec_h(label)
+        if owner is None:
+            self._root = leaf
+            self._vector = tuple(k * g for g in gained)
+            return self._vector
+        if cmp(label, owner.label) >= 0:
+            raise LabelNotDecreasing(
+                f"label {label} of {y} not below parent label {owner.label}"
+            )
+        lost = self._vec_h(owner.label)
+        owner.children[color - 1] = leaf
+        self._vector = tuple(
+            v + k * g - l for v, g, l in zip(self._vector, gained, lost)
+        )
+        return self._vector
 
 
 # --- serialization -----------------------------------------------------------

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .bounds import SequenceFn, bound_g
+from .erdos import IncrementalMeasure
 from .errors import BudgetExceeded, NotHomogeneous, ParseError
 
 # --- expressions and commands ------------------------------------------------
@@ -655,6 +656,12 @@ class PhiSequence:
     vector lexicographically until the final state repeats, after which
     the value is constant; that freeze point makes the sequence usable
     by the closed-form path of ``bound_g``.
+
+    The vector is maintained incrementally by ``erdos.IncrementalMeasure``,
+    one tree descent per state; rebuilding the labelled tree of every
+    prefix (``erdos.f_star_vec``) gives the same vectors and is kept as
+    the test oracle. Every rank tuple is first checked to descend below
+    all earlier ones, which is what makes the bound sound.
     """
 
     def __init__(
@@ -664,9 +671,6 @@ class PhiSequence:
         inv: TransitionInvariant,
         max_steps: int = 100_000,
     ):
-        from .erdos import ErdosTree, height_of_tree
-        from .ordinals import to_vector
-
         trace = run_trace(p, s0, max_steps)
         if not trace.complete:
             raise BudgetExceeded(
@@ -676,7 +680,7 @@ class PhiSequence:
         ranks = [r.compile_rank(p) for r in inv.relations]
         self.points = [tuple(rank(s) for rank in ranks) for s in trace.states]
         self.k = inv.k
-        tree = ErdosTree.empty(self.k)
+        measure = IncrementalMeasure(self.k)
         vecs: list[tuple[int, ...]] = []
         seen: list[tuple[int, ...]] = []
         for pt in self.points:
@@ -687,8 +691,7 @@ class PhiSequence:
                         f"rank tuples {earlier} -> {pt} do not descend; "
                         "the invariant does not cover this trace"
                     )
-            tree = tree.insert(pt)
-            vecs.append(to_vector(height_of_tree(tree), self.k))
+            vecs.append(measure.insert(pt))
         self.vectors = vecs
         self.final_step = len(vecs) - 1
 
@@ -871,8 +874,21 @@ def invariant_to_doc(inv: TransitionInvariant) -> list[dict]:
 
 
 def invariant_from_doc(doc: Sequence[Mapping]) -> TransitionInvariant:
+    if not isinstance(doc, list):
+        raise ParseError("invariant document must be a list of relations")
     relations = []
-    for entry in doc:
+    for i, entry in enumerate(doc):
+        if not (
+            isinstance(entry, Mapping)
+            and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("atoms"), list)
+            and all(isinstance(a, str) for a in entry["atoms"])
+            and isinstance(entry.get("rank"), str)
+        ):
+            raise ParseError(
+                f"invariant entry {i} needs a string name, a list of atom "
+                "strings and a rank string"
+            )
         relations.append(
             ConstraintRelation(
                 name=entry["name"],

@@ -75,6 +75,16 @@ class TestCommands:
         sigma.write_text(json.dumps({"k": 3, "rows": [[10**6, 10**6, 10**6]]}))
         assert main(["bound", str(sigma)]) == 3
 
+    @pytest.mark.parametrize(
+        "doc", [{"k": 2}, {"rows": 5}, [[1, 0], [0, 0]], "rows"]
+    )
+    def test_bound_malformed_document(self, tmp_path, capsys, doc):
+        sigma = tmp_path / "sigma.json"
+        sigma.write_text(json.dumps(doc))
+        assert main(["bound", str(sigma)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_compile_structured(self, add_term, capsys):
         assert main(["--format", "structured", "compile", add_term]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -129,6 +139,36 @@ class TestCommands:
             )
             == 0
         )
+
+    def counting_check(self, tmp_path, invariant, *extra):
+        prog = tmp_path / "count.prog"
+        prog.write_text("vars x y\n0: while x < y\n1:   x := x + 1\n")
+        inv = tmp_path / "count.inv.json"
+        inv.write_text(json.dumps(invariant))
+        return main([
+            *extra, "check", str(prog), "--invariant", str(inv),
+            "--set", "y=50000", "--max-steps", "20",
+        ])
+
+    def test_check_cut_by_budget_is_inconclusive(self, tmp_path, capsys):
+        inv = [{"name": "r", "atoms": [], "rank": "y - x + y - x + 1 - loc"}]
+        assert self.counting_check(tmp_path, inv) == 3
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "verdict: inconclusive (budget)"
+        )
+        assert self.counting_check(tmp_path, inv, "--format", "structured") == 3
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["ok"] and not doc["reached_final"]
+
+    def test_check_cut_by_budget_still_fails_on_violation(self, tmp_path, capsys):
+        inv = [{"name": "r", "atoms": [], "rank": "7"}]
+        assert self.counting_check(tmp_path, inv) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == "verdict: FAIL"
+
+    def test_check_malformed_invariant(self, tmp_path, capsys):
+        assert self.counting_check(tmp_path, [{"atoms": [], "rank": "x"}]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_pipeline_pass(self, add_term, capsys):
         assert main(["--format", "structured", "pipeline", add_term, "2", "3"]) == 0

@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from termbound.erdos import (
     ColoredList,
     ErdosTree,
+    IncrementalMeasure,
     color_of,
     embed,
     erdos_from_json,
@@ -243,6 +245,36 @@ class TestFStar:
                 if prev is not None:
                     assert cmp(value, prev) < 0
                 prev = value
+
+
+@st.composite
+def homogeneous_sequences(draw):
+    """(k, s): candidates kept only when below every earlier kept point."""
+    k = draw(st.integers(1, 4))
+    candidates = draw(
+        st.lists(st.tuples(*[st.integers(0, 8)] * k), min_size=1, max_size=16)
+    )
+    pts = []
+    for cand in candidates:
+        if all(any(c < p[h] for h, c in enumerate(cand)) for p in pts):
+            pts.append(cand)
+    return k, pts
+
+
+class TestIncrementalMeasure:
+    @settings(max_examples=200, deadline=None)
+    @given(homogeneous_sequences())
+    def test_matches_rebuild_on_every_prefix(self, case):
+        k, s = case
+        measure = IncrementalMeasure(k)
+        for n, y in enumerate(s):
+            assert measure.insert(y) == f_star_vec(s[: n + 1], k)
+
+    def test_rejects_point_off_the_descent_path(self):
+        measure = IncrementalMeasure(2)
+        measure.insert((3, 4))
+        with pytest.raises(NoRelation):
+            measure.insert((3, 4))
 
 
 class TestBranchProjection:

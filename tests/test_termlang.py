@@ -1,8 +1,13 @@
 import json
+from itertools import product
 
 import pytest
 
+from termbound.bounds import SequenceFn, bound_g
+from termbound.erdos import embed, height_of_tree
 from termbound.errors import BudgetExceeded, NotHomogeneous, ParseError
+from termbound.ordinals import to_vector
+from termbound.prcompile import ADD, MULT, SUB, compile_term
 from termbound.termlang import (
     Assign,
     Atom,
@@ -21,6 +26,7 @@ from termbound.termlang import (
     check_invariant,
     const,
     initial_state,
+    invariant_from_doc,
     invariant_from_json,
     invariant_to_json,
     is_final,
@@ -229,6 +235,32 @@ class TestPhi:
             PhiSequence(p, initial_state(p, {"y": 5}), inv, max_steps=50)
 
 
+SMALL_COMPILED = (
+    [("add", args) for args in product(range(4), range(3))]
+    + [("sub", args) for args in product(range(4), repeat=2)]
+    + [("mult", args) for args in product(range(3), repeat=2)]
+)
+
+
+class TestPhiAgainstRebuild:
+    """The incremental measure against re-embedding every prefix."""
+
+    @pytest.mark.parametrize("name,args", SMALL_COMPILED)
+    def test_vectors_and_step_bound(self, name, args):
+        unit = compile_term({"add": ADD, "sub": SUB, "mult": MULT}[name])
+        s0 = initial_state(unit.program, dict(zip(unit.input_vars, args)))
+        seq = PhiSequence(unit.program, s0, unit.invariant)
+        k = unit.invariant.k
+        rebuilt = [
+            to_vector(height_of_tree(embed(seq.points[: n + 1], k)), k)
+            for n in range(len(seq.points))
+        ]
+        assert seq.vectors == rebuilt
+        assert step_bound(unit.program, s0, unit.invariant) == bound_g(
+            SequenceFn.from_rows(rebuilt), 0
+        )
+
+
 class TestStepBound:
     def test_final_initial_state(self):
         p = Program(("x",), ())
@@ -307,6 +339,22 @@ class TestInvariantJson:
     def test_rank_round_trip(self):
         for text in ("0", "y - z", "14 - loc", "a + 2 - z"):
             assert rank_str(parse_rank(text)) == text
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"name": "r", "atoms": [], "rank": "x"},
+            [{"atoms": [], "rank": "x"}],
+            [{"name": "r", "rank": "x"}],
+            [{"name": "r", "atoms": []}],
+            [{"name": "r", "atoms": [], "rank": 5}],
+            [{"name": "r", "atoms": [3], "rank": "x"}],
+            ["name atoms rank"],
+        ],
+    )
+    def test_malformed_document_rejected(self, doc):
+        with pytest.raises(ParseError):
+            invariant_from_doc(doc)
 
     def test_monus_evaluates_truncated(self):
         p = Program(("a",), ())
