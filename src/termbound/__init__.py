@@ -66,7 +66,6 @@ from .termlang import (
     TransitionInvariant,
     check_invariant,
     initial_state,
-    phi,
     run_trace,
     step,
     step_bound,

@@ -3,7 +3,8 @@
 Given a total sequence of k-tuples of naturals, a strict lexicographic
 descent cannot continue forever; ``bound_g`` computes, by recursion on
 the number of components, a point by which a non-descent must occur, and
-``find_nondescent`` locates the least such point inside the bound.
+``find_nondescent`` locates the least such point inside a bound the
+caller has computed.
 
 For one component the bound is ``n + sigma(n) + 1``. For k+1 components
 it iterates the k-component bound of the tail:
@@ -199,15 +200,16 @@ def bound_g(
 def find_nondescent(
     sigma: SequenceFn,
     n: int,
-    max_value: int | None = None,
+    limit: int,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
 ) -> int:
-    """Least m in [n, bound_g(sigma, n)] with sigma(m) <=_lex sigma(m+1).
+    """Least m in [n, limit] with sigma(m) <=_lex sigma(m+1).
 
-    Raises LemmaViolated if the whole interval strictly descends, which
-    would refute the bound construction; tests treat that as failure.
+    ``limit`` is normally ``bound_g(sigma, n)``, computed once by the
+    caller. Raises LemmaViolated if the whole interval strictly descends,
+    which with that limit would refute the bound construction; tests
+    treat that as failure.
     """
-    limit = bound_g(sigma, n, max_value=max_value, max_iterations=max_iterations)
     m = n
     while m <= limit:
         if m - n > max_iterations:

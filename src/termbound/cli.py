@@ -13,10 +13,11 @@ import json
 import sys
 
 from .bounds import SequenceFn, bound_g, find_nondescent
-from .erdos import embed, erdos_to_json, f_star, f_star_vec
+from .erdos import embed, erdos_to_json, height_of_tree
 from .errors import BudgetExceeded, ParseError, TermboundError
 from .ktree import height_nil
-from .ordinals import Ordinal, add, exp_base_k, nat_prod_nat, nat_sum, parse_ordinal
+from .ordinals import MAX_NESTING, Ordinal, add, exp_base_k, nat_prod_nat, nat_sum
+from .ordinals import parse_ordinal, to_vector
 from .prcompile import compile_term, eval_pr, parse_term
 from .termlang import (
     check_invariant,
@@ -46,6 +47,7 @@ class _ExprParser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -88,15 +90,24 @@ class _ExprParser:
             if not self.text.startswith(",", self.pos):
                 raise ParseError("exp needs a base and an ordinal")
             self.pos += 1
-            arg = self.expr()
+            arg = self.nested()
             self.expect(")")
             return exp_base_k(base, arg)
         if self.text.startswith("(", self.pos):
             self.pos += 1
-            value = self.expr()
+            value = self.nested()
             self.expect(")")
             return value
         return parse_ordinal(self.literal())
+
+    def nested(self) -> Ordinal:
+        # Capped like a literal's exponents, since each exp() adds a level.
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"ordinal expression nested too deeply (limit {MAX_NESTING})")
+        value = self.expr()
+        self.depth -= 1
+        return value
 
     def literal(self) -> str:
         start = self.pos
@@ -197,8 +208,8 @@ def cmd_embed(args) -> int:
     k = args.k if args.k is not None else len(first)
     points = [_parse_point(p, k) for p in args.points]
     tree = embed(points, k)
-    measure = f_star(points, k)
-    vec = f_star_vec(points, k)
+    measure = height_of_tree(tree)
+    vec = to_vector(measure, k)
     doc = {
         "k": k,
         "tree": json.loads(erdos_to_json(tree)),
@@ -226,7 +237,7 @@ def cmd_bound(args) -> int:
     if doc.get("k") is not None and doc["k"] != sigma.k:
         raise ParseError(f"file says k={doc['k']} but rows have {sigma.k} components")
     bound = bound_g(sigma, args.n, max_value=args.max_bound)
-    witness = find_nondescent(sigma, args.n, max_value=args.max_bound)
+    witness = find_nondescent(sigma, args.n, bound)
     out = {
         "n": args.n,
         "bound": bound,
@@ -298,7 +309,8 @@ def cmd_check(args) -> int:
     with open(args.invariant) as fh:
         invariant = invariant_from_doc(json.load(fh))
     s0 = initial_state(program, _parse_assignments(args.set or []))
-    report = check_invariant(program, s0, invariant, args.max_steps)
+    trace = run_trace(program, s0, args.max_steps)
+    report = check_invariant(program, trace, invariant)
     # A violation on a prefix is a violation of the whole trace, but a
     # clean prefix says nothing about the pairs the budget cut off.
     if not report.ok:
@@ -339,14 +351,14 @@ def cmd_pipeline(args) -> int:
         raise BudgetExceeded(f"no final state within {args.max_steps} steps")
     result = trace.states[-1].env_dict(unit.program)[unit.result_var]
     oracle = eval_pr(term, args.inputs)
-    report = check_invariant(unit.program, s0, invariant, args.max_steps)
+    report = check_invariant(unit.program, trace, invariant)
 
     bound = None
     bound_holds = None
     if report.ok:
         # The descent bound is exact but astronomically loose; it is
         # reported in full rather than capped by --max-bound.
-        bound = step_bound(unit.program, s0, invariant, max_steps=args.max_steps)
+        bound = step_bound(report)
         bound_holds = trace.steps <= bound
 
     ok = report.ok and result == oracle and bool(bound_holds)

@@ -30,7 +30,10 @@ class NoRelation(TermboundError):
 
 
 class NotHomogeneous(TermboundError):
-    """Sequence has a pair with no strictly decreasing coordinate."""
+    """Sequence has a pair with no strictly decreasing coordinate.
+
+    Also raised by ``PhiSequence`` when the invariant check did not pass.
+    """
 
 
 class BranchNotInTree(TermboundError):

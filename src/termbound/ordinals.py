@@ -302,12 +302,18 @@ def to_vector(a: OrdinalLike, k: int) -> tuple[int, ...]:
 # Printing always produces the canonical spelling ("w" not "w^1", no "*1").
 # Parsing accepts any spelling of a canonical value but rejects term lists
 # that are not in normal form (non-decreasing exponents, zero coefficients).
+# Parsing, printing and comparing recurse per exponent level, so exponents
+# nest at most MAX_NESTING deep: deeper input is a ParseError, not a
+# RecursionError in whichever of them runs out of stack first.
+
+MAX_NESTING = 100
 
 
 class _Scanner:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> str:
         return self.text[self.pos] if self.pos < len(self.text) else ""
@@ -357,7 +363,11 @@ def _parse_term(sc: _Scanner) -> tuple[Ordinal, int]:
             sc.take()
             if sc.peek() == "(":
                 sc.take()
+                sc.depth += 1
+                if sc.depth > MAX_NESTING:
+                    raise ParseError(f"ordinal nested too deeply (limit {MAX_NESTING})")
                 exp = _parse_ordinal(sc)
+                sc.depth -= 1
                 sc.expect(")")
             else:
                 exp = Ordinal.from_int(sc.nat())

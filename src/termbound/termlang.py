@@ -17,11 +17,12 @@ optional pre/post location sets plus a conjunction of atoms comparing
 pre-variables, post-variables, the location token ``loc``, and
 constants.
 
-``check_invariant`` verifies coverage and rank descent over all pairs of
-a bounded trace. The rank tuples of a covered trace embed into the
-colored-tree measure of :mod:`termbound.erdos`; ``step_bound`` feeds
-that measure to :mod:`termbound.bounds` and returns a number of steps by
-which the program must have reached a final state.
+Each stage takes the previous one's result: ``check_invariant`` verifies
+coverage and rank descent over all pairs of a ``run_trace`` trace; the
+rank tuples of a passing report embed into the colored-tree measure of
+:mod:`termbound.erdos` (``PhiSequence``); ``step_bound`` feeds that
+measure to :mod:`termbound.bounds` and returns a number of steps by which
+the program must have reached a final state.
 
 Orientation: relations hold (earlier, later) pairs of the execution
 order; the ranked certificate decreases from earlier to later.
@@ -570,7 +571,10 @@ class TransitionInvariant:
 
 @dataclass
 class InvariantReport:
-    """Outcome of checking every ordered pair of a bounded trace."""
+    """Outcome of checking every ordered pair of a bounded trace.
+
+    ``rank_tuples`` (not in ``to_doc``) holds each state's relation ranks.
+    """
 
     trace_length: int
     reached_final: bool
@@ -579,6 +583,7 @@ class InvariantReport:
     rank_violations: list[tuple[int, int, str]] = field(default_factory=list)
     uncovered_total: int = 0
     rank_violation_total: int = 0
+    rank_tuples: list[tuple[int, ...]] = field(default_factory=list, repr=False)
 
     MAX_LISTED = 20
 
@@ -600,19 +605,15 @@ class InvariantReport:
 
 
 def check_invariant(
-    p: Program,
-    s0: State,
-    inv: TransitionInvariant,
-    max_steps: int = 10_000,
+    p: Program, trace: Trace, inv: TransitionInvariant
 ) -> InvariantReport:
-    """Check coverage and rank descent over all trace pairs (i < j).
+    """Check coverage and rank descent over all pairs (i < j) of ``trace``.
 
     Every ordered pair of distinct trace states must belong to at least
     one relation of the invariant, and every relation containing a pair
     must strictly decrease its rank on it. Violations are collected, not
-    raised.
+    raised. A passing report thus proves the rank tuples homogeneous.
     """
-    trace = run_trace(p, s0, max_steps)
     states = trace.states
     members = [r.compile_member(p) for r in inv.relations]
     ranks = [r.compile_rank(p) for r in inv.relations]
@@ -621,6 +622,7 @@ def check_invariant(
         trace_length=len(states),
         reached_final=trace.complete,
         pairs_checked=len(states) * (len(states) - 1) // 2,
+        rank_tuples=list(zip(*values)),
     )
     for i in range(len(states)):
         si = states[i]
@@ -650,50 +652,32 @@ def check_invariant(
 class PhiSequence:
     """Rank-tuple measure of the growing trace prefix, frozen at the end.
 
-    Each trace state maps to the tuple of all relation ranks; the prefix
-    of length x+1 embeds into a colored tree whose height below ``w^k``
-    yields a k-vector. Extending the prefix strictly decreases the
-    vector lexicographically until the final state repeats, after which
-    the value is constant; that freeze point makes the sequence usable
-    by the closed-form path of ``bound_g``.
+    Built from a passing ``check_invariant`` report on a complete trace:
+    the first x+1 rank tuples embed into a colored tree whose height
+    below ``w^k`` yields a k-vector. Extending the prefix strictly
+    decreases the vector lexicographically until the final state repeats,
+    after which the value is constant; that freeze point makes the
+    sequence usable by the closed-form path of ``bound_g``.
 
     The vector is maintained incrementally by ``erdos.IncrementalMeasure``,
     one tree descent per state; rebuilding the labelled tree of every
     prefix (``erdos.f_star_vec``) gives the same vectors and is kept as
-    the test oracle. Every rank tuple is first checked to descend below
-    all earlier ones, which is what makes the bound sound.
+    the test oracle. The passing check is what makes the bound sound.
     """
 
-    def __init__(
-        self,
-        p: Program,
-        s0: State,
-        inv: TransitionInvariant,
-        max_steps: int = 100_000,
-    ):
-        trace = run_trace(p, s0, max_steps)
-        if not trace.complete:
-            raise BudgetExceeded(
-                f"no final state within {max_steps} steps; the measure "
-                "sequence would not freeze"
+    def __init__(self, report: InvariantReport):
+        if not report.reached_final:
+            raise BudgetExceeded("no final state; the measure would not freeze")
+        if not report.ok:
+            raise NotHomogeneous(
+                "the invariant check did not pass, so descent of the rank "
+                "tuples is unproven"
             )
-        ranks = [r.compile_rank(p) for r in inv.relations]
-        self.points = [tuple(rank(s) for rank in ranks) for s in trace.states]
-        self.k = inv.k
+        self.points = report.rank_tuples
+        self.k = len(self.points[0])
         measure = IncrementalMeasure(self.k)
-        vecs: list[tuple[int, ...]] = []
-        seen: list[tuple[int, ...]] = []
-        for pt in self.points:
-            seen.append(pt)
-            for earlier in seen[:-1]:
-                if not any(pt[h] < earlier[h] for h in range(self.k)):
-                    raise NotHomogeneous(
-                        f"rank tuples {earlier} -> {pt} do not descend; "
-                        "the invariant does not cover this trace"
-                    )
-            vecs.append(measure.insert(pt))
-        self.vectors = vecs
-        self.final_step = len(vecs) - 1
+        self.vectors = [measure.insert(pt) for pt in self.points]
+        self.final_step = len(self.vectors) - 1
 
     def value(self, x: int) -> tuple[int, ...]:
         return self.vectors[min(x, self.final_step)]
@@ -704,33 +688,15 @@ class PhiSequence:
         )
 
 
-def phi(
-    p: Program,
-    s0: State,
-    inv: TransitionInvariant,
-    x: int,
-    max_steps: int = 100_000,
-) -> tuple[int, ...]:
-    """The measure vector of the trace prefix ``s0 .. t^x(s0)``."""
-    return PhiSequence(p, s0, inv, max_steps).value(x)
+def step_bound(report: InvariantReport, max_value: int | None = None) -> int:
+    """Steps within which the program of a passing ``report`` halts.
 
-
-def step_bound(
-    p: Program,
-    s0: State,
-    inv: TransitionInvariant,
-    max_steps: int = 100_000,
-    max_value: int | None = None,
-) -> int:
-    """A number of steps within which the program reaches a final state.
-
-    The measure sequence of a covered trace descends lexicographically
+    The measure sequence of the covered trace descends lexicographically
     while the program runs, and the descent bound of that sequence
     therefore caps the step count. The result is exact but can be
     astronomically loose.
     """
-    seq = PhiSequence(p, s0, inv, max_steps).sequence()
-    return bound_g(seq, 0, max_value=max_value)
+    return bound_g(PhiSequence(report).sequence(), 0, max_value=max_value)
 
 
 # --- serialization -----------------------------------------------------------

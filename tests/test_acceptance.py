@@ -226,8 +226,9 @@ def test_criterion_5_descent_bound_holds():
         ("phi-proj11", Proj(1, 1), (4,)),
     ]:
         unit = compile_term(term)
-        s0, _ = _unit_states(unit, args)
-        corpus.append((name, PhiSequence(unit.program, s0, unit.invariant).sequence()))
+        _, trace = _unit_states(unit, args)
+        report = check_invariant(unit.program, trace, unit.invariant)
+        corpus.append((name, PhiSequence(report).sequence()))
 
     assert len(corpus) >= 20
     assert all(sigma.k <= 3 for _, sigma in corpus)
@@ -235,7 +236,7 @@ def test_criterion_5_descent_bound_holds():
         for n in range(6):
             bound = bound_g(sigma, n, max_value=10**9)
             assert bound < 10**9, name
-            m = find_nondescent(sigma, n, max_value=10**9)
+            m = find_nondescent(sigma, n, bound)
             assert n <= m <= bound, (name, n)
             assert lex_le(sigma(m), sigma(m + 1)), (name, n)
     print(
@@ -267,8 +268,8 @@ def test_criterion_7_invariants_valid_and_mutation_detected():
     for name, term in CORPUS:
         unit = compile_term(term)
         for args in product(range(6), repeat=term.arity):
-            s0, _ = _unit_states(unit, args)
-            report = check_invariant(unit.program, s0, unit.invariant, 100_000)
+            _, trace = _unit_states(unit, args)
+            report = check_invariant(unit.program, trace, unit.invariant)
             assert report.ok, (name, args, report.uncovered_total,
                                report.rank_violation_total)
             pairs += report.pairs_checked
@@ -277,7 +278,7 @@ def test_criterion_7_invariants_valid_and_mutation_detected():
     mutations = 0
     for name, term in CORPUS:
         unit = compile_term(term)
-        s0, _ = _unit_states(unit, probe[name])
+        _, trace = _unit_states(unit, probe[name])
         for idx, rel in enumerate(unit.invariant.relations):
             assert isinstance(rel, ConstraintRelation)
             broken = ConstraintRelation(
@@ -287,7 +288,7 @@ def test_criterion_7_invariants_valid_and_mutation_detected():
             relations = list(unit.invariant.relations)
             relations[idx] = broken
             report = check_invariant(
-                unit.program, s0, TransitionInvariant(tuple(relations)), 100_000
+                unit.program, trace, TransitionInvariant(tuple(relations))
             )
             assert report.rank_violation_total > 0, (name, rel.name)
             mutations += 1
@@ -301,8 +302,8 @@ def test_criterion_8_step_bound_dominates_termination():
     results = []
     for term, args in [(ADD, (1, 1)), (ADD, (2, 1)), (MULT, (2, 2))]:
         unit = compile_term(term)
-        s0, trace = _unit_states(unit, args)
-        bound = step_bound(unit.program, s0, unit.invariant)
+        _, trace = _unit_states(unit, args)
+        bound = step_bound(check_invariant(unit.program, trace, unit.invariant))
         assert trace.steps <= bound, (args, trace.steps)
         results.append((args, trace.steps, len(str(bound))))
     summary = ", ".join(

@@ -86,15 +86,16 @@ class TestBoundG:
 
 class TestFindNondescent:
     def test_constant(self):
-        assert find_nondescent(SequenceFn.constant((3, 3)), 0) == 0
+        sigma = SequenceFn.constant((3, 3))
+        assert find_nondescent(sigma, 0, bound_g(sigma, 0)) == 0
 
     def test_scalar_descent(self):
         sigma = SequenceFn.from_rows([(5,), (4,), (3,), (3,)])
-        assert find_nondescent(sigma, 0) == 2
+        assert find_nondescent(sigma, 0, bound_g(sigma, 0)) == 2
 
     def test_lexicographic_scan(self):
         sigma = SequenceFn.from_rows([(1, 1), (1, 0), (0, 5), (0, 4), (0, 4)])
-        assert find_nondescent(sigma, 0) == 3
+        assert find_nondescent(sigma, 0, bound_g(sigma, 0)) == 3
 
     def test_within_bound_on_corpus(self):
         corpus = [
@@ -109,6 +110,6 @@ class TestFindNondescent:
         ]
         for sigma in corpus:
             for n in range(6):
-                m = find_nondescent(sigma, n)
+                m = find_nondescent(sigma, n, bound_g(sigma, n))
                 assert n <= m <= bound_g(sigma, n)
                 assert lex_le(sigma(m), sigma(m + 1))

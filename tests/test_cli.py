@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -44,6 +45,23 @@ class TestCommands:
 
     def test_ord_parse_error_exit_code(self, capsys):
         assert main(["ord", "w+w"]) == 2
+
+    TOWER = "w^(" * 3000 + "1" + ")" * 3000
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ord", TOWER],
+            ["tree-height", "--k", "2", TOWER],
+            ["ord", "(" * 3000 + "w" + ")" * 3000],
+        ],
+        ids=["ord-tower", "tree-height-tower", "ord-parentheses"],
+    )
+    def test_deep_nesting_is_a_parse_error(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "nested too deeply" in err
+        assert err.count("\n") == 1
 
     def test_tree_height(self, capsys):
         assert main(["tree-height", "--k", "2", "3"]) == 0
@@ -211,3 +229,81 @@ class TestCommands:
 
     def test_missing_file_is_usage_error(self):
         assert main(["compile", "/nonexistent/term.pr"]) == 2
+
+
+TERMS = {
+    "add": "(rec (p 1 1) (comp s (p 2 3)))",
+    "sub": "(rec (p 1 1) (comp (rec (z 0) (p 1 2)) (p 2 3)))",
+    "mult": "(rec z (comp (rec (p 1 1) (comp s (p 2 3))) (p 2 3) (p 3 3)))",
+}
+
+# Exit code and SHA-256 of the --format structured stdout of each case. A
+# changed digest is a changed command-line contract and needs a stated reason.
+GOLDEN = {
+    "pipeline-add-pass": (0, "e10074d26e3460e5b55d3e69f62a3c082ad961e76ac1ec10d1a2a1328534ce1a"),
+    "pipeline-sub-pass": (0, "74a3965b835d36fe2d2825c18527cb9cfdd4a69ed8d7e48ed95bdbb274aa8a58"),
+    "pipeline-mult-pass": (0, "4de4d8b4ef9f64a346aa5bd54b230cb3882c4e3c6019b85f1a512363e4a45321"),
+    "pipeline-add-tampered": (1, "37c50ca48b4134390506340aa29a16158f1f7eeaeaec4c26cf8bcc5b37eef675"),
+    "pipeline-sub-tampered": (1, "9fec4a69854656c804877706c515a06cfb22f2f9e62597aa50d441e4e45b52d5"),
+    "pipeline-mult-tampered": (1, "684f0cd77413cdec839e8b94b3799e3c9e08febcd177abed8e058b2b9a865b43"),
+    "check-pass": (0, "9b2653e4eea23e849a50ec93feff91a63e92472b5b1cafc3c2ede2767bbcfb38"),
+    "check-fail": (1, "9f6c21b7941feab7c19e4564b782e20eae2cb3c7529a32f929dbc2ba12ebd0a1"),
+    "check-budget": (3, "e08a7296521f5cad3117f31b6cf76ea86c794b8f4434abae0f4f12fde383367a"),
+    "embed": (0, "1e4a05ed40d0f95ec6eeeac82244dd641311c6ab4dcc39382e4efcb507ff08ee"),
+    "bound": (0, "fa478fca22c5d11bfc57c0bc8c41ed7162cc0c641a0743e4f7b90864680a4898"),
+}
+
+
+class TestStructuredGolden:
+    @staticmethod
+    def structured(capsys, *argv):
+        code = main(["--format", "structured", *argv])
+        return code, capsys.readouterr().out
+
+    def unit_files(self, tmp_path, capsys, name):
+        term = tmp_path / f"{name}.pr"
+        term.write_text(TERMS[name])
+        unit = json.loads(self.structured(capsys, "compile", str(term))[1])
+        prog = tmp_path / f"{name}.prog"
+        prog.write_text(unit["program"])
+        inv = tmp_path / f"{name}.inv.json"
+        inv.write_text(json.dumps(unit["invariant"]))
+        unit["invariant"][1]["rank"] = "0"
+        tampered = tmp_path / f"{name}.bad.inv.json"
+        tampered.write_text(json.dumps(unit["invariant"]))
+        return str(term), str(prog), str(inv), str(tampered)
+
+    def run_case(self, case, tmp_path, capsys):
+        command, _, rest = case.partition("-")
+        if command == "pipeline":
+            name, _, kind = rest.partition("-")
+            term, _, _, tampered = self.unit_files(tmp_path, capsys, name)
+            extra = ["--invariant", tampered] if kind == "tampered" else []
+            return self.structured(capsys, "pipeline", term, "2", "3", *extra)
+        if command == "check":
+            if rest == "budget":
+                prog = tmp_path / "count.prog"
+                prog.write_text("vars x y\n0: while x < y\n1:   x := x + 1\n")
+                inv = tmp_path / "count.inv.json"
+                inv.write_text(json.dumps(
+                    [{"name": "r", "atoms": [], "rank": "y - x + y - x + 1 - loc"}]
+                ))
+                return self.structured(
+                    capsys, "check", str(prog), "--invariant", str(inv),
+                    "--set", "y=50000", "--max-steps", "20",
+                )
+            _, prog, inv, tampered = self.unit_files(tmp_path, capsys, "add")
+            return self.structured(
+                capsys, "check", prog, "--invariant",
+                inv if rest == "pass" else tampered, "--set", "y=2", "--set", "x1=3",
+            )
+        if command == "embed":
+            return self.structured(capsys, "embed", "3,4", "1,4", "0,9")
+        sigma = tmp_path / "sigma.json"
+        sigma.write_text(json.dumps({"k": 2, "rows": [[1, 1], [1, 0], [0, 5], [0, 4], [0, 4]]}))
+        return self.structured(capsys, "bound", str(sigma))
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_output_digest(self, case, tmp_path, capsys):
+        code, out = self.run_case(case, tmp_path, capsys)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[case]

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from termbound.errors import DomainTooLarge, ParseError
 from termbound.ordinals import (
+    MAX_NESTING,
     OMEGA,
     ONE,
     ZERO,
@@ -165,6 +166,17 @@ class TestGrammar:
     def test_non_canonical_rejected(self, text):
         with pytest.raises(ParseError):
             parse_ordinal(text)
+
+    def test_nesting_cap(self):
+        def tower(depth):
+            return "w^(" * depth + "1" + ")" * depth
+
+        deepest = parse_ordinal(tower(MAX_NESTING))
+        n = MAX_NESTING - 1
+        assert str(deepest) == "w^(" * n + "w" + ")" * n
+        assert cmp(deepest, parse_ordinal(tower(n))) > 0
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_ordinal(tower(MAX_NESTING + 1))
 
 
 class TestAlgebraicLaws:

@@ -145,7 +145,7 @@ class TestCompileBaseCases:
     def test_zero_invariant_has_no_obligations(self):
         unit = compile_term(Zero(1))
         s0 = initial_state(unit.program, {"x1": 3})
-        report = check_invariant(unit.program, s0, unit.invariant)
+        report = check_invariant(unit.program, run_trace(unit.program, s0), unit.invariant)
         assert report.ok and report.pairs_checked == 0
 
     def test_proj_result_is_input(self):
@@ -157,7 +157,7 @@ class TestCompileBaseCases:
         unit = compile_term(Succ())
         assert run_unit(unit, (4,)) == 5
         s0 = initial_state(unit.program, {"x1": 4})
-        assert check_invariant(unit.program, s0, unit.invariant).ok
+        assert check_invariant(unit.program, run_trace(unit.program, s0), unit.invariant).ok
 
 
 class TestCompileComposite:
@@ -168,14 +168,14 @@ class TestCompileComposite:
     def test_add_invariant_passes(self):
         unit = compile_term(ADD)
         s0 = initial_state(unit.program, {"y": 2, "x1": 3})
-        report = check_invariant(unit.program, s0, unit.invariant)
+        report = check_invariant(unit.program, run_trace(unit.program, s0), unit.invariant)
         assert report.ok
 
     def test_mult_runs(self):
         unit = compile_term(MULT)
         assert run_unit(unit, (2, 2)) == 4
         s0 = initial_state(unit.program, {"y": 2, "x1": 2})
-        assert check_invariant(unit.program, s0, unit.invariant).ok
+        assert check_invariant(unit.program, run_trace(unit.program, s0), unit.invariant).ok
 
     def test_all_variables_declared_up_front(self):
         unit = compile_term(MULT)
@@ -218,12 +218,13 @@ class TestCompileComposite:
 
 class TestMeasureSequence:
     def test_add_measure_descends_and_freezes(self):
-        from termbound.termlang import PhiSequence, phi
+        from termbound.termlang import PhiSequence
 
         unit = compile_term(ADD)
         s0 = initial_state(unit.program, {"y": 1, "x1": 1})
-        seq = PhiSequence(unit.program, s0, unit.invariant)
-        assert phi(unit.program, s0, unit.invariant, 1) < seq.value(0)
+        trace = run_trace(unit.program, s0)
+        seq = PhiSequence(check_invariant(unit.program, trace, unit.invariant))
+        assert seq.value(1) < seq.value(0)
         for x in range(seq.final_step):
             assert seq.value(x + 1) < seq.value(x)
         assert seq.value(seq.final_step + 10) == seq.value(seq.final_step)
@@ -235,7 +236,9 @@ class TestMeasureSequence:
             unit = compile_term(term)
             s0 = initial_state(unit.program, dict(zip(unit.input_vars, args)))
             trace = run_trace(unit.program, s0)
-            assert trace.steps <= step_bound(unit.program, s0, unit.invariant)
+            assert trace.steps <= step_bound(
+                check_invariant(unit.program, trace, unit.invariant)
+            )
 
 
 class TestStepFunctionShape:

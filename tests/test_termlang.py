@@ -2,9 +2,10 @@ import json
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from termbound.bounds import SequenceFn, bound_g
-from termbound.erdos import embed, height_of_tree
+from termbound.erdos import embed, height_of_tree, is_homogeneous
 from termbound.errors import BudgetExceeded, NotHomogeneous, ParseError
 from termbound.ordinals import to_vector
 from termbound.prcompile import ADD, MULT, SUB, compile_term
@@ -32,7 +33,6 @@ from termbound.termlang import (
     is_final,
     parse_atom,
     parse_rank,
-    phi,
     post,
     pre,
     program_from_text,
@@ -50,6 +50,10 @@ from termbound.termlang import (
     PRE_LOC,
     POST_LOC,
 )
+
+
+def checked(p, s0, inv, max_steps=10_000):
+    return check_invariant(p, run_trace(p, s0, max_steps), inv)
 
 
 def counting_program():
@@ -156,13 +160,13 @@ class TestCheckInvariant:
         inv = TransitionInvariant(
             (ConstraintRelation("empty", (Atom(const(0), "<", const(0)),), rank_const(0)),)
         )
-        report = check_invariant(p, initial_state(p), inv)
+        report = checked(p, initial_state(p), inv)
         assert report.ok and report.pairs_checked == 0
 
     def test_counting_loop_covered(self):
         p = counting_program()
         inv = TransitionInvariant((line_relation(2), loop_relation()))
-        report = check_invariant(p, initial_state(p, {"y": 4}), inv)
+        report = checked(p, initial_state(p, {"y": 4}), inv)
         assert report.ok
         assert report.pairs_checked == len(run_trace(p, initial_state(p, {"y": 4}))) * (
             len(run_trace(p, initial_state(p, {"y": 4}))) - 1
@@ -171,7 +175,7 @@ class TestCheckInvariant:
     def test_uncovered_pair_reported(self):
         p = counting_program()
         inv = TransitionInvariant((loop_relation(),))
-        report = check_invariant(p, initial_state(p, {"y": 2}), inv)
+        report = checked(p, initial_state(p, {"y": 2}), inv)
         assert not report.ok
         assert report.uncovered_total > 0
 
@@ -181,7 +185,7 @@ class TestCheckInvariant:
             "loop", loop_relation().atoms, rank_const(0)
         )
         inv = TransitionInvariant((line_relation(2), broken))
-        report = check_invariant(p, initial_state(p, {"y": 3}), inv)
+        report = checked(p, initial_state(p, {"y": 3}), inv)
         assert report.rank_violation_total > 0
         assert any(name == "loop" for _, _, name in report.rank_violations)
 
@@ -192,7 +196,7 @@ class TestCheckInvariant:
             membership=lambda s, s2: True,
             rank_fn=lambda s: 1000 - 3 * s.env[0] - s.location,
         )
-        report = check_invariant(p, initial_state(p, {"y": 5}), TransitionInvariant((everything,)))
+        report = checked(p, initial_state(p, {"y": 5}), TransitionInvariant((everything,)))
         assert report.ok
 
 
@@ -206,18 +210,18 @@ class TestPhi:
         from termbound.erdos import f_star_vec
 
         p, s0, inv = self.make(2)
-        seq = PhiSequence(p, s0, inv)
-        assert phi(p, s0, inv, 0) == f_star_vec([seq.points[0]], 2)
+        seq = PhiSequence(checked(p, s0, inv))
+        assert seq.value(0) == f_star_vec([seq.points[0]], 2)
 
     def test_lexicographically_decreasing_until_final(self):
         p, s0, inv = self.make(3)
-        seq = PhiSequence(p, s0, inv)
+        seq = PhiSequence(checked(p, s0, inv))
         for x in range(seq.final_step):
             assert seq.value(x + 1) < seq.value(x)
 
     def test_frozen_after_final(self):
         p, s0, inv = self.make(2)
-        seq = PhiSequence(p, s0, inv)
+        seq = PhiSequence(checked(p, s0, inv))
         assert seq.value(seq.final_step + 7) == seq.value(seq.final_step)
 
     def test_invalid_invariant_detected(self):
@@ -226,13 +230,13 @@ class TestPhi:
             (ConstraintRelation("noop", (), rank_const(7)),)
         )
         with pytest.raises(NotHomogeneous):
-            PhiSequence(p, initial_state(p, {"y": 2}), bad)
+            PhiSequence(checked(p, initial_state(p, {"y": 2}), bad))
 
     def test_nonterminating_budget(self):
         p = Program(("x", "y"), (While("x", "y", (Assign("x", Dec("x")),)),))
         inv = TransitionInvariant((line_relation(2),))
         with pytest.raises(BudgetExceeded):
-            PhiSequence(p, initial_state(p, {"y": 5}), inv, max_steps=50)
+            PhiSequence(checked(p, initial_state(p, {"y": 5}), inv, max_steps=50))
 
 
 SMALL_COMPILED = (
@@ -249,16 +253,65 @@ class TestPhiAgainstRebuild:
     def test_vectors_and_step_bound(self, name, args):
         unit = compile_term({"add": ADD, "sub": SUB, "mult": MULT}[name])
         s0 = initial_state(unit.program, dict(zip(unit.input_vars, args)))
-        seq = PhiSequence(unit.program, s0, unit.invariant)
+        report = checked(unit.program, s0, unit.invariant)
+        seq = PhiSequence(report)
         k = unit.invariant.k
         rebuilt = [
             to_vector(height_of_tree(embed(seq.points[: n + 1], k)), k)
             for n in range(len(seq.points))
         ]
         assert seq.vectors == rebuilt
-        assert step_bound(unit.program, s0, unit.invariant) == bound_g(
+        assert step_bound(report) == bound_g(
             SequenceFn.from_rows(rebuilt), 0
         )
+
+
+@st.composite
+def mutated_checks(draw):
+    """A compiled add/sub/mult trace and its invariant after at most one change.
+
+    The change sets one relation's rank to a constant, drops one relation,
+    or removes one atom of one relation.
+    """
+    name = draw(st.sampled_from(["add", "sub", "mult"]))
+    unit = compile_term({"add": ADD, "sub": SUB, "mult": MULT}[name])
+    top = 2 if name == "mult" else 4
+    args = draw(st.tuples(*[st.integers(0, top)] * len(unit.input_vars)))
+    relations = list(unit.invariant.relations)
+    idx = draw(st.integers(0, len(relations) - 1))
+    rel = relations[idx]
+    change = draw(st.sampled_from(["none", "rank", "drop", "atom"]))
+    if change == "rank":
+        relations[idx] = ConstraintRelation(
+            rel.name, rel.atoms, rank_const(draw(st.integers(0, 3))),
+            rel.pre_locations, rel.post_locations,
+        )
+    elif change == "drop":
+        del relations[idx]
+    elif change == "atom" and rel.atoms:
+        gone = draw(st.integers(0, len(rel.atoms) - 1))
+        relations[idx] = ConstraintRelation(
+            rel.name, rel.atoms[:gone] + rel.atoms[gone + 1 :], rel.rank,
+            rel.pre_locations, rel.post_locations,
+        )
+    s0 = initial_state(unit.program, dict(zip(unit.input_vars, args)))
+    return unit.program, run_trace(unit.program, s0), TransitionInvariant(tuple(relations))
+
+
+class TestCheckIsTheDescentProof:
+    """A passing check is the homogeneity gate of the measure and the bound."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(mutated_checks())
+    def test_passing_check_implies_homogeneous_rank_tuples(self, case):
+        p, trace, inv = case
+        report = check_invariant(p, trace, inv)
+        ranks = [r.compile_rank(p) for r in inv.relations]
+        assert report.rank_tuples == [
+            tuple(rank(s) for rank in ranks) for s in trace.states
+        ]
+        if report.ok:
+            assert is_homogeneous(report.rank_tuples, inv.k)
 
 
 class TestStepBound:
@@ -267,7 +320,7 @@ class TestStepBound:
         inv = TransitionInvariant(
             (ConstraintRelation("empty", (Atom(const(0), "<", const(0)),), rank_const(0)),)
         )
-        bound = step_bound(p, initial_state(p), inv)
+        bound = step_bound(checked(p, initial_state(p), inv))
         assert bound >= 0
 
     def test_counting_loop_bounded(self):
@@ -275,7 +328,7 @@ class TestStepBound:
         inv = TransitionInvariant((line_relation(2), loop_relation()))
         for y in (0, 1, 3):
             s0 = initial_state(p, {"y": y})
-            bound = step_bound(p, s0, inv)
+            bound = step_bound(checked(p, s0, inv))
             assert run_trace(p, s0).steps <= bound
 
 
