@@ -26,6 +26,7 @@ finished off in closed form; values stay exact however large.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Sequence
 
 from .errors import BudgetExceeded, LemmaViolated, LengthMismatch, NoWitness
@@ -59,13 +60,23 @@ class SequenceFn:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "SequenceFn":
-        """Prefix given explicitly; the last row repeats forever."""
-        rows = [tuple(r) for r in rows]
+        """Prefix given explicitly; the last row repeats forever.
+
+        Raises ValueError unless the rows are non-empty, of one length,
+        and every coordinate is a natural (an ``int``, not a ``bool``).
+        """
+        try:
+            rows = [tuple(r) for r in rows]
+        except TypeError:
+            raise ValueError("every row must be a list of naturals") from None
         if not rows:
             raise ValueError("need at least one row")
         k = len(rows[0])
         if any(len(r) != k for r in rows):
             raise ValueError("rows of unequal length")
+        types = set(map(type, chain.from_iterable(rows)))
+        if types - {int} or min(chain.from_iterable(rows), default=0) < 0:
+            raise ValueError("every coordinate must be a natural number")
         last = len(rows) - 1
 
         def fn(n: int) -> tuple[int, ...]:
@@ -97,14 +108,13 @@ def find_adjacent_increase(sigma1: Callable[[int], int], m: int, n: int) -> int:
 @dataclass
 class _Budget:
     max_value: int | None
-    max_iterations: int
     iterations: int = 0
 
     def spend(self) -> None:
         self.iterations += 1
-        if self.iterations > self.max_iterations:
+        if self.iterations > DEFAULT_MAX_ITERATIONS:
             raise BudgetExceeded(
-                f"bound evaluation exceeded {self.max_iterations} iterations"
+                f"bound evaluation exceeded {DEFAULT_MAX_ITERATIONS} iterations"
             )
 
     def check_value(self, x: int) -> int:
@@ -178,47 +188,39 @@ class _Evaluator:
         return result
 
 
-def bound_g(
-    sigma: SequenceFn,
-    n: int,
-    max_value: int | None = None,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-) -> int:
+def bound_g(sigma: SequenceFn, n: int, max_value: int | None = None) -> int:
     """A point by which the lexicographic descent of sigma must pause.
 
     Raises BudgetExceeded when the value passes ``max_value`` or the
-    evaluation needs more than ``max_iterations`` iteration steps.
+    evaluation needs more than ``DEFAULT_MAX_ITERATIONS`` iteration steps.
     """
     if sigma.k < 1:
         raise ValueError("sequence must have at least one component")
     if n < 0:
         raise ValueError("n must be a natural number")
-    evaluator = _Evaluator(sigma, _Budget(max_value, max_iterations))
+    evaluator = _Evaluator(sigma, _Budget(max_value))
     return evaluator.bound(sigma.k, n)
 
 
-def find_nondescent(
-    sigma: SequenceFn,
-    n: int,
-    limit: int,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-) -> int:
+def find_nondescent(sigma: SequenceFn, n: int, limit: int) -> int:
     """Least m in [n, limit] with sigma(m) <=_lex sigma(m+1).
 
     ``limit`` is normally ``bound_g(sigma, n)``, computed once by the
-    caller. Raises LemmaViolated if the whole interval strictly descends,
-    which with that limit would refute the bound construction; tests
-    treat that as failure.
+    caller. Raises BudgetExceeded if the scan would pass
+    ``DEFAULT_MAX_ITERATIONS`` points, and LemmaViolated if the whole
+    interval strictly descends, which with that limit would refute the
+    bound construction; tests treat that as failure.
     """
-    m = n
-    while m <= limit:
-        if m - n > max_iterations:
-            raise BudgetExceeded(
-                f"non-descent scan exceeded {max_iterations} evaluations"
-            )
-        if lex_le(sigma(m), sigma(m + 1)):
+    end = min(limit, n + DEFAULT_MAX_ITERATIONS)
+    later = sigma(n)
+    for m in range(n, end + 1):
+        earlier, later = later, sigma(m + 1)
+        if earlier <= later:
             return m
-        m += 1
+    if end < limit:
+        raise BudgetExceeded(
+            f"non-descent scan exceeded {DEFAULT_MAX_ITERATIONS} evaluations"
+        )
     raise LemmaViolated(
         f"strict lexicographic descent throughout [{n}, {limit}]"
     )

@@ -16,8 +16,8 @@ from .bounds import SequenceFn, bound_g, find_nondescent
 from .erdos import embed, erdos_to_json, height_of_tree
 from .errors import BudgetExceeded, ParseError, TermboundError
 from .ktree import height_nil
-from .ordinals import MAX_NESTING, Ordinal, add, exp_base_k, nat_prod_nat, nat_sum
-from .ordinals import parse_ordinal, to_vector
+from .ordinals import Ordinal, Scanner, add, exp_base_k, nat_prod_nat, nat_sum
+from .ordinals import parse_ordinal, read_ordinal, to_vector
 from .prcompile import compile_term, eval_pr, parse_term
 from .termlang import (
     check_invariant,
@@ -37,119 +37,55 @@ from .termlang import (
 #   primary := "exp" "(" nat "," expr ")" | "(" expr ")" | ordinal literal
 #
 # "+" is the standard sum, "#" the natural sum, "#* n" the natural product
-# by n. Operators need surrounding whitespace; "+" without it belongs to
-# the ordinal literal ("w*2+1").
-
-
-class _ExprParser:
-    LITERAL_CHARS = set("0123456789w^*")
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.depth = 0
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    def parse(self) -> Ordinal:
-        value = self.expr()
-        if not self.at_end():
-            raise ParseError(f"trailing input at position {self.pos}")
-        return value
-
-    def expr(self) -> Ordinal:
-        value = self.primary()
-        while True:
-            self.skip_ws()
-            if self.text.startswith("#*", self.pos):
-                self.pos += 2
-                value = nat_prod_nat(value, self.nat())
-            elif self.text.startswith("#", self.pos):
-                self.pos += 1
-                value = nat_sum(value, self.primary())
-            elif self.text.startswith("+", self.pos):
-                self.pos += 1
-                value = add(value, self.primary())
-            else:
-                return value
-
-    def primary(self) -> Ordinal:
-        self.skip_ws()
-        if self.text.startswith("exp", self.pos) and self.text[
-            self.pos + 3 :
-        ].lstrip().startswith("("):
-            self.pos = self.text.index("(", self.pos) + 1
-            base = self.nat()
-            self.skip_ws()
-            if not self.text.startswith(",", self.pos):
-                raise ParseError("exp needs a base and an ordinal")
-            self.pos += 1
-            arg = self.nested()
-            self.expect(")")
-            return exp_base_k(base, arg)
-        if self.text.startswith("(", self.pos):
-            self.pos += 1
-            value = self.nested()
-            self.expect(")")
-            return value
-        return parse_ordinal(self.literal())
-
-    def nested(self) -> Ordinal:
-        # Capped like a literal's exponents, since each exp() adds a level.
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise ParseError(f"ordinal expression nested too deeply (limit {MAX_NESTING})")
-        value = self.expr()
-        self.depth -= 1
-        return value
-
-    def literal(self) -> str:
-        start = self.pos
-        depth = 0
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch in self.LITERAL_CHARS:
-                self.pos += 1
-            elif ch == "+" and self.pos + 1 < len(self.text) and self.text[
-                self.pos + 1
-            ] in "0123456789w":
-                self.pos += 1
-            elif ch == "(" and self.pos > start and self.text[self.pos - 1] == "^":
-                depth += 1
-                self.pos += 1
-            elif ch == ")" and depth > 0:
-                depth -= 1
-                self.pos += 1
-            else:
-                break
-        if start == self.pos:
-            raise ParseError(f"expected an ordinal at position {start}")
-        return self.text[start : self.pos]
-
-    def nat(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if start == self.pos:
-            raise ParseError(f"expected a number at position {start}")
-        return int(self.text[start : self.pos])
-
-    def expect(self, ch: str) -> None:
-        self.skip_ws()
-        if not self.text.startswith(ch, self.pos):
-            raise ParseError(f"expected {ch!r} at position {self.pos}")
-        self.pos += 1
+# by n. A "+" followed at once by "w" or a digit belongs to the ordinal
+# literal ("w*2+1"), so the "+" operator needs whitespace after it.
 
 
 def eval_ordinal_expr(text: str) -> Ordinal:
-    return _ExprParser(text).parse()
+    sc = Scanner(text)
+    value = _expr(sc)
+    sc.expect_end()
+    return value
+
+
+def _expr(sc: Scanner) -> Ordinal:
+    value = _primary(sc)
+    while True:
+        sc.skip_ws()
+        if sc.text.startswith("#*", sc.pos):
+            sc.pos += 2
+            sc.skip_ws()
+            value = nat_prod_nat(value, sc.nat())
+        elif sc.peek() == "#":
+            sc.take()
+            value = nat_sum(value, _primary(sc))
+        elif sc.peek() == "+":
+            sc.take()
+            value = add(value, _primary(sc))
+        else:
+            return value
+
+
+def _primary(sc: Scanner) -> Ordinal:
+    sc.skip_ws()
+    base = None
+    if sc.text.startswith("exp", sc.pos):
+        sc.pos += 3
+        sc.skip_ws()
+        sc.expect("(")
+        sc.skip_ws()
+        base = sc.nat()
+        sc.skip_ws()
+        sc.expect(",")
+    elif sc.peek() == "(":
+        sc.take()
+    else:
+        return read_ordinal(sc)
+    with sc.nest():
+        value = _expr(sc)
+    sc.skip_ws()
+    sc.expect(")")
+    return value if base is None else exp_base_k(base, value)
 
 
 # --- output helpers -----------------------------------------------------------

@@ -289,19 +289,10 @@ def to_labelled_tree(t: ErdosTree) -> LabelledTree:
     falsify the labelling construction and raises LabelNotDecreasing.
     """
 
-    def build(
-        n: _ENode,
-        points: tuple[Point, ...],
-        colors: tuple[int, ...],
-        parent_label: Ordinal | None,
-    ) -> Node:
+    def build(n: _ENode, points: tuple[Point, ...], colors: tuple[int, ...]) -> Node:
         label = _label(n.point, _nearest_ancestors(points, colors), t.k)
-        if parent_label is not None and cmp(label, parent_label) >= 0:
-            raise LabelNotDecreasing(
-                f"label {label} of {n.point} not below parent label {parent_label}"
-            )
         children = tuple(
-            build(child, points + (n.point,), colors + (c,), label)
+            build(child, points + (n.point,), colors + (c,))
             if child is not None
             else None
             for c, child in enumerate(n.children, start=1)
@@ -310,7 +301,7 @@ def to_labelled_tree(t: ErdosTree) -> LabelledTree:
 
     if t.root is None:
         return LabelledTree.empty(t.k)
-    return LabelledTree(t.k, build(t.root, (), (), None))
+    return LabelledTree(t.k, build(t.root, (), ()))
 
 
 def f_star(s: Sequence[Sequence[int]], k: int) -> Ordinal:

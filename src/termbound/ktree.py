@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, LabelNotDecreasing, OccupiedSlot, ParseError
-from .ordinals import Ordinal, add, cmp, exp_base_k, nat_sum_all
+from .ordinals import Ordinal, Scanner, add, cmp, exp_base_k, nat_sum_all, read_ordinal
 
 
 @dataclass(frozen=True)
@@ -137,10 +137,6 @@ def extend(
         if len(rest) == 1:
             if child is not None:
                 raise OccupiedSlot(f"slot {path} is occupied")
-            if cmp(label, n.label) >= 0:
-                raise LabelNotDecreasing(
-                    f"label {label} not below parent {n.label}"
-                )
             new_child = Node(label, (None,) * t.k)
         else:
             if child is None:
@@ -340,53 +336,29 @@ def tree_to_text(t: LabelledTree) -> str:
 
 
 def tree_from_text(text: str, k: int) -> LabelledTree:
-    from .ordinals import parse_ordinal
-
-    pos = 0
-
-    def skip_ws():
-        nonlocal pos
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
+    sc = Scanner(text)
 
     def parse_node() -> Node | None:
-        nonlocal pos
-        skip_ws()
-        if pos >= len(text):
+        sc.skip_ws()
+        if not sc.peek():
             raise ParseError("unexpected end of tree text")
-        if text[pos] == "_":
-            pos += 1
+        if sc.peek() == "_":
+            sc.take()
             return None
-        if text[pos] != "(":
-            raise ParseError(f"expected '(' or '_' at position {pos}")
-        pos += 1
-        skip_ws()
-        # Labels may contain parentheses (e.g. w^(w)); scan with balance.
-        start = pos
-        depth = 0
-        while pos < len(text):
-            ch = text[pos]
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                if depth == 0:
-                    break
-                depth -= 1
-            elif ch.isspace() and depth == 0:
-                break
-            pos += 1
-        label = parse_ordinal(text[start:pos])
+        if sc.peek() != "(":
+            raise ParseError(f"expected '(' or '_' at position {sc.pos}")
+        sc.take()
+        sc.skip_ws()
+        label = read_ordinal(sc)
+        if not sc.peek().isspace():
+            raise ParseError(f"expected whitespace after the label at position {sc.pos}")
         children = []
         for _ in range(k):
             children.append(parse_node())
-        skip_ws()
-        if pos >= len(text) or text[pos] != ")":
-            raise ParseError(f"expected ')' at position {pos}")
-        pos += 1
+        sc.skip_ws()
+        sc.expect(")")
         return Node(label, tuple(children))
 
     root = parse_node()
-    skip_ws()
-    if pos != len(text):
-        raise ParseError(f"trailing input at position {pos}")
+    sc.expect_end()
     return LabelledTree(k, root)

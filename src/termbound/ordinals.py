@@ -16,6 +16,7 @@ may be shared freely between threads.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Iterable, Union
 
 from .errors import DomainTooLarge, ParseError
@@ -302,48 +303,74 @@ def to_vector(a: OrdinalLike, k: int) -> tuple[int, ...]:
 # Printing always produces the canonical spelling ("w" not "w^1", no "*1").
 # Parsing accepts any spelling of a canonical value but rejects term lists
 # that are not in normal form (non-decreasing exponents, zero coefficients).
-# Parsing, printing and comparing recurse per exponent level, so exponents
-# nest at most MAX_NESTING deep: deeper input is a ParseError, not a
-# RecursionError in whichever of them runs out of stack first.
+# A literal has no inner whitespace, and it continues across "+" only when
+# a term follows at once, so "w+ 1" is the literal "w" and then a "+".
+#
+# Readers that embed literals (the command line's ordinal expressions, tree
+# text) read each one in place on their own Scanner, so error positions
+# count from the start of the input. Parsing, printing and comparing
+# recurse per level, so all levels of one input (exponents, parentheses,
+# ``exp(``) share one depth of at most MAX_NESTING: deeper input is a
+# ParseError, not a RecursionError in whichever of them runs out of stack
+# first.
 
 MAX_NESTING = 100
 
 
-class _Scanner:
+class Scanner:
+    """A position in a text, shared by every reader of the grammar."""
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
         self.depth = 0
 
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    def peek(self, offset: int = 0) -> str:
+        i = self.pos + offset
+        return self.text[i] if i < len(self.text) else ""
 
     def take(self) -> str:
         ch = self.peek()
         self.pos += 1
         return ch
 
+    def skip_ws(self) -> None:
+        while self.peek().isspace():
+            self.pos += 1
+
     def expect(self, ch: str) -> None:
         if self.take() != ch:
             raise ParseError(f"expected {ch!r} at position {self.pos - 1} in {self.text!r}")
 
+    def expect_end(self) -> None:
+        self.skip_ws()
+        if self.pos < len(self.text):
+            raise ParseError(f"trailing input at position {self.pos} in {self.text!r}")
+
     def nat(self) -> int:
         start = self.pos
-        while self.peek().isdigit():
+        while "0" <= self.peek() <= "9":
             self.pos += 1
         if start == self.pos:
             raise ParseError(f"expected a number at position {start} in {self.text!r}")
         return int(self.text[start : self.pos])
 
+    @contextmanager
+    def nest(self):
+        """One level deeper for the duration of the block."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nested too deeply (limit {MAX_NESTING}) at position {self.pos}")
+        yield
+        self.depth -= 1
 
-def _parse_ordinal(sc: _Scanner) -> Ordinal:
-    terms = []
-    while True:
-        terms.append(_parse_term(sc))
-        if sc.peek() == "+":
-            sc.take()
-        else:
-            break
+
+def read_ordinal(sc: Scanner) -> Ordinal:
+    """Read one ordinal literal at the scanner's position."""
+    terms = [_read_term(sc)]
+    while sc.peek() == "+" and (sc.peek(1) == "w" or "0" <= sc.peek(1) <= "9"):
+        sc.take()
+        terms.append(_read_term(sc))
     if len(terms) == 1 and terms[0] == (ZERO, 0):
         return ZERO
     for _, coeff in terms:
@@ -355,7 +382,7 @@ def _parse_ordinal(sc: _Scanner) -> Ordinal:
     return Ordinal._make(tuple(terms))
 
 
-def _parse_term(sc: _Scanner) -> tuple[Ordinal, int]:
+def _read_term(sc: Scanner) -> tuple[Ordinal, int]:
     if sc.peek() == "w":
         sc.take()
         exp = ONE
@@ -363,11 +390,8 @@ def _parse_term(sc: _Scanner) -> tuple[Ordinal, int]:
             sc.take()
             if sc.peek() == "(":
                 sc.take()
-                sc.depth += 1
-                if sc.depth > MAX_NESTING:
-                    raise ParseError(f"ordinal nested too deeply (limit {MAX_NESTING})")
-                exp = _parse_ordinal(sc)
-                sc.depth -= 1
+                with sc.nest():
+                    exp = read_ordinal(sc)
                 sc.expect(")")
             else:
                 exp = Ordinal.from_int(sc.nat())
@@ -383,8 +407,8 @@ def _parse_term(sc: _Scanner) -> tuple[Ordinal, int]:
 
 def parse_ordinal(text: str) -> Ordinal:
     """Parse the textual ordinal grammar; rejects non-canonical input."""
-    sc = _Scanner(text.strip())
-    result = _parse_ordinal(sc)
-    if sc.pos != len(sc.text):
-        raise ParseError(f"trailing input at position {sc.pos} in {sc.text!r}")
+    sc = Scanner(text)
+    sc.skip_ws()
+    result = read_ordinal(sc)
+    sc.expect_end()
     return result

@@ -688,7 +688,7 @@ class PhiSequence:
         )
 
 
-def step_bound(report: InvariantReport, max_value: int | None = None) -> int:
+def step_bound(report: InvariantReport) -> int:
     """Steps within which the program of a passing ``report`` halts.
 
     The measure sequence of the covered trace descends lexicographically
@@ -696,7 +696,7 @@ def step_bound(report: InvariantReport, max_value: int | None = None) -> int:
     therefore caps the step count. The result is exact but can be
     astronomically loose.
     """
-    return bound_g(PhiSequence(report).sequence(), 0, max_value=max_value)
+    return bound_g(PhiSequence(report).sequence(), 0)
 
 
 # --- serialization -----------------------------------------------------------
@@ -860,15 +860,23 @@ def invariant_from_doc(doc: Sequence[Mapping]) -> TransitionInvariant:
                 name=entry["name"],
                 atoms=tuple(parse_atom(a) for a in entry["atoms"]),
                 rank=parse_rank(entry["rank"]),
-                pre_locations=frozenset(entry["pre_locations"])
-                if entry.get("pre_locations") is not None
-                else None,
-                post_locations=frozenset(entry["post_locations"])
-                if entry.get("post_locations") is not None
-                else None,
+                pre_locations=_locations_from_doc(entry, "pre_locations", i),
+                post_locations=_locations_from_doc(entry, "post_locations", i),
             )
         )
     return TransitionInvariant(tuple(relations))
+
+
+def _locations_from_doc(entry: Mapping, key: str, i: int) -> frozenset[int] | None:
+    locations = entry.get(key)
+    if locations is None:
+        return None
+    if not (
+        isinstance(locations, list)
+        and all(type(loc) is int and loc >= 0 for loc in locations)
+    ):
+        raise ParseError(f"invariant entry {i}: {key} must be null or a list of naturals")
+    return frozenset(locations)
 
 
 def invariant_to_json(inv: TransitionInvariant) -> str:

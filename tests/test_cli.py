@@ -1,10 +1,16 @@
+import contextlib
 import hashlib
+import io
 import json
+import re
+from functools import cmp_to_key
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from termbound.cli import eval_ordinal_expr, main
 from termbound.errors import ParseError
+from termbound.ordinals import MAX_NESTING, Ordinal, cmp, nat_sum
 
 
 @pytest.fixture
@@ -307,3 +313,151 @@ class TestStructuredGolden:
     def test_output_digest(self, case, tmp_path, capsys):
         code, out = self.run_case(case, tmp_path, capsys)
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[case]
+
+
+def run_main(*argv):
+    """Exit code and stderr of ``main``, which must not raise."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, err.getvalue()
+
+
+def assert_clean_exit(code, err):
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+COUNTING_PROGRAM = "vars x y\n0: while x < y\n1:   x := x + 1\n"
+
+
+def counting_check(tmp_path, invariant):
+    prog = tmp_path / "count.prog"
+    prog.write_text(COUNTING_PROGRAM)
+    inv = tmp_path / "count.inv.json"
+    inv.write_text(json.dumps(invariant))
+    return run_main(
+        "check", str(prog), "--invariant", str(inv),
+        "--set", "y=50000", "--max-steps", "20",
+    )
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize(
+        "rows",
+        [[[1, -5], [0, 3]], [[1, "a"], [0, 0]], [[1.5, 2], [0, 0]], [[True, 2], [0, 0]], [5]],
+        ids=["negative", "string", "float", "bool", "scalar-row"],
+    )
+    def test_bound_rejects_non_natural_coordinates(self, tmp_path, rows):
+        sigma = tmp_path / "sigma.json"
+        sigma.write_text(json.dumps({"rows": rows}))
+        code, err = run_main("bound", str(sigma))
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("locations", [5, "01", [0, "a"]], ids=["int", "string", "mixed"])
+    @pytest.mark.parametrize("key", ["pre_locations", "post_locations"])
+    def test_check_rejects_bad_locations(self, tmp_path, key, locations):
+        inv = [{"name": "r", "atoms": [], "rank": "y - x", key: locations}]
+        code, err = counting_check(tmp_path, inv)
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+# --- parsers: round trips, the shared nesting cap, and fuzzing of main ---------
+
+
+def ordinals(depth=2):
+    """Strategy for ordinals with exponents nested up to ``depth`` levels."""
+    exponents = st.integers(0, 4).map(Ordinal.from_int)
+    if depth > 0:
+        exponents = exponents | ordinals(depth - 1)
+
+    def build(exps, coeffs):
+        exps = sorted(set(exps), key=cmp_to_key(cmp), reverse=True)
+        return Ordinal(zip(exps, coeffs))
+
+    return st.builds(
+        build,
+        st.lists(exponents, max_size=3),
+        st.lists(st.integers(1, 30), min_size=3, max_size=3),
+    )
+
+
+class TestParserProperties:
+    @given(ordinals())
+    def test_literal_round_trip(self, a):
+        assert eval_ordinal_expr(str(a)) == a
+
+    @given(ordinals(), ordinals())
+    def test_natural_sum_expression(self, a, b):
+        assert eval_ordinal_expr(f"{a} # {b}") == nat_sum(a, b)
+
+    @pytest.mark.parametrize("parens", [0, 1, 50, 99, 100])
+    def test_combined_nesting_cap(self, parens):
+        # Parentheses, exp( and literal exponents share one depth. The
+        # innermost "w" keeps exp(2, ...) infinite: 2^w = w.
+        def expr(levels):
+            opened = "(" * (parens // 2) + "exp(2, " * (parens - parens // 2)
+            return opened + "w^(" * (levels - parens) + "w" + ")" * levels
+
+        eval_ordinal_expr(expr(MAX_NESTING))
+        with pytest.raises(ParseError, match="nested too deeply"):
+            eval_ordinal_expr(expr(MAX_NESTING + 1))
+
+
+EXPR_PIECES = ["w", "^", "(", ")", "+", " + ", "*", " # ", " #* ", "#", ",", " ",
+               "exp(", "0", "1", "2", "3", "9", "w^(", "w*2", "x"]
+
+
+def expression_text(max_pieces=12):
+    # At most one exp( and three-digit numbers, so every value stays small
+    # enough to compute: exp(3, exp(3, 99)) already has 10^47 digits.
+    return (
+        st.lists(st.sampled_from(EXPR_PIECES), max_size=max_pieces)
+        .map("".join)
+        .filter(lambda s: s.count("exp") <= 1 and not re.search(r"\d{4}", s))
+    )
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 5)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+RANKS = ["y - x", "y - x + y - x + 1 - loc", "7", "x", "loc", "z", "", "y -", "- x", "x + + y"]
+ATOMS = ["x < y", "x' = x + 1", "y' = y", "loc = 0", "loc' = 1", "z < x", "x <", "= y", "x"]
+# Mostly well-formed entries, so that malformed fields are reached late.
+invariant_entries = st.fixed_dictionaries(
+    {
+        "name": st.just("r") | json_values,
+        "atoms": st.lists(st.sampled_from(ATOMS[:6]), max_size=2)
+        | st.lists(st.sampled_from(ATOMS) | st.text(max_size=6), max_size=3)
+        | json_values,
+        "rank": st.sampled_from(RANKS[:6]) | st.sampled_from(RANKS) | st.text(max_size=8) | json_values,
+    },
+    optional={
+        key: st.lists(st.integers(-1, 3), max_size=3) | json_values
+        for key in ("pre_locations", "post_locations")
+    },
+)
+
+
+class TestFuzzMain:
+    @settings(max_examples=300, deadline=None)
+    @given(expression_text())
+    def test_ord(self, text):
+        assert_clean_exit(*run_main("ord", text))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 3), expression_text(max_pieces=8))
+    def test_tree_height(self, k, text):
+        assert_clean_exit(*run_main("tree-height", "--k", str(k), text))
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(invariant_entries, max_size=3) | json_values)
+    def test_check_invariant(self, tmp_path, doc):
+        assert_clean_exit(*counting_check(tmp_path, doc))

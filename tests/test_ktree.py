@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from termbound.errors import BudgetExceeded, LabelNotDecreasing, OccupiedSlot, ParseError
 from termbound.ktree import (
@@ -237,3 +238,31 @@ class TestSerialization:
     def test_rejects_nondecreasing_labels(self):
         with pytest.raises(LabelNotDecreasing):
             tree_from_text("(1 (1 _ _) _)", 2)
+
+    @pytest.mark.parametrize("text", ["(37_)", "(1(0 _) _)", "(1(0 _))", "(w^(1)_)"])
+    def test_label_needs_whitespace_after_it(self, text):
+        with pytest.raises(ParseError):
+            tree_from_text(text, 1)
+
+    @given(st.data())
+    def test_text_round_trip(self, data):
+        k = data.draw(st.integers(1, 3))
+        t = data.draw(labelled_trees(k))
+        assert tree_from_text(tree_to_text(t), k) == t
+
+
+# Increasing, so a label drawn below index i is below LABELS[i].
+LABELS = [o(text) for text in (
+    "0", "1", "2", "7", "w", "w+1", "w*2+3", "w^2", "w^3*2+w", "w^(w)", "w^(w+1)*4+9", "w^(w^(w))",
+)]
+
+
+def labelled_trees(k):
+    @st.composite
+    def grow(draw, below):
+        if below == 0 or not draw(st.booleans()):
+            return None
+        i = draw(st.integers(0, below - 1))
+        return Node(LABELS[i], tuple(draw(grow(i)) for _ in range(k)))
+
+    return grow(len(LABELS)).map(lambda root: LabelledTree(k, root))
