@@ -17,7 +17,7 @@ from .erdos import embed, erdos_to_json, height_of_tree
 from .errors import BudgetExceeded, ParseError, TermboundError
 from .ktree import height_nil
 from .ordinals import Ordinal, Scanner, add, exp_base_k, nat_prod_nat, nat_sum
-from .ordinals import parse_ordinal, read_ordinal, to_vector
+from .ordinals import is_nat, parse_ordinal, read_ordinal, to_vector
 from .prcompile import compile_term, eval_pr, parse_term
 from .termlang import (
     check_invariant,
@@ -113,7 +113,7 @@ def _parse_assignments(pairs: list[str]) -> dict[str, int]:
     env = {}
     for item in pairs:
         name, _, value = item.partition("=")
-        if not name or not value.isdigit():
+        if not name or not is_nat(value):
             raise ParseError(f"bad assignment {item!r}; expected name=nat")
         env[name.strip()] = int(value)
     return env

@@ -28,7 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, LabelNotDecreasing, OccupiedSlot, ParseError
-from .ordinals import Ordinal, Scanner, add, cmp, exp_base_k, nat_sum_all, read_ordinal
+from .ordinals import Ordinal, Scanner, add, cmp, exp_base_k, int_power
+from .ordinals import nat_sum_all, read_ordinal
 
 
 @dataclass(frozen=True)
@@ -156,7 +157,7 @@ def height_nil(k: int, alpha: Ordinal | int) -> Ordinal:
     if k == 1:
         return alpha
     n = alpha.finite_part
-    geometric = (k**n - 1) // (k - 1)
+    geometric = (int_power(k, n) - 1) // (k - 1)
     if alpha.limit_part.is_zero:
         return Ordinal.from_int(geometric)
     return add(exp_base_k(k, alpha), geometric)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterable, Union
 
-from .errors import DomainTooLarge, ParseError
+from .errors import BudgetExceeded, DomainTooLarge, ParseError
 
 OrdinalLike = Union["Ordinal", int]
 
@@ -255,6 +255,19 @@ def nat_prod_nat(a: OrdinalLike, k: int) -> Ordinal:
     return Ordinal._make(tuple((exp, coeff * k) for exp, coeff in a.terms))
 
 
+# An integer power k^n can be astronomically larger than the text asking for
+# it (an exponent of a few digits), so powers beyond this many bits are
+# refused.
+MAX_POWER_BITS = 1 << 16
+
+
+def int_power(k: int, n: int) -> int:
+    """k^n for k >= 2; BudgetExceeded when it would pass MAX_POWER_BITS bits."""
+    if n * (k - 1).bit_length() > MAX_POWER_BITS:
+        raise BudgetExceeded(f"a power of {k} with more than {MAX_POWER_BITS} bits")
+    return k**n
+
+
 def exp_base_k(k: int, a: OrdinalLike) -> Ordinal:
     """k^a for an integer base k >= 2.
 
@@ -268,14 +281,14 @@ def exp_base_k(k: int, a: OrdinalLike) -> Ordinal:
     n = a.finite_part
     limit = a.limit_part
     if limit.is_zero:
-        return Ordinal.from_int(k**n)
+        return Ordinal.from_int(int_power(k, n))
     shifted = []
     for exp, coeff in limit.terms:
         if exp.is_finite:
             shifted.append((Ordinal.from_int(exp.to_int() - 1), coeff))
         else:
             shifted.append((exp, coeff))
-    return Ordinal.omega_pow(Ordinal._make(tuple(shifted)), k**n)
+    return Ordinal.omega_pow(Ordinal._make(tuple(shifted)), int_power(k, n))
 
 
 def to_vector(a: OrdinalLike, k: int) -> tuple[int, ...]:
@@ -317,6 +330,15 @@ def to_vector(a: OrdinalLike, k: int) -> tuple[int, ...]:
 MAX_NESTING = 100
 
 
+def is_nat(text: str) -> bool:
+    """Whether ``text`` spells a natural number in ASCII digits.
+
+    ``str.isdigit`` alone also accepts other scripts' digits and
+    superscripts, which ``int`` then reads or rejects.
+    """
+    return text.isascii() and text.isdigit()
+
+
 class Scanner:
     """A position in a text, shared by every reader of the grammar."""
 
@@ -349,7 +371,7 @@ class Scanner:
 
     def nat(self) -> int:
         start = self.pos
-        while "0" <= self.peek() <= "9":
+        while is_nat(self.peek()):
             self.pos += 1
         if start == self.pos:
             raise ParseError(f"expected a number at position {start} in {self.text!r}")
@@ -368,7 +390,7 @@ class Scanner:
 def read_ordinal(sc: Scanner) -> Ordinal:
     """Read one ordinal literal at the scanner's position."""
     terms = [_read_term(sc)]
-    while sc.peek() == "+" and (sc.peek(1) == "w" or "0" <= sc.peek(1) <= "9"):
+    while sc.peek() == "+" and (sc.peek(1) == "w" or is_nat(sc.peek(1))):
         sc.take()
         terms.append(_read_term(sc))
     if len(terms) == 1 and terms[0] == (ZERO, 0):

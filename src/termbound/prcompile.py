@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .errors import ArityMismatch, NameCollision, ParseError
+from .ordinals import MAX_NESTING, is_nat
 from .termlang import (
     Assign,
     Atom,
@@ -49,21 +50,19 @@ from .termlang import (
     Const,
     ConstraintRelation,
     Dec,
+    FALSE_ATOM,
     If,
     Inc,
     POST_LOC,
     PRE_LOC,
     Program,
-    RANK_LOC,
     TransitionInvariant,
     Var,
     While,
     const,
     post,
     pre,
-    rank_const,
     rank_monus,
-    rank_var,
 )
 
 # --- terms -------------------------------------------------------------------
@@ -171,7 +170,9 @@ def eval_pr(t: PRTerm, args: Sequence[int]) -> int:
 # --- term DSL ----------------------------------------------------------------
 #
 # s-expressions: z | (z n) | s | (p i n) | (comp h g1 ... gq) | (rec h g).
-# Bare ``z`` is the unary zero; other arities are written explicitly.
+# Bare ``z`` is the unary zero; other arities are written explicitly. The
+# parser, the compiler and the evaluator recurse per parenthesis, so terms
+# nest at most MAX_NESTING levels deep.
 
 
 def term_to_text(t: PRTerm) -> str:
@@ -193,22 +194,28 @@ def _tokenize(text: str) -> list[str]:
 
 def parse_term(text: str) -> PRTerm:
     tokens = _tokenize(text)
-    pos = 0
+    pos = depth = 0
 
-    def parse() -> PRTerm:
+    def take() -> str:
         nonlocal pos
         if pos >= len(tokens):
             raise ParseError("unexpected end of term")
-        tok = tokens[pos]
         pos += 1
+        return tokens[pos - 1]
+
+    def parse() -> PRTerm:
+        nonlocal pos, depth
+        tok = take()
         if tok == "z":
             return Zero(1)
         if tok == "s":
             return Succ()
         if tok != "(":
             raise ParseError(f"unexpected token {tok!r}")
-        head = tokens[pos]
-        pos += 1
+        depth += 1
+        if depth > MAX_NESTING:
+            raise ParseError(f"term nested too deeply (limit {MAX_NESTING})")
+        head = take()
         if head == "z":
             n = _nat()
             node: PRTerm = Zero(n)
@@ -231,11 +238,12 @@ def parse_term(text: str) -> PRTerm:
         if pos >= len(tokens) or tokens[pos] != ")":
             raise ParseError("missing closing parenthesis")
         pos += 1
+        depth -= 1
         return node
 
     def _nat() -> int:
         nonlocal pos
-        if pos >= len(tokens) or not tokens[pos].isdigit():
+        if pos >= len(tokens) or not is_nat(tokens[pos]):
             raise ParseError("expected a number")
         value = int(tokens[pos])
         pos += 1
@@ -336,8 +344,6 @@ def _lift_invariant(
     renamed = {v: fresh_prefix + v for v in callee.program.variables}
     lifted = []
     for rel in callee.invariant.relations:
-        if not isinstance(rel, ConstraintRelation):
-            raise ValueError(f"cannot lift opaque relation {rel.name!r}")
         if rel.mentions_loc() or rel.is_unsatisfiable():
             continue
         lifted.append(
@@ -347,16 +353,14 @@ def _lift_invariant(
 
 
 def _empty_relation() -> ConstraintRelation:
-    return ConstraintRelation(
-        "empty", atoms=(Atom(const(0), "<", const(0)),), rank=rank_const(0)
-    )
+    return ConstraintRelation("empty", atoms=(FALSE_ATOM,), rank=const(0))
 
 
 def _line_relation(n_points: int) -> ConstraintRelation:
     return ConstraintRelation(
         "line",
         atoms=(Atom(PRE_LOC, "<", POST_LOC),),
-        rank=rank_monus(rank_const(n_points), RANK_LOC),
+        rank=rank_monus(const(n_points), PRE_LOC),
     )
 
 
@@ -433,7 +437,7 @@ def _compile_comp(t: Comp) -> CompiledUnit:
             Atom(pre("a"), "<", post("a")),
             Atom(post("a"), "<", const(q + 2)),
         ),
-        rank=rank_monus(rank_const(q + 2), rank_var("a")),
+        rank=rank_monus(const(q + 2), pre("a")),
     )
     relations = (_line_relation(program.n_points), phase_relation, *lifted)
     return CompiledUnit(program, TransitionInvariant(relations), "res", inputs)
@@ -469,7 +473,7 @@ def _compile_rec(t: Rec) -> CompiledUnit:
             Atom(pre("z"), "<", pre("y")),
             Atom(post("y"), "=", pre("y")),
         ),
-        rank=rank_monus(rank_var("y"), rank_var("z")),
+        rank=rank_monus(pre("y"), pre("z")),
     )
     base_guard = (
         Atom(pre("z"), "=", const(0)),

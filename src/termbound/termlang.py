@@ -12,10 +12,11 @@ A ranked relation is a binary relation on states together with a rank
 into the naturals that must strictly decrease on every member pair; a
 transition invariant is a finite list of ranked relations expected to
 cover every ordered pair of distinct states along a trace. Relations are
-given either as opaque predicates or in a serializable constraint form:
-optional pre/post location sets plus a conjunction of atoms comparing
-pre-variables, post-variables, the location token ``loc``, and
-constants.
+given in a serializable constraint form: optional pre/post location sets
+plus a conjunction of atoms comparing pre-variables, post-variables, the
+location tokens ``loc`` and ``loc'``, and constants. Atoms and ranks are
+terms of one language; a rank sums and truncated-subtracts terms over the
+pre state.
 
 Each stage takes the previous one's result: ``check_invariant`` verifies
 coverage and rank descent over all pairs of a ``run_trace`` trace; the
@@ -32,11 +33,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .bounds import SequenceFn, bound_g
 from .erdos import IncrementalMeasure
 from .errors import BudgetExceeded, NotHomogeneous, ParseError
+from .ordinals import MAX_NESTING, is_nat
 
 # --- expressions and commands ------------------------------------------------
 
@@ -286,30 +288,10 @@ def run_trace(p: Program, s0: State, max_steps: int = 10_000) -> Trace:
 
 # --- ranked relations --------------------------------------------------------
 
-# Atom terms: ("const", n) | ("pre", var) | ("post", var) | ("preloc",) | ("postloc",)
-
-
-@dataclass(frozen=True)
-class Atom:
-    lhs: tuple
-    op: str  # "<" or "="
-    rhs: tuple
-
-    def __str__(self) -> str:
-        return f"{_term_str(self.lhs)} {self.op} {_term_str(self.rhs)}"
-
-
-def _term_str(t: tuple) -> str:
-    kind = t[0]
-    if kind == "const":
-        return str(t[1])
-    if kind == "pre":
-        return t[1]
-    if kind == "post":
-        return f"{t[1]}'"
-    if kind == "preloc":
-        return "loc"
-    return "loc'"
+# Terms: ("const", n) | ("pre", var) | ("post", var) | ("preloc",) | ("postloc",)
+# | ("add", l, r) | ("monus", l, r), where monus truncates at zero. An atom
+# compares two leaf terms of a (pre, post) pair; a rank is a term over the
+# pre state alone.
 
 
 def pre(name: str) -> tuple:
@@ -328,51 +310,100 @@ PRE_LOC = ("preloc",)
 POST_LOC = ("postloc",)
 
 
-# Rank expressions: ("const", n) | ("var", name) | ("loc",)
-# | ("add", l, r) | ("monus", l, r); subtraction truncates at zero.
-
-
-def rank_const(n: int) -> tuple:
-    return ("const", n)
-
-
-def rank_var(name: str) -> tuple:
-    return ("var", name)
-
-
-RANK_LOC = ("loc",)
-
-
 def rank_monus(l: tuple, r: tuple) -> tuple:
     return ("monus", l, r)
 
 
-def rank_str(expr: tuple) -> str:
-    kind = expr[0]
+def term_str(t: tuple) -> str:
+    kind = t[0]
     if kind == "const":
-        return str(expr[1])
-    if kind == "var":
-        return expr[1]
-    if kind == "loc":
+        return str(t[1])
+    if kind == "pre":
+        return t[1]
+    if kind == "post":
+        return f"{t[1]}'"
+    if kind == "preloc":
         return "loc"
+    if kind == "postloc":
+        return "loc'"
     op = "+" if kind == "add" else "-"
-    return f"{rank_str(expr[1])} {op} {rank_str(expr[2])}"
+    return f"{term_str(t[1])} {op} {term_str(t[2])}"
+
+
+def _parse_leaf(tok: str) -> tuple:
+    if tok == "loc":
+        return PRE_LOC
+    if tok == "loc'":
+        return POST_LOC
+    if is_nat(tok):
+        return const(int(tok))
+    if tok.endswith("'") and tok[:-1].isidentifier():
+        return post(tok[:-1])
+    if tok.isidentifier():
+        return pre(tok)
+    raise ParseError(f"bad term {tok!r}")
+
+
+def _renamed(t: tuple, mapping: Mapping[str, str]) -> tuple:
+    kind = t[0]
+    if kind in ("pre", "post"):
+        return (kind, mapping.get(t[1], t[1]))
+    if kind in ("add", "monus"):
+        return (kind, _renamed(t[1], mapping), _renamed(t[2], mapping))
+    return t
+
+
+def _leaves(t: tuple) -> Iterator[tuple]:
+    if t[0] in ("add", "monus"):
+        yield from _leaves(t[1])
+        yield from _leaves(t[2])
+    else:
+        yield t
+
+
+def _compile(t: tuple, p: Program) -> Callable[[State, State], int]:
+    """The value of ``t`` on a (pre, post) pair of states of ``p``."""
+    kind = t[0]
+    if kind == "const":
+        v = t[1]
+        return lambda s, s2: v
+    if kind == "pre":
+        i = p.var_index(t[1])
+        return lambda s, s2: s.env[i]
+    if kind == "post":
+        i = p.var_index(t[1])
+        return lambda s, s2: s2.env[i]
+    if kind == "preloc":
+        return lambda s, s2: s.location
+    if kind == "postloc":
+        return lambda s, s2: s2.location
+    lf, rf = _compile(t[1], p), _compile(t[2], p)
+    if kind == "add":
+        return lambda s, s2: lf(s, s2) + rf(s, s2)
+    return lambda s, s2: max(0, lf(s, s2) - rf(s, s2))
+
+
+@dataclass(frozen=True)
+class Atom:
+    lhs: tuple
+    op: str  # "<" or "="
+    rhs: tuple
+
+    def __str__(self) -> str:
+        return f"{term_str(self.lhs)} {self.op} {term_str(self.rhs)}"
 
 
 def parse_rank(text: str) -> tuple:
-    """Parse ``term (('+'|'-') term)*`` with '-' truncating at zero."""
+    """Parse ``term (('+'|'-') term)*`` over pre-state leaves; '-' truncates at zero."""
     tokens = text.split()
     if not tokens:
         raise ParseError("empty rank expression")
 
     def term(tok: str) -> tuple:
-        if tok == "loc":
-            return RANK_LOC
-        if tok.isdigit():
-            return rank_const(int(tok))
-        if tok.isidentifier():
-            return rank_var(tok)
-        raise ParseError(f"bad rank term {tok!r}")
+        t = _parse_leaf(tok)
+        if t[0] in ("post", "postloc"):
+            raise ParseError(f"rank term {tok!r} reads the post state")
+        return t
 
     expr = term(tokens[0])
     i = 1
@@ -390,22 +421,8 @@ def parse_atom(text: str) -> Atom:
     for op in ("<", "="):
         if op in text:
             lhs, rhs = text.split(op, 1)
-            return Atom(_parse_atom_term(lhs.strip()), op, _parse_atom_term(rhs.strip()))
+            return Atom(_parse_leaf(lhs.strip()), op, _parse_leaf(rhs.strip()))
     raise ParseError(f"atom {text!r} has no comparison operator")
-
-
-def _parse_atom_term(tok: str) -> tuple:
-    if tok == "loc":
-        return PRE_LOC
-    if tok == "loc'":
-        return POST_LOC
-    if tok.isdigit():
-        return const(int(tok))
-    if tok.endswith("'") and tok[:-1].isidentifier():
-        return post(tok[:-1])
-    if tok.isidentifier():
-        return pre(tok)
-    raise ParseError(f"bad atom term {tok!r}")
 
 
 FALSE_ATOM = Atom(const(0), "<", const(0))
@@ -428,19 +445,9 @@ class ConstraintRelation:
     post_locations: frozenset[int] | None = None
 
     def mentions_loc(self) -> bool:
-        def term_has_loc(t: tuple) -> bool:
-            return t[0] in ("preloc", "postloc")
-
-        def rank_has_loc(e: tuple) -> bool:
-            if e[0] == "loc":
-                return True
-            if e[0] in ("add", "monus"):
-                return rank_has_loc(e[1]) or rank_has_loc(e[2])
-            return False
-
+        terms = [t for a in self.atoms for t in (a.lhs, a.rhs)] + [self.rank]
         return (
-            any(term_has_loc(a.lhs) or term_has_loc(a.rhs) for a in self.atoms)
-            or rank_has_loc(self.rank)
+            any(leaf in (PRE_LOC, POST_LOC) for t in terms for leaf in _leaves(t))
             or self.pre_locations is not None
             or self.post_locations is not None
         )
@@ -454,22 +461,13 @@ class ConstraintRelation:
         return False
 
     def renamed(self, mapping: Mapping[str, str]) -> "ConstraintRelation":
-        def rename_term(t: tuple) -> tuple:
-            if t[0] in ("pre", "post"):
-                return (t[0], mapping.get(t[1], t[1]))
-            return t
-
-        def rename_rank(e: tuple) -> tuple:
-            if e[0] == "var":
-                return ("var", mapping.get(e[1], e[1]))
-            if e[0] in ("add", "monus"):
-                return (e[0], rename_rank(e[1]), rename_rank(e[2]))
-            return e
-
         return ConstraintRelation(
             self.name,
-            tuple(Atom(rename_term(a.lhs), a.op, rename_term(a.rhs)) for a in self.atoms),
-            rename_rank(self.rank),
+            tuple(
+                Atom(_renamed(a.lhs, mapping), a.op, _renamed(a.rhs, mapping))
+                for a in self.atoms
+            ),
+            _renamed(self.rank, mapping),
             self.pre_locations,
             self.post_locations,
         )
@@ -484,24 +482,9 @@ class ConstraintRelation:
         )
 
     def compile_member(self, p: Program) -> Callable[[State, State], bool]:
-        def term_fn(t: tuple) -> Callable[[State, State], int]:
-            kind = t[0]
-            if kind == "const":
-                v = t[1]
-                return lambda s, s2: v
-            if kind == "pre":
-                i = p.var_index(t[1])
-                return lambda s, s2: s.env[i]
-            if kind == "post":
-                i = p.var_index(t[1])
-                return lambda s, s2: s2.env[i]
-            if kind == "preloc":
-                return lambda s, s2: s.location
-            return lambda s, s2: s2.location
-
         checks = []
         for a in self.atoms:
-            lf, rf = term_fn(a.lhs), term_fn(a.rhs)
+            lf, rf = _compile(a.lhs, p), _compile(a.rhs, p)
             if a.op == "<":
                 checks.append(lambda s, s2, lf=lf, rf=rf: lf(s, s2) < rf(s, s2))
             else:
@@ -518,44 +501,15 @@ class ConstraintRelation:
         return member
 
     def compile_rank(self, p: Program) -> Callable[[State], int]:
-        def eval_rank(e: tuple, s: State) -> int:
-            kind = e[0]
-            if kind == "const":
-                return e[1]
-            if kind == "var":
-                return s.env[p.var_index(e[1])]
-            if kind == "loc":
-                return s.location
-            l = eval_rank(e[1], s)
-            r = eval_rank(e[2], s)
-            return l + r if kind == "add" else max(0, l - r)
-
-        return lambda s: eval_rank(self.rank, s)
-
-
-@dataclass(frozen=True)
-class OpaqueRelation:
-    """A ranked relation given by black-box membership and rank functions."""
-
-    name: str
-    membership: Callable[[State, State], bool]
-    rank_fn: Callable[[State], int]
-
-    def compile_member(self, p: Program) -> Callable[[State, State], bool]:
-        return self.membership
-
-    def compile_rank(self, p: Program) -> Callable[[State], int]:
-        return self.rank_fn
-
-
-Relation = Union[ConstraintRelation, OpaqueRelation]
+        f = _compile(self.rank, p)
+        return lambda s: f(s, s)
 
 
 @dataclass(frozen=True)
 class TransitionInvariant:
     """A nonempty list of ranked relations; ``k`` is its length."""
 
-    relations: tuple[Relation, ...]
+    relations: tuple[ConstraintRelation, ...]
 
     def __post_init__(self):
         if not self.relations:
@@ -703,7 +657,9 @@ def step_bound(report: InvariantReport) -> int:
 #
 # Program text: a ``vars`` line, then one command per line with its
 # preorder location, two spaces of indentation per nesting level, and a
-# bare ``else`` line separating the branches of an ``if``.
+# bare ``else`` line separating the branches of an ``if``. The parser,
+# the lowering and the printer recurse per level, so commands nest at most
+# MAX_NESTING levels deep.
 
 
 def program_to_text(p: Program) -> str:
@@ -741,15 +697,16 @@ def program_from_text(text: str) -> Program:
     parsed = []
     for line in raw[1:]:
         if line.strip() == "else":
-            depth = (len(line) - len(line.lstrip())) // 2
-            parsed.append((None, depth, "else"))
-            continue
-        head, _, rest = line.partition(":")
-        if not head.strip().isdigit():
-            raise ParseError(f"missing location in line {line!r}")
-        loc = int(head.strip())
-        body = rest[1:] if rest.startswith(" ") else rest
+            loc, body = None, line
+        else:
+            head, _, rest = line.partition(":")
+            if not is_nat(head.strip()):
+                raise ParseError(f"missing location in line {line!r}")
+            loc = int(head.strip())
+            body = rest[1:] if rest.startswith(" ") else rest
         depth = (len(body) - len(body.lstrip())) // 2
+        if depth > MAX_NESTING:
+            raise ParseError(f"commands nested too deeply (limit {MAX_NESTING})")
         parsed.append((loc, depth, body.strip()))
 
     pos = 0
@@ -807,7 +764,7 @@ def _parse_assign(text: str) -> Assign:
     var, _, rhs = text.partition(":=")
     var = var.strip()
     rhs = rhs.strip()
-    if rhs.isdigit():
+    if is_nat(rhs):
         return Assign(var, Const(int(rhs)))
     if rhs.endswith("+ 1"):
         return Assign(var, Inc(rhs[:-3].strip()))
@@ -819,24 +776,20 @@ def _parse_assign(text: str) -> Assign:
 
 
 def invariant_to_doc(inv: TransitionInvariant) -> list[dict]:
-    doc = []
-    for r in inv.relations:
-        if not isinstance(r, ConstraintRelation):
-            raise ValueError(f"relation {r.name!r} is opaque and not serializable")
-        doc.append(
-            {
-                "name": r.name,
-                "pre_locations": sorted(r.pre_locations)
-                if r.pre_locations is not None
-                else None,
-                "post_locations": sorted(r.post_locations)
-                if r.post_locations is not None
-                else None,
-                "atoms": [str(a) for a in r.atoms],
-                "rank": rank_str(r.rank),
-            }
-        )
-    return doc
+    return [
+        {
+            "name": r.name,
+            "pre_locations": sorted(r.pre_locations)
+            if r.pre_locations is not None
+            else None,
+            "post_locations": sorted(r.post_locations)
+            if r.post_locations is not None
+            else None,
+            "atoms": [str(a) for a in r.atoms],
+            "rank": term_str(r.rank),
+        }
+        for r in inv.relations
+    ]
 
 
 def invariant_from_doc(doc: Sequence[Mapping]) -> TransitionInvariant:

@@ -42,8 +42,8 @@ from termbound.termlang import (
     PhiSequence,
     TransitionInvariant,
     check_invariant,
+    const,
     initial_state,
-    rank_const,
     run_trace,
     step_bound,
 )
@@ -282,7 +282,7 @@ def test_criterion_7_invariants_valid_and_mutation_detected():
         for idx, rel in enumerate(unit.invariant.relations):
             assert isinstance(rel, ConstraintRelation)
             broken = ConstraintRelation(
-                rel.name, rel.atoms, rank_const(0), rel.pre_locations,
+                rel.name, rel.atoms, const(0), rel.pre_locations,
                 rel.post_locations,
             )
             relations = list(unit.invariant.relations)

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import re
+import time
 from functools import cmp_to_key
 
 import pytest
@@ -365,6 +366,57 @@ class TestInputValidation:
         assert code == 2
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "command,text",
+        [
+            ("compile", "("),
+            ("compile", "(comp " * 3000 + "s" + " s)" * 3000),
+            ("run", "vars x y\n" + "".join(f"{i}: {'  ' * i}while x < y\n" for i in range(2000))),
+        ],
+        ids=["term-open-parenthesis", "term-3000-deep", "program-2000-deep"],
+    )
+    def test_malformed_text_is_a_parse_error(self, tmp_path, command, text):
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        code, err = run_main(command, str(path))
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("kind", ["term", "program", "atom", "rank", "set"])
+    def test_non_ascii_digits_are_rejected(self, tmp_path, kind):
+        digit = "٣"
+        path = tmp_path / "input.txt"
+        if kind == "term":
+            path.write_text(f"(z {digit})")
+            code, err = run_main("compile", str(path))
+        elif kind == "program":
+            path.write_text(f"vars x\n0: x := {digit}\n")
+            code, err = run_main("run", str(path))
+        elif kind == "set":
+            path.write_text(COUNTING_PROGRAM)
+            code, err = run_main("run", str(path), "--set", f"y={digit}")
+        else:
+            entry = {"name": "r", "atoms": [], "rank": "y - x + y - x + 1 - loc"}
+            if kind == "atom":
+                entry["atoms"] = [f"x < {digit}"]
+            else:
+                entry["rank"] = f"{digit} - x"
+            code, err = counting_check(tmp_path, [entry])
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["ord", "exp(3, exp(3, exp(3, 9)))"], ["tree-height", "--k", "2", "99999999999"]],
+        ids=["ord", "tree-height"],
+    )
+    def test_integer_powers_have_a_budget(self, argv):
+        start = time.perf_counter()
+        code, err = run_main(*argv)
+        assert time.perf_counter() - start < 1
+        assert code == 3
+        assert err.startswith("budget exceeded:") and err.count("\n") == 1
+
 
 # --- parsers: round trips, the shared nesting cap, and fuzzing of main ---------
 
@@ -446,6 +498,68 @@ invariant_entries = st.fixed_dictionaries(
 )
 
 
+# Non-ASCII text enters term and program text only through these digits, so
+# any non-ASCII input is a number the ASCII-only grammars must reject.
+DIGITS = ["0", "1", "2", "3", "٣", "²"]
+TERM_PIECES = ["(", ")", " ", "z", "s", "p", "comp", "rec", "(p 1 1)", "(p 2 3)",
+               "(z 0)", "(z ", "(p 1 ", "(comp s ", "(rec ", "x", *DIGITS]
+
+
+def nested_comps(core):
+    """``core`` inside a few, or thousands of, levels of ``(comp ... s)``.
+
+    Depths in between are left out: compiling 100 levels takes a second.
+    """
+    return st.builds(
+        lambda depth, text: "(comp " * depth + text + " s)" * depth,
+        st.integers(0, 5) | st.integers(2000, 3000), core,
+    )
+
+
+# No number of three or more digits: a term like (z 999999999) declares
+# that many variables.
+term_pieces = (
+    st.lists(st.sampled_from(TERM_PIECES), max_size=12)
+    .map("".join)
+    .filter(lambda s: not re.search(r"\d{3}", s))
+)
+nat_text = st.sampled_from(DIGITS)
+term_grammar = st.recursive(
+    st.sampled_from(["z", "s"]) | nat_text.map("(z {})".format)
+    | st.builds("(p {} {})".format, nat_text, nat_text),
+    lambda inner: st.builds("(rec {} {})".format, inner, inner)
+    | st.builds(lambda h, gs: f"(comp {h} {' '.join(gs)})", inner, st.lists(inner, min_size=1, max_size=3)),
+    max_leaves=5,
+)
+term_text = term_pieces | term_grammar | nested_comps(term_pieces | term_grammar)
+
+
+@st.composite
+def program_text(draw):
+    """Program text from line templates, or up to 2500 nested loops."""
+    depth = draw(st.integers(0, 2500))
+    if depth and draw(st.booleans()):
+        lines = [f"{i}: {'  ' * i}while x < y" for i in range(depth)]
+        return "vars x y\n" + "\n".join(lines) + f"\n{depth}: {'  ' * depth}x := 1\n"
+    command = st.sampled_from(["while x < y", "if x < y", "x := y + 1", "y := x - 1",
+                               "x := y", "x :=", "z := x", "while x", "x < y"])
+    command = command | nat_text.map("x := {}".format)
+    lines = [draw(st.sampled_from(["vars x y", "vars x", "vars", "var x y", ""]))]
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append("  " * draw(st.integers(0, 2)) + "else")
+            continue
+        loc = draw(st.just(str(len(lines) - 1)) | nat_text | st.just("x"))
+        lines.append(f"{loc}: " + "  " * draw(st.integers(0, 2)) + draw(command))
+    return "\n".join(lines) + "\n"
+
+
+sigma_documents = st.fixed_dictionaries(
+    {"rows": st.lists(st.lists(st.integers(-1, 6), max_size=3), max_size=6) | json_values},
+    optional={"k": st.integers(0, 3) | json_values},
+) | json_values
+
+
 class TestFuzzMain:
     @settings(max_examples=300, deadline=None)
     @given(expression_text())
@@ -461,3 +575,30 @@ class TestFuzzMain:
     @given(st.lists(invariant_entries, max_size=3) | json_values)
     def test_check_invariant(self, tmp_path, doc):
         assert_clean_exit(*counting_check(tmp_path, doc))
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(term_text)
+    def test_compile_term(self, tmp_path, text):
+        term = tmp_path / "fuzz.pr"
+        term.write_text(text)
+        code, err = run_main("compile", str(term))
+        assert_clean_exit(code, err)
+        if not text.isascii():
+            assert code == 2
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(program_text(), nat_text)
+    def test_run_program(self, tmp_path, text, value):
+        prog = tmp_path / "fuzz.prog"
+        prog.write_text(text)
+        code, err = run_main("run", str(prog), "--max-steps", "20", "--set", f"y={value}")
+        assert_clean_exit(code, err)
+        if not (text + value).isascii():
+            assert code == 2
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(sigma_documents, st.integers(0, 3))
+    def test_bound_sigma(self, tmp_path, doc, n):
+        sigma = tmp_path / "sigma.json"
+        sigma.write_text(json.dumps(doc))
+        assert_clean_exit(*run_main("bound", str(sigma), "--n", str(n)))

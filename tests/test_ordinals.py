@@ -3,9 +3,10 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from termbound.errors import DomainTooLarge, ParseError
+from termbound.errors import BudgetExceeded, DomainTooLarge, ParseError
 from termbound.ordinals import (
     MAX_NESTING,
+    MAX_POWER_BITS,
     OMEGA,
     ONE,
     ZERO,
@@ -13,6 +14,7 @@ from termbound.ordinals import (
     add,
     cmp,
     exp_base_k,
+    is_nat,
     nat_prod_nat,
     nat_sum,
     parse_ordinal,
@@ -137,6 +139,24 @@ class TestExpBaseK:
     def test_base_below_two_rejected(self):
         with pytest.raises(ValueError):
             exp_base_k(1, w)
+
+    def test_power_budget(self):
+        assert exp_base_k(2, MAX_POWER_BITS) == 2**MAX_POWER_BITS
+        assert exp_base_k(4, o(f"w+{MAX_POWER_BITS // 2}")) == Ordinal.omega_pow(
+            1, 4 ** (MAX_POWER_BITS // 2)
+        )
+        with pytest.raises(BudgetExceeded):
+            exp_base_k(2, MAX_POWER_BITS + 1)
+        with pytest.raises(BudgetExceeded):
+            exp_base_k(3, o(f"w+{MAX_POWER_BITS // 2 + 1}"))
+
+
+@pytest.mark.parametrize(
+    "text,expected",
+    [("0", True), ("0123", True), ("", False), ("٣", False), ("²", False), ("1٣", False), ("-1", False)],
+)
+def test_is_nat_accepts_ascii_digits_only(text, expected):
+    assert is_nat(text) is expected
 
 
 class TestToVector:

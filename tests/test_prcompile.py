@@ -1,6 +1,7 @@
 import pytest
 
 from termbound.errors import ArityMismatch, NameCollision, ParseError
+from termbound.ordinals import MAX_NESTING
 from termbound.prcompile import (
     ADD,
     MULT,
@@ -99,6 +100,24 @@ class TestTermDsl:
     @pytest.mark.parametrize("text", ["", "(q 1)", "(p 1)", "(comp s)", "(rec s)", "z s"])
     def test_rejects_garbage(self, text):
         with pytest.raises(ParseError):
+            parse_term(text)
+
+    @pytest.mark.parametrize("text", ["(", "(comp s (", "  (  "])
+    def test_input_ending_after_open_parenthesis(self, text):
+        with pytest.raises(ParseError, match="unexpected end of term"):
+            parse_term(text)
+
+    def test_nesting_cap(self):
+        def nested(levels):
+            return "(comp " * (levels - 1) + "(p 1 1)" + " s)" * (levels - 1)
+
+        assert term_to_text(parse_term(nested(MAX_NESTING))) == nested(MAX_NESTING)
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_term(nested(MAX_NESTING + 1))
+
+    @pytest.mark.parametrize("text", ["(z ٣)", "(p 1 ١)", "(z ²)"])
+    def test_rejects_non_ascii_digits(self, text):
+        with pytest.raises(ParseError, match="expected a number"):
             parse_term(text)
 
     def test_rejects_bad_arities(self):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from termbound.bounds import SequenceFn, bound_g
 from termbound.erdos import embed, height_of_tree, is_homogeneous
 from termbound.errors import BudgetExceeded, NotHomogeneous, ParseError
-from termbound.ordinals import to_vector
+from termbound.ordinals import MAX_NESTING, to_vector
 from termbound.prcompile import ADD, MULT, SUB, compile_term
 from termbound.termlang import (
     Assign,
@@ -17,7 +17,6 @@ from termbound.termlang import (
     Dec,
     If,
     Inc,
-    OpaqueRelation,
     PhiSequence,
     Program,
     State,
@@ -37,16 +36,13 @@ from termbound.termlang import (
     pre,
     program_from_text,
     program_to_text,
-    rank_const,
     rank_monus,
-    rank_str,
-    rank_var,
     run_trace,
     step,
     step_bound,
+    term_str,
     trace_from_doc,
     trace_to_doc,
-    RANK_LOC,
     PRE_LOC,
     POST_LOC,
 )
@@ -138,7 +134,7 @@ def line_relation(n):
     return ConstraintRelation(
         "line",
         atoms=(Atom(PRE_LOC, "<", POST_LOC),),
-        rank=rank_monus(rank_const(n), RANK_LOC),
+        rank=rank_monus(const(n), PRE_LOC),
     )
 
 
@@ -150,7 +146,7 @@ def loop_relation():
             Atom(pre("x"), "<", pre("y")),
             Atom(post("y"), "=", pre("y")),
         ),
-        rank=rank_monus(rank_var("y"), rank_var("x")),
+        rank=rank_monus(pre("y"), pre("x")),
     )
 
 
@@ -158,7 +154,7 @@ class TestCheckInvariant:
     def test_no_pairs_empty_relation(self):
         p = Program(("x",), ())
         inv = TransitionInvariant(
-            (ConstraintRelation("empty", (Atom(const(0), "<", const(0)),), rank_const(0)),)
+            (ConstraintRelation("empty", (Atom(const(0), "<", const(0)),), const(0)),)
         )
         report = checked(p, initial_state(p), inv)
         assert report.ok and report.pairs_checked == 0
@@ -182,22 +178,12 @@ class TestCheckInvariant:
     def test_corrupt_rank_reported(self):
         p = counting_program()
         broken = ConstraintRelation(
-            "loop", loop_relation().atoms, rank_const(0)
+            "loop", loop_relation().atoms, const(0)
         )
         inv = TransitionInvariant((line_relation(2), broken))
         report = checked(p, initial_state(p, {"y": 3}), inv)
         assert report.rank_violation_total > 0
         assert any(name == "loop" for _, _, name in report.rank_violations)
-
-    def test_opaque_relation(self):
-        p = counting_program()
-        everything = OpaqueRelation(
-            "steps",
-            membership=lambda s, s2: True,
-            rank_fn=lambda s: 1000 - 3 * s.env[0] - s.location,
-        )
-        report = checked(p, initial_state(p, {"y": 5}), TransitionInvariant((everything,)))
-        assert report.ok
 
 
 class TestPhi:
@@ -227,7 +213,7 @@ class TestPhi:
     def test_invalid_invariant_detected(self):
         p = counting_program()
         bad = TransitionInvariant(
-            (ConstraintRelation("noop", (), rank_const(7)),)
+            (ConstraintRelation("noop", (), const(7)),)
         )
         with pytest.raises(NotHomogeneous):
             PhiSequence(checked(p, initial_state(p, {"y": 2}), bad))
@@ -283,7 +269,7 @@ def mutated_checks(draw):
     change = draw(st.sampled_from(["none", "rank", "drop", "atom"]))
     if change == "rank":
         relations[idx] = ConstraintRelation(
-            rel.name, rel.atoms, rank_const(draw(st.integers(0, 3))),
+            rel.name, rel.atoms, const(draw(st.integers(0, 3))),
             rel.pre_locations, rel.post_locations,
         )
     elif change == "drop":
@@ -318,7 +304,7 @@ class TestStepBound:
     def test_final_initial_state(self):
         p = Program(("x",), ())
         inv = TransitionInvariant(
-            (ConstraintRelation("empty", (Atom(const(0), "<", const(0)),), rank_const(0)),)
+            (ConstraintRelation("empty", (Atom(const(0), "<", const(0)),), const(0)),)
         )
         bound = step_bound(checked(p, initial_state(p), inv))
         assert bound >= 0
@@ -365,6 +351,23 @@ class TestProgramText:
         with pytest.raises(ParseError):
             program_from_text("vars x y\n0: if x < y\n1:   x := 1\n")
 
+    def test_nesting_cap(self):
+        def nested(levels):
+            lines = [f"{i}: {'  ' * i}while x < y" for i in range(levels)]
+            return "vars x y\n" + "\n".join(lines) + f"\n{levels}: {'  ' * levels}x := 1\n"
+
+        text = nested(MAX_NESTING)
+        assert program_to_text(program_from_text(text)) == text
+        with pytest.raises(ParseError, match="nested too deeply"):
+            program_from_text(nested(MAX_NESTING + 1))
+
+    @pytest.mark.parametrize(
+        "text", ["vars x\n0: x := ٣\n", "vars x\n0: x := ²\n", "vars x\n٠: x := 1\n"]
+    )
+    def test_rejects_non_ascii_digits(self, text):
+        with pytest.raises(ParseError):
+            program_from_text(text)
+
 
 class TestInvariantJson:
     def test_round_trip(self):
@@ -391,7 +394,22 @@ class TestInvariantJson:
 
     def test_rank_round_trip(self):
         for text in ("0", "y - z", "14 - loc", "a + 2 - z"):
-            assert rank_str(parse_rank(text)) == text
+            assert term_str(parse_rank(text)) == text
+
+    @pytest.mark.parametrize("text", ["x'", "y - loc'", "x + x'"])
+    def test_rank_reads_the_pre_state_only(self, text):
+        with pytest.raises(ParseError, match="post state"):
+            parse_rank(text)
+
+    @pytest.mark.parametrize("text", ["٣ - x", "x + ²"])
+    def test_rank_rejects_non_ascii_digits(self, text):
+        with pytest.raises(ParseError):
+            parse_rank(text)
+
+    @pytest.mark.parametrize("text", ["x < ٣", "² = x'"])
+    def test_atom_rejects_non_ascii_digits(self, text):
+        with pytest.raises(ParseError):
+            parse_atom(text)
 
     @pytest.mark.parametrize(
         "doc",
