@@ -39,9 +39,9 @@ serialize uniformly; fresh names take hierarchical prefixes ``c0_``,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
-from .errors import ArityMismatch, NameCollision, ParseError
+from .errors import ArityMismatch, BudgetExceeded, NameCollision, ParseError
 from .ordinals import MAX_NESTING, is_nat
 from .termlang import (
     Assign,
@@ -174,6 +174,11 @@ def eval_pr(t: PRTerm, args: Sequence[int]) -> int:
 # parser, the compiler and the evaluator recurse per parenthesis, so terms
 # nest at most MAX_NESTING levels deep.
 
+# Largest n of ``(z n)`` and ``(p i n)``. Each declares n variables, and each
+# level of composition around it copies them again: ``(p 1 100)`` inside 99
+# ``(comp s ...)`` levels compiles to 10,495 variables in about 2 s.
+MAX_ARITY = 100
+
 
 def term_to_text(t: PRTerm) -> str:
     if isinstance(t, Zero):
@@ -217,12 +222,10 @@ def parse_term(text: str) -> PRTerm:
             raise ParseError(f"term nested too deeply (limit {MAX_NESTING})")
         head = take()
         if head == "z":
-            n = _nat()
-            node: PRTerm = Zero(n)
+            node: PRTerm = Zero(_arity())
         elif head == "p":
             i = _nat()
-            n = _nat()
-            node = Proj(i, n)
+            node = Proj(i, _arity())
         elif head == "comp":
             h = parse()
             gs = []
@@ -249,6 +252,12 @@ def parse_term(text: str) -> PRTerm:
         pos += 1
         return value
 
+    def _arity() -> int:
+        n = _nat()
+        if n > MAX_ARITY:
+            raise BudgetExceeded(f"arity {n} exceeds the arity budget of {MAX_ARITY}")
+        return n
+
     try:
         term = parse()
     except ValueError as exc:
@@ -269,8 +278,54 @@ class CompiledUnit:
     input_vars: tuple[str, ...]
 
 
+class _Lifts:
+    """The relations a compiled unit hands up to its callers, not lifted yet.
+
+    ``own`` are the unit's relations. Each call ``(callee, prefix, guard)``
+    adds the callee's, with ``prefix`` before every variable and behind
+    ``guard``. ``compile_term`` lifts them once, top down, so each atom of
+    the final invariant is built once rather than once per level.
+    """
+
+    def __init__(
+        self,
+        own: tuple[ConstraintRelation, ...],
+        calls: tuple[tuple[_Lifts, str, tuple[Atom, ...]], ...] = (),
+    ):
+        self.own, self.calls = own, calls
+
+    def lifted(
+        self, prefix: str, guard: tuple[Atom, ...]
+    ) -> Iterator[ConstraintRelation]:
+        """Variable-based relations of this unit and its callees, for a caller.
+
+        Location-bound relations are dropped: the caller's own
+        location-progress relation covers every location-increasing pair
+        of the whole program. Unsatisfiable relations cover nothing and are
+        dropped too. Prefixes and guards keep both properties, so each
+        relation is tested once.
+        """
+        for rel in self.own:
+            if not (rel.mentions_loc() or rel.is_unsatisfiable()):
+                yield rel.prefixed(prefix).guarded(guard, prefix + rel.name)
+        for callee, inner, inner_guard in self.calls:
+            yield from callee.lifted(
+                prefix + inner, guard + tuple(a.prefixed(prefix) for a in inner_guard)
+            )
+
+
+class _Unit:
+    """A compiled unit whose invariant is still a ``_Lifts`` tree."""
+
+    def __init__(
+        self, program: Program, lifts: _Lifts, result_var: str, input_vars: tuple[str, ...]
+    ):
+        self.program, self.lifts = program, lifts
+        self.result_var, self.input_vars = result_var, input_vars
+
+
 def splice_call(
-    callee: CompiledUnit,
+    callee: CompiledUnit | _Unit,
     actual_inputs: Sequence[str],
     out: str,
     fresh_prefix: str,
@@ -327,29 +382,8 @@ def splice_call(
     )
 
 
-def _spliced_variables(callee: CompiledUnit, fresh_prefix: str) -> tuple[str, ...]:
+def _spliced_variables(callee: _Unit, fresh_prefix: str) -> tuple[str, ...]:
     return tuple(fresh_prefix + v for v in callee.program.variables)
-
-
-def _lift_invariant(
-    callee: CompiledUnit, fresh_prefix: str, guard: tuple[Atom, ...]
-) -> tuple[ConstraintRelation, ...]:
-    """Variable-based relations of the callee, renamed and guarded.
-
-    Location-bound relations are dropped: the caller's own
-    location-progress relation covers every location-increasing pair of
-    the whole program. Unsatisfiable relations cover nothing and are
-    dropped too.
-    """
-    renamed = {v: fresh_prefix + v for v in callee.program.variables}
-    lifted = []
-    for rel in callee.invariant.relations:
-        if rel.mentions_loc() or rel.is_unsatisfiable():
-            continue
-        lifted.append(
-            rel.renamed(renamed).guarded(guard, fresh_prefix + rel.name)
-        )
-    return tuple(lifted)
 
 
 def _empty_relation() -> ConstraintRelation:
@@ -371,49 +405,49 @@ def compile_term(t: PRTerm) -> CompiledUnit:
     the invariant covers every ordered pair of every trace with a
     strictly decreasing rank; unassigned variables start at 0.
     """
+    unit = _compile(t)
+    lifted = (
+        rel
+        for callee, prefix, guard in unit.lifts.calls
+        for rel in callee.lifted(prefix, guard)
+    )
+    return CompiledUnit(
+        unit.program,
+        TransitionInvariant(unit.lifts.own + tuple(lifted)),
+        unit.result_var,
+        unit.input_vars,
+    )
+
+
+def _compile(t: PRTerm) -> _Unit:
     if isinstance(t, Zero):
         inputs = tuple(f"x{i}" for i in range(1, t.n + 1))
         program = Program(inputs + ("r",), ())
-        return CompiledUnit(
-            program,
-            TransitionInvariant((_empty_relation(),)),
-            "r",
-            inputs,
-        )
+        return _Unit(program, _Lifts((_empty_relation(),)), "r", inputs)
 
     if isinstance(t, Proj):
         inputs = tuple(f"x{i}" for i in range(1, t.n + 1))
         program = Program(inputs, ())
-        return CompiledUnit(
-            program,
-            TransitionInvariant((_empty_relation(),)),
-            f"x{t.i}",
-            inputs,
-        )
+        return _Unit(program, _Lifts((_empty_relation(),)), f"x{t.i}", inputs)
 
     if isinstance(t, Succ):
         program = Program(("x1", "r"), (Assign("r", Inc("x1")),))
-        return CompiledUnit(
-            program,
-            TransitionInvariant((_line_relation(program.n_points),)),
-            "r",
-            ("x1",),
-        )
+        return _Unit(program, _Lifts((_line_relation(program.n_points),)), "r", ("x1",))
 
     if isinstance(t, Comp):
         return _compile_comp(t)
     return _compile_rec(t)
 
 
-def _compile_comp(t: Comp) -> CompiledUnit:
+def _compile_comp(t: Comp) -> _Unit:
     q = len(t.gs)
     inputs = tuple(f"x{i}" for i in range(1, t.arity + 1))
     outs = tuple(f"y{i}" for i in range(1, q + 1))
     variables = list(inputs) + ["a"] + list(outs) + ["res"]
     body: list[Cmd] = [Assign("a", Const(1))]
-    lifted: list[ConstraintRelation] = []
+    lifts = []
 
-    units = [compile_term(g) for g in t.gs] + [compile_term(t.h)]
+    units = [_compile(g) for g in t.gs] + [_compile(t.h)]
     calls = [(unit, inputs, out) for unit, out in zip(units[:-1], outs)]
     calls.append((units[-1], outs, "res"))
     for idx, (unit, actuals, out) in enumerate(calls):
@@ -427,7 +461,7 @@ def _compile_comp(t: Comp) -> CompiledUnit:
             Atom(pre("a"), "=", const(phase)),
             Atom(post("a"), "=", const(phase)),
         )
-        lifted.extend(_lift_invariant(unit, prefix, guard))
+        lifts.append((unit.lifts, prefix, guard))
 
     program = Program(tuple(variables), tuple(body))
     phase_relation = ConstraintRelation(
@@ -439,18 +473,18 @@ def _compile_comp(t: Comp) -> CompiledUnit:
         ),
         rank=rank_monus(const(q + 2), pre("a")),
     )
-    relations = (_line_relation(program.n_points), phase_relation, *lifted)
-    return CompiledUnit(program, TransitionInvariant(relations), "res", inputs)
+    relations = (_line_relation(program.n_points), phase_relation)
+    return _Unit(program, _Lifts(relations, tuple(lifts)), "res", inputs)
 
 
-def _compile_rec(t: Rec) -> CompiledUnit:
+def _compile_rec(t: Rec) -> _Unit:
     side = t.h.arity
     inputs = ("y",) + tuple(f"x{i}" for i in range(1, side + 1))
     copies = tuple(f"z{i}" for i in range(1, side + 1))
     variables = list(inputs) + ["z", "w"] + list(copies)
 
-    h_unit = compile_term(t.h)
-    g_unit = compile_term(t.g)
+    h_unit = _compile(t.h)
+    g_unit = _compile(t.g)
 
     body: list[Cmd] = [Assign("z", Const(0))]
     body.extend(splice_call(h_unit, inputs[1:], "w", "c0_"))
@@ -484,13 +518,9 @@ def _compile_rec(t: Rec) -> CompiledUnit:
         Atom(pre("y"), "=", post("y")),
         Atom(pre("z"), "<", pre("y")),
     )
-    relations = (
-        _line_relation(program.n_points),
-        cross_round,
-        *_lift_invariant(h_unit, "c0_", base_guard),
-        *_lift_invariant(g_unit, "c1_", step_guard),
-    )
-    return CompiledUnit(program, TransitionInvariant(relations), "w", inputs)
+    relations = (_line_relation(program.n_points), cross_round)
+    calls = ((h_unit.lifts, "c0_", base_guard), (g_unit.lifts, "c1_", step_guard))
+    return _Unit(program, _Lifts(relations, calls), "w", inputs)
 
 
 # --- standard terms ----------------------------------------------------------

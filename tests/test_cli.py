@@ -417,6 +417,36 @@ class TestInputValidation:
         assert code == 3
         assert err.startswith("budget exceeded:") and err.count("\n") == 1
 
+    def test_arity_has_a_budget(self, tmp_path):
+        term = tmp_path / "zero.pr"
+        term.write_text("(z 100000000)")
+        start = time.perf_counter()
+        code, err = run_main("compile", str(term))
+        assert time.perf_counter() - start < 1
+        assert code == 3
+        assert err.startswith("budget exceeded: arity 100000000") and err.count("\n") == 1
+
+    def test_check_has_a_pair_budget(self, tmp_path, capsys):
+        prog = tmp_path / "grow.prog"
+        prog.write_text("vars x y\n0: while x < y\n1:   y := y + 1\n")
+        inv = tmp_path / "grow.inv.json"
+        inv.write_text(json.dumps([
+            {"name": "line", "atoms": ["loc < loc'"], "rank": "2 - loc"},
+            {"name": "grow", "atoms": ["y < y'"], "rank": "30000 - y"},
+        ]))
+        argv = ["check", str(prog), "--invariant", str(inv), "--set", "y=1"]
+        # The default step budget stays within the pair budget.
+        assert main(argv) == 3
+        assert capsys.readouterr().out.splitlines()[-1] == "verdict: inconclusive (budget)"
+        start = time.perf_counter()
+        code, err = run_main(*argv, "--max-steps", "20000")
+        assert time.perf_counter() - start < 1
+        assert code == 3
+        assert err == (
+            "budget exceeded: check_invariant: 200010000 pairs exceed the pair "
+            "budget of 100000000\n"
+        )
+
 
 # --- parsers: round trips, the shared nesting cap, and fuzzing of main ---------
 
@@ -506,18 +536,15 @@ TERM_PIECES = ["(", ")", " ", "z", "s", "p", "comp", "rec", "(p 1 1)", "(p 2 3)"
 
 
 def nested_comps(core):
-    """``core`` inside a few, or thousands of, levels of ``(comp ... s)``.
-
-    Depths in between are left out: compiling 100 levels takes a second.
-    """
+    """``core`` inside up to 3000 levels of ``(comp ... s)``."""
     return st.builds(
         lambda depth, text: "(comp " * depth + text + " s)" * depth,
-        st.integers(0, 5) | st.integers(2000, 3000), core,
+        st.integers(0, 3000), core,
     )
 
 
-# No number of three or more digits: a term like (z 999999999) declares
-# that many variables.
+# No number of three or more digits: (p 1 100) inside 99 levels of
+# (comp s ...) compiles to over 10,000 variables, which takes seconds.
 term_pieces = (
     st.lists(st.sampled_from(TERM_PIECES), max_size=12)
     .map("".join)

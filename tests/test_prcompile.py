@@ -1,9 +1,12 @@
+import time
+
 import pytest
 
-from termbound.errors import ArityMismatch, NameCollision, ParseError
+from termbound.errors import ArityMismatch, BudgetExceeded, NameCollision, ParseError
 from termbound.ordinals import MAX_NESTING
 from termbound.prcompile import (
     ADD,
+    MAX_ARITY,
     MULT,
     PRED,
     SUB,
@@ -114,6 +117,20 @@ class TestTermDsl:
         assert term_to_text(parse_term(nested(MAX_NESTING))) == nested(MAX_NESTING)
         with pytest.raises(ParseError, match="nested too deeply"):
             parse_term(nested(MAX_NESTING + 1))
+
+    def test_deep_composition_compiles_quickly(self):
+        text = "(comp " * (MAX_NESTING - 1) + "s" + " s)" * (MAX_NESTING - 1)
+        start = time.perf_counter()
+        unit = compile_term(parse_term(text))
+        assert time.perf_counter() - start < 1
+        assert unit.program.n_points == 7 * MAX_NESTING - 6
+
+    def test_arity_budget(self):
+        assert parse_term(f"(z {MAX_ARITY})") == Zero(MAX_ARITY)
+        assert parse_term(f"(p 1 {MAX_ARITY})") == Proj(1, MAX_ARITY)
+        for text in (f"(z {MAX_ARITY + 1})", f"(p 1 {MAX_ARITY + 1})"):
+            with pytest.raises(BudgetExceeded, match="arity budget"):
+                parse_term(text)
 
     @pytest.mark.parametrize("text", ["(z ٣)", "(p 1 ١)", "(z ²)"])
     def test_rejects_non_ascii_digits(self, text):

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import check_invariant_pairwise
 
 from termbound.bounds import SequenceFn, bound_g
 from termbound.erdos import embed, height_of_tree, is_homogeneous
@@ -10,6 +11,7 @@ from termbound.errors import BudgetExceeded, NotHomogeneous, ParseError
 from termbound.ordinals import MAX_NESTING, to_vector
 from termbound.prcompile import ADD, MULT, SUB, compile_term
 from termbound.termlang import (
+    MAX_CHECK_PAIRS,
     Assign,
     Atom,
     Const,
@@ -41,6 +43,7 @@ from termbound.termlang import (
     step,
     step_bound,
     term_str,
+    Trace,
     trace_from_doc,
     trace_to_doc,
     PRE_LOC,
@@ -298,6 +301,79 @@ class TestCheckIsTheDescentProof:
         ]
         if report.ok:
             assert is_homogeneous(report.rank_tuples, inv.k)
+
+
+@st.composite
+def located_checks(draw):
+    """A ``mutated_checks`` case, maybe with location sets on one relation."""
+    p, trace, inv = draw(mutated_checks())
+    relations = list(inv.relations)
+    if draw(st.booleans()):
+        idx = draw(st.integers(0, len(relations) - 1))
+        rel = relations[idx]
+        points = st.frozensets(st.integers(0, p.n_points), max_size=4)
+        relations[idx] = ConstraintRelation(
+            rel.name, rel.atoms, rel.rank,
+            draw(st.none() | points), draw(st.none() | points),
+        )
+    return p, trace, TransitionInvariant(tuple(relations))
+
+
+class TestCheckAgainstOracle:
+    """The bitset join against the per-pair check."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(located_checks())
+    def test_same_report(self, case):
+        p, trace, inv = case
+        fast = check_invariant(p, trace, inv)
+        slow = check_invariant_pairwise(p, trace, inv)
+        assert fast.to_doc() == slow.to_doc()
+        assert fast.rank_tuples == slow.rank_tuples
+
+    def test_listing_order_across_relations(self):
+        p = counting_program()
+        trace = run_trace(p, initial_state(p, {"y": 3}))
+        n = len(trace)
+        inv = TransitionInvariant(
+            (ConstraintRelation("a", (), const(1)), ConstraintRelation("b", (), const(1)))
+        )
+        report = check_invariant(p, trace, inv)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        assert report.rank_violation_total == 2 * len(pairs) > report.MAX_LISTED
+        assert report.rank_violations == [
+            (i, j, name) for i, j in pairs for name in ("a", "b")
+        ][: report.MAX_LISTED]
+        assert report.uncovered == pairs[: report.MAX_LISTED]
+        assert report.to_doc() == check_invariant_pairwise(p, trace, inv).to_doc()
+
+    def test_pair_budget(self):
+        p = counting_program()
+        states = [State(0, (0, 0))] * 14_143
+        assert len(states) * (len(states) - 1) // 2 > MAX_CHECK_PAIRS
+        inv = TransitionInvariant((line_relation(2),))
+        with pytest.raises(BudgetExceeded, match="100005153 pairs"):
+            check_invariant(p, Trace(states, False), inv)
+        report = check_invariant(p, Trace(states[:-1], False), inv)
+        assert report.pairs_checked <= MAX_CHECK_PAIRS
+
+
+class TestAtomSides:
+    @pytest.mark.parametrize(
+        "lhs,rhs",
+        [
+            (("add", pre("x"), const(1)), post("x")),
+            (pre("x"), rank_monus(post("x"), const(1))),
+        ],
+        ids=["add", "monus"],
+    )
+    def test_rejects_compound_side(self, lhs, rhs):
+        with pytest.raises(ValueError, match="not a leaf"):
+            Atom(lhs, "<", rhs)
+
+    def test_rejects_unknown_operator(self):
+        with pytest.raises(ValueError, match="operator"):
+            Atom(pre("x"), "<=", post("x"))
 
 
 class TestStepBound:
