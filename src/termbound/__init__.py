@@ -5,69 +5,22 @@ pairwise-descending sequences into colored k-ary trees, derives
 primitive recursive step bounds for programs carrying rank-certified
 transition invariants, and compiles primitive recursive terms into such
 programs.
+
+The package exports the entry point of each stage of that chain: a term
+is parsed and compiled into a program with an invariant, the program is
+run to a trace, the trace is checked against the invariant, the check's
+rank tuples become a descending measure, and the descent bound of that
+measure caps the number of steps. Everything else is imported from its
+module.
 """
 
-from .bounds import SequenceFn, bound_g, find_adjacent_increase, find_nondescent, lex_le
-from .erdos import (
-    ColoredList,
-    ErdosTree,
-    color_of,
-    embed,
-    f_star,
-    f_star_vec,
-    insert_branch,
-    is_homogeneous,
-    label_alpha,
-    node_profile,
-    to_labelled_tree,
-)
-from .ktree import (
-    LabelledTree,
-    Node,
-    brute_force_height,
-    extend,
-    height_nil,
-    height_tree,
-)
-from .ordinals import (
-    OMEGA,
-    ONE,
-    ZERO,
-    Ordinal,
-    add,
-    cmp,
-    exp_base_k,
-    nat_prod_nat,
-    nat_sum,
-    parse_ordinal,
-    to_vector,
-)
-from .prcompile import (
-    ADD,
-    MULT,
-    PRED,
-    SUB,
-    Comp,
-    CompiledUnit,
-    Proj,
-    Rec,
-    Succ,
-    Zero,
-    compile_term,
-    eval_pr,
-    parse_term,
-    splice_call,
-    term_to_text,
-)
+from .bounds import SequenceFn, bound_g, find_nondescent
+from .prcompile import compile_term, eval_pr, parse_term
 from .termlang import (
     PhiSequence,
-    Program,
-    State,
-    TransitionInvariant,
     check_invariant,
     initial_state,
     run_trace,
-    step,
     step_bound,
 )
 

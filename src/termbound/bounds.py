@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable, Sequence
 
-from .errors import BudgetExceeded, LemmaViolated, LengthMismatch, NoWitness
+from .errors import BudgetExceeded, LemmaViolated, NoWitness
 
 DEFAULT_MAX_ITERATIONS = 2_000_000
 
@@ -83,13 +83,6 @@ class SequenceFn:
             return rows[min(n, last)]
 
         return cls(fn, k, eventually_constant_from=last)
-
-
-def lex_le(u: Sequence[int], v: Sequence[int]) -> bool:
-    """Lexicographic u <= v for tuples of equal length."""
-    if len(u) != len(v):
-        raise LengthMismatch(f"{len(u)} vs {len(v)} components")
-    return tuple(u) <= tuple(v)
 
 
 def find_adjacent_increase(sigma1: Callable[[int], int], m: int, n: int) -> int:

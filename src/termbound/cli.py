@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from contextlib import contextmanager
 
 from .bounds import SequenceFn, bound_g, find_nondescent
-from .erdos import embed, erdos_to_json, height_of_tree
+from .erdos import embed, erdos_to_doc, height_of_tree
 from .errors import BudgetExceeded, ParseError, TermboundError
 from .ktree import height_nil
 from .ordinals import Ordinal, Scanner, add, exp_base_k, nat_prod_nat, nat_sum
@@ -88,7 +90,53 @@ def _primary(sc: Scanner) -> Ordinal:
     return value if base is None else exp_base_k(base, value)
 
 
-# --- output helpers -----------------------------------------------------------
+# --- reading and printing numbers -------------------------------------------
+
+
+def nat(text: str) -> int:
+    """A natural written in ASCII digits.
+
+    ``int`` alone also reads "1_0", "+3", " 3" and other scripts' digits.
+    """
+    if not is_nat(text):
+        raise ValueError(f"expected a natural in ASCII digits, got {text!r}")
+    return int(text)
+
+
+# Printing an integer in decimal takes time quadratic in its length: with
+# Python 3.11 on a 2-CPU Xeon container, 8 ms at 2^16 bits, 0.11 s at 2^18
+# bits and 1.8 s at 2^20. A result with more bits ends in exit 3. While ``main`` runs, Python's own
+# limit on int-string conversion is the digit count of the largest
+# printable value, so the command line reads what it can print.
+MAX_PRINT_BITS = 1 << 18
+MAX_PRINT_DIGITS = int(MAX_PRINT_BITS * math.log10(2)) + 1
+
+
+def _printable(value):
+    """``value``, an int or an ordinal, once all its integers fit MAX_PRINT_BITS."""
+    if isinstance(value, Ordinal):
+        for exp, coeff in value.terms:
+            _printable(exp)
+            _printable(coeff)
+    elif value.bit_length() > MAX_PRINT_BITS:
+        raise BudgetExceeded(
+            f"a result of {value.bit_length()} bits; at most {MAX_PRINT_BITS} are printed"
+        )
+    return value
+
+
+@contextmanager
+def _digit_limit(digits: int):
+    """Python's int-string conversion limit set to ``digits`` for the block."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # before 3.10.7: no limit
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def _emit(args, doc: dict, human_lines: list[str]) -> None:
@@ -101,9 +149,9 @@ def _emit(args, doc: dict, human_lines: list[str]) -> None:
 
 def _parse_point(text: str, k: int | None) -> tuple[int, ...]:
     try:
-        point = tuple(int(c) for c in text.split(","))
+        point = tuple(nat(c) for c in text.split(","))
     except ValueError:
-        raise ParseError(f"bad point {text!r}; expected comma-separated naturals")
+        raise ParseError(f"bad point {text!r}; expected comma-separated naturals") from None
     if k is not None and len(point) != k:
         raise ParseError(f"point {text!r} does not have {k} coordinates")
     return point
@@ -123,14 +171,14 @@ def _parse_assignments(pairs: list[str]) -> dict[str, int]:
 
 
 def cmd_ord(args) -> int:
-    value = eval_ordinal_expr(args.expr)
+    value = _printable(eval_ordinal_expr(args.expr))
     _emit(args, {"result": str(value)}, [str(value)])
     return 0
 
 
 def cmd_tree_height(args) -> int:
     alpha = parse_ordinal(args.alpha)
-    value = height_nil(args.k, alpha)
+    value = _printable(height_nil(args.k, alpha))
     _emit(
         args,
         {"k": args.k, "alpha": str(alpha), "height": str(value)},
@@ -144,11 +192,11 @@ def cmd_embed(args) -> int:
     k = args.k if args.k is not None else len(first)
     points = [_parse_point(p, k) for p in args.points]
     tree = embed(points, k)
-    measure = height_of_tree(tree)
+    measure = _printable(height_of_tree(tree))
     vec = to_vector(measure, k)
     doc = {
         "k": k,
-        "tree": json.loads(erdos_to_json(tree)),
+        "tree": erdos_to_doc(tree),
         "f_star": str(measure),
         "f_star_vec": list(vec),
     }
@@ -172,7 +220,7 @@ def cmd_bound(args) -> int:
     sigma = SequenceFn.from_rows(doc["rows"])
     if doc.get("k") is not None and doc["k"] != sigma.k:
         raise ParseError(f"file says k={doc['k']} but rows have {sigma.k} components")
-    bound = bound_g(sigma, args.n, max_value=args.max_bound)
+    bound = _printable(bound_g(sigma, args.n, max_value=args.max_bound))
     witness = find_nondescent(sigma, args.n, bound)
     out = {
         "n": args.n,
@@ -227,6 +275,7 @@ def cmd_run(args) -> int:
         program = program_from_text(fh.read())
     s0 = initial_state(program, _parse_assignments(args.set or []))
     trace = run_trace(program, s0, args.max_steps)
+    _printable(max((v for s in trace.states for v in s.env), default=0))  # largest printed
     doc = {
         "trace": trace_to_doc(program, trace),
         "reached_final": trace.complete,
@@ -285,8 +334,8 @@ def cmd_pipeline(args) -> int:
     trace = run_trace(unit.program, s0, args.max_steps)
     if not trace.complete:
         raise BudgetExceeded(f"no final state within {args.max_steps} steps")
-    result = trace.states[-1].env_dict(unit.program)[unit.result_var]
-    oracle = eval_pr(term, args.inputs)
+    result = _printable(trace.states[-1].env_dict(unit.program)[unit.result_var])
+    oracle = _printable(eval_pr(term, args.inputs))
     report = check_invariant(unit.program, trace, invariant)
 
     bound = None
@@ -294,7 +343,7 @@ def cmd_pipeline(args) -> int:
     if report.ok:
         # The descent bound is exact but astronomically loose; it is
         # reported in full rather than capped by --max-bound.
-        bound = step_bound(report)
+        bound = _printable(step_bound(report))
         bound_holds = trace.steps <= bound
 
     ok = report.ok and result == oracle and bool(bound_holds)
@@ -342,19 +391,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_ord)
 
     p = sub.add_parser("tree-height", help="height of the empty k-tree below alpha")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=nat, required=True)
     p.add_argument("alpha")
     p.set_defaults(fn=cmd_tree_height)
 
     p = sub.add_parser("embed", help="embed a homogeneous sequence of points")
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=nat, default=None)
     p.add_argument("points", nargs="+", metavar="P", help="points like 3,4")
     p.set_defaults(fn=cmd_embed)
 
     p = sub.add_parser("bound", help="descent bound and non-descent witness")
     p.add_argument("sigma_file")
-    p.add_argument("--n", type=int, default=0)
-    p.add_argument("--max-bound", type=int, default=10**9)
+    p.add_argument("--n", type=nat, default=0)
+    p.add_argument("--max-bound", type=nat, default=10**9)
     p.set_defaults(fn=cmd_bound)
 
     p = sub.add_parser("compile", help="compile a primitive recursive term")
@@ -364,23 +413,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run a program to its final state")
     p.add_argument("program_file")
     p.add_argument("--set", action="append", metavar="VAR=NAT")
-    p.add_argument("--max-steps", type=int, default=10_000)
+    p.add_argument("--max-steps", type=nat, default=10_000)
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("check", help="check an invariant over a bounded trace")
     p.add_argument("program_file")
     p.add_argument("--invariant", required=True)
     p.add_argument("--set", action="append", metavar="VAR=NAT")
-    p.add_argument("--max-steps", type=int, default=10_000)
+    p.add_argument("--max-steps", type=nat, default=10_000)
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser(
         "pipeline", help="compile, run, check and bound a term on inputs"
     )
     p.add_argument("term_file")
-    p.add_argument("inputs", nargs="*", type=int)
+    p.add_argument("inputs", nargs="*", type=nat)
     p.add_argument("--invariant", help="override the emitted invariant")
-    p.add_argument("--max-steps", type=int, default=10_000)
+    p.add_argument("--max-steps", type=nat, default=10_000)
     p.set_defaults(fn=cmd_pipeline)
 
     return parser
@@ -388,18 +437,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.fn(args)
-    except BudgetExceeded as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return 3
-    except (ParseError, json.JSONDecodeError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TermboundError as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return 1
+    with _digit_limit(MAX_PRINT_DIGITS):
+        args = parser.parse_args(argv)
+        try:
+            return args.fn(args)
+        except BudgetExceeded as exc:
+            print(f"budget exceeded: {exc}", file=sys.stderr)
+            return 3
+        except (ParseError, json.JSONDecodeError, OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except TermboundError as exc:
+            print(f"check failed: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

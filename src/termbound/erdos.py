@@ -12,26 +12,21 @@ build one strictly h-decreasing list per color simultaneously.
 Every tree node gets an ordinal label below ``w * k`` from the
 coordinates of its nearest ancestors per color; labels strictly decrease
 along edges, so the labelled image lives in the bounded-tree poset of
-``ktree`` and its height is an ordinal measure below ``w^k`` that
-strictly decreases whenever the sequence grows. That measure, ``f_star``,
-is the bridge from homogeneous sequences to integer vectors ordered
-lexicographically. ``IncrementalMeasure`` keeps its vector up to date
-one point at a time; rebuilding the tree (``f_star_vec``) is its oracle.
+``ktree`` and its height (``height_of_tree``) is an ordinal measure below
+``w^k`` that strictly decreases whenever the sequence grows. That
+measure, ``f_star``, is the bridge from homogeneous sequences to integer
+vectors ordered lexicographically. ``IncrementalMeasure`` keeps its
+vector up to date one point at a time. Rebuilding the tree of every
+prefix (``f_star_vec``) is its oracle, kept with the other test oracles
+in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import (
-    BranchNotInTree,
-    EmptySequence,
-    LabelNotDecreasing,
-    NoRelation,
-    NotHomogeneous,
-)
+from .errors import LabelNotDecreasing, NoRelation, NotHomogeneous
 from .ktree import LabelledTree, Node, height_nil, height_tree
 from .ordinals import OMEGA, Ordinal, cmp, nat_prod_nat, nat_sum, nat_sum_all
 from .ordinals import to_vector as _ordinal_to_vector
@@ -85,26 +80,6 @@ class ColoredList:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def is_valid_over(self, k: int) -> bool:
-        """Color c at edge i commits every later element to descend in c."""
-        for i, c in enumerate(self.colors):
-            if not 1 <= c <= k:
-                return False
-            for j in range(i + 1, len(self.points)):
-                if not self.points[j][c - 1] < self.points[i][c - 1]:
-                    return False
-        return True
-
-    def color_projection(self, h: int) -> tuple[Point, ...]:
-        """Elements followed by a color-h edge, plus the last element."""
-        kept = [p for p, c in zip(self.points, self.colors) if c == h]
-        if self.points:
-            kept.append(self.points[-1])
-        return tuple(kept)
-
-
-NIL = ColoredList((), ())
 
 
 @dataclass(frozen=True)
@@ -178,31 +153,6 @@ class ErdosTree:
             new = _ENode(parent.point, children)
         return ErdosTree(self.k, new)
 
-    def _locate(self, branch: ColoredList) -> _ENode:
-        if not branch.points:
-            raise BranchNotInTree("branch must be nonempty")
-        cur = self.root
-        if cur is None or cur.point != branch.points[0]:
-            raise BranchNotInTree(f"{branch} is not a branch of the tree")
-        for c, p in zip(branch.colors, branch.points[1:]):
-            cur = cur.children[c - 1]
-            if cur is None or cur.point != p:
-                raise BranchNotInTree(f"{branch} is not a branch of the tree")
-        return cur
-
-
-def insert_branch(t: ErdosTree, y: Sequence[int]) -> ColoredList:
-    """The new branch created when ``y`` is inserted into ``t``.
-
-    Descends from the root, at each node following the child of the first
-    coordinate in which ``y`` decreases below that node's point, and ends
-    with ``y`` as a new leaf.
-    """
-    path, y = t.descent_path(y)
-    return ColoredList(
-        tuple(n.point for n, _ in path) + (y,),
-        tuple(c for _, c in path),
-    )
 
 
 def embed(s: Sequence[Sequence[int]], k: int) -> ErdosTree:
@@ -218,18 +168,6 @@ def embed(s: Sequence[Sequence[int]], k: int) -> ErdosTree:
     for y in s:
         t = t.insert(y)
     return t
-
-
-@dataclass(frozen=True)
-class NodeProfile:
-    """Distinct colors on a branch and the nearest ancestor per color."""
-
-    i: int
-    colors: tuple[int, ...]
-    ancestors: tuple[Point, ...]
-
-    def ancestor(self, color: int) -> Point:
-        return self.ancestors[self.colors.index(color)]
 
 
 def _nearest_ancestors(
@@ -259,29 +197,6 @@ def _label(point: Point, nearest: dict[int, Point], k: int) -> Ordinal:
     )
 
 
-def node_profile(t: ErdosTree, branch: ColoredList) -> NodeProfile:
-    """Profile of the last node of ``branch``: for each distinct color on
-    the branch, the lowest proper ancestor followed by an edge of that
-    color. The root is the only 0-color node."""
-    t._locate(branch)
-    nearest = _nearest_ancestors(branch.points[:-1], branch.colors)
-    cs = tuple(sorted(nearest))
-    return NodeProfile(len(cs), cs, tuple(nearest[c] for c in cs))
-
-
-def label_alpha(t: ErdosTree, branch: ColoredList) -> Ordinal:
-    """Ordinal label below ``w * k`` of the last node of ``branch``.
-
-    The root gets ``max(coords) + 1`` plus ``w * (k-1)``; a node whose
-    branch uses j distinct colors gets the natural sum of the h-th
-    coordinate of its nearest color-h ancestor over those colors, plus
-    ``w * (k-j)``.
-    """
-    node = t._locate(branch)
-    nearest = _nearest_ancestors(branch.points[:-1], branch.colors)
-    return _label(node.point, nearest, t.k)
-
-
 def to_labelled_tree(t: ErdosTree) -> LabelledTree:
     """Same shape as ``t`` (child slot = color) with ordinal labels.
 
@@ -304,26 +219,9 @@ def to_labelled_tree(t: ErdosTree) -> LabelledTree:
     return LabelledTree(t.k, build(t.root, (), ()))
 
 
-def f_star(s: Sequence[Sequence[int]], k: int) -> Ordinal:
-    """Ordinal measure below ``w^k`` of a nonempty homogeneous sequence.
-
-    The height of the labelled image of the sequence's tree among k-trees
-    labelled below ``w * k``; strictly decreasing under extension.
-    """
-    if len(s) == 0:
-        raise EmptySequence("the measure is undefined on the empty sequence")
-    tree = embed(s, k)
-    return height_of_tree(tree)
-
-
 def height_of_tree(t: ErdosTree) -> Ordinal:
     """Height of an embedded tree's labelled image below ``w * k``."""
     return height_tree(to_labelled_tree(t), nat_prod_nat(OMEGA, t.k))
-
-
-def f_star_vec(s: Sequence[Sequence[int]], k: int) -> tuple[int, ...]:
-    """The measure as a vector of k naturals, lexicographically ordered."""
-    return _ordinal_to_vector(f_star(s, k), k)
 
 
 @dataclass(slots=True)
@@ -334,7 +232,7 @@ class _LNode:
 
 
 class IncrementalMeasure:
-    """``f_star_vec`` of a growing homogeneous sequence, one point at a time.
+    """The measure vector of a growing homogeneous sequence, one point at a time.
 
     The height of the labelled tree is the natural sum, over its empty
     slots, of ``h_k`` at the slot owner's label, and below ``w^k`` a
@@ -344,7 +242,8 @@ class IncrementalMeasure:
     vector by ``k * vec(h_k(L)) - vec(h_k(P))``. The first point replaces
     the empty tree, whose one slot is owned by ``w * k``, so nothing is
     subtracted. An insert therefore costs one descent, not a rebuild;
-    ``f_star_vec`` of the prefix is the test oracle.
+    rebuilding the tree of the prefix (``f_star_vec`` in
+    ``tests/oracles.py``) is the test oracle.
 
     The caller guarantees homogeneity: only the descent path is compared
     with the new point, as in ``ErdosTree.insert``.
@@ -400,39 +299,11 @@ class IncrementalMeasure:
 # --- serialization -----------------------------------------------------------
 
 
-def erdos_to_json(t: ErdosTree) -> str:
-    doc = {
+def erdos_to_doc(t: ErdosTree) -> dict:
+    return {
         "k": t.k,
         "branches": [
             {"points": [list(p) for p in b.points], "colors": list(b.colors)}
             for b in t.branches()
         ],
     }
-    return json.dumps(doc, sort_keys=True)
-
-
-def erdos_from_json(text: str) -> ErdosTree:
-    doc = json.loads(text)
-    k = doc["k"]
-    t = ErdosTree.empty(k)
-
-    def add_branch(points: list[Point], colors: list[int]) -> None:
-        nonlocal t
-        branch = ColoredList(tuple(points), tuple(colors))
-        if not branch.is_valid_over(k):
-            raise ValueError(f"branch {branch} is not valid over {k} colors")
-        try:
-            t._locate(branch)
-            return
-        except BranchNotInTree:
-            pass
-        expected = insert_branch(t, points[-1])
-        if expected != branch:
-            raise ValueError(f"branch {branch} is not reachable by insertion")
-        t = t.insert(points[-1])
-
-    for b in sorted(doc["branches"], key=lambda b: len(b["points"])):
-        add_branch(
-            [tuple(p) for p in b["points"]], [int(c) for c in b["colors"]]
-        )
-    return t

@@ -36,24 +36,12 @@ class NotHomogeneous(TermboundError):
     """
 
 
-class BranchNotInTree(TermboundError):
-    """Colored list is not a branch of the given tree."""
-
-
-class EmptySequence(TermboundError):
-    """Operation requires a nonempty sequence."""
-
-
 class NoWitness(TermboundError):
     """Scan found no witness; the stated precondition was violated."""
 
 
 class LemmaViolated(TermboundError):
     """No lexicographic non-descent inside the computed bound interval."""
-
-
-class LengthMismatch(TermboundError):
-    """Tuples of different lengths were compared."""
 
 
 class ArityMismatch(TermboundError):

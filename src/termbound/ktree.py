@@ -13,12 +13,10 @@ ordinal height of a tree in that poset through the closed forms
 and the natural sum of the slot heights for nonempty trees. No supremum
 over label sequences is ever enumerated.
 
-``brute_force_height`` is an independent oracle for finite label bounds:
-it enumerates the whole poset and computes heights directly from the
-one-node-extension recursion. Heights are invariant under permuting the
-child slots of any node, so the enumeration works on slot-sorted
-canonical forms; the returned table answers for arbitrary trees by
-canonicalizing the key.
+The independent oracle for finite label bounds, ``brute_force_height``,
+enumerates the whole poset and computes heights directly from the
+one-node-extension recursion; it lives with the other test oracles in
+``tests/oracles.py``.
 
 Everything here is immutable; ``extend`` shares all unmodified subtrees.
 """
@@ -27,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, LabelNotDecreasing, OccupiedSlot, ParseError
+from .errors import LabelNotDecreasing, OccupiedSlot, ParseError
 from .ordinals import Ordinal, Scanner, add, cmp, exp_base_k, int_power
 from .ordinals import nat_sum_all, read_ordinal
 
@@ -57,14 +55,6 @@ class LabelledTree:
     @property
     def is_empty(self) -> bool:
         return self.root is None
-
-    def node_count(self) -> int:
-        def count(n: Node | None) -> int:
-            if n is None:
-                return 0
-            return 1 + sum(count(c) for c in n.children)
-
-        return count(self.root)
 
     def empty_slots(self) -> list[tuple[tuple[int, ...], Ordinal]]:
         """All (path, owner label) pairs addressing an empty slot."""
@@ -175,149 +165,6 @@ def height_tree(t: LabelledTree, alpha: Ordinal | int) -> Ordinal:
     return nat_sum_all(
         height_nil(t.k, owner) for _, owner in t.empty_slots()
     )
-
-
-# --- exhaustive oracle -------------------------------------------------------
-#
-# Internally trees are interned integers: id 0 is the empty tree, and every
-# other id maps to (label, child ids) with the children sorted by a fixed
-# key, so structurally equal trees (up to slot permutation) intern to the
-# same id. Labels are plain ints because the oracle only handles finite
-# label bounds.
-
-
-class _Interner:
-    def __init__(self, k: int, budget: int):
-        self.k = k
-        self.budget = budget
-        self.table: dict[tuple[int, tuple[int, ...]], int] = {}
-        self.label: list[int] = [-1]
-        self.kids: list[tuple[int, ...]] = [()]
-
-    def sort_key(self, cid: int):
-        # Empties last; among nodes, higher labels first, ties by identity.
-        if cid == 0:
-            return (1, 0, 0)
-        return (0, -self.label[cid], cid)
-
-    def make(self, label: int, kids: tuple[int, ...]) -> int:
-        kids = tuple(sorted(kids, key=self.sort_key))
-        key = (label, kids)
-        tid = self.table.get(key)
-        if tid is None:
-            tid = len(self.label)
-            if tid > self.budget:
-                raise BudgetExceeded(
-                    f"enumeration exceeded {self.budget} distinct trees"
-                )
-            self.table[key] = tid
-            self.label.append(label)
-            self.kids.append(kids)
-        return tid
-
-    def leaf(self, label: int) -> int:
-        return self.make(label, (0,) * self.k)
-
-
-class HeightTable:
-    """Heights of every tree in the poset of k-trees labelled below m.
-
-    Lookup accepts any LabelledTree in the space; slot order is ignored
-    since the one-node-extension poset is invariant under permuting the
-    children of a node.
-    """
-
-    def __init__(self, k: int, m: int, interner: _Interner, heights: dict[int, int]):
-        self.k = k
-        self.m = m
-        self._interner = interner
-        self._heights = heights
-
-    def __len__(self) -> int:
-        return len(self._heights)
-
-    def _intern_tree(self, n: Node | None) -> int:
-        if n is None:
-            return 0
-        kids = tuple(self._intern_tree(c) for c in n.children)
-        return self._interner.make(n.label.to_int(), kids)
-
-    def __getitem__(self, t: LabelledTree) -> int:
-        if t.k != self.k:
-            raise KeyError(f"tree has arity {t.k}, table holds arity {self.k}")
-        before = len(self._interner.label)
-        tid = self._intern_tree(t.root)
-        if tid not in self._heights or len(self._interner.label) != before:
-            raise KeyError(f"tree is not in the space of {self.k}-trees below {self.m}")
-        return self._heights[tid]
-
-    def _decode(self, tid: int) -> Node | None:
-        if tid == 0:
-            return None
-        children = tuple(self._decode(c) for c in self._interner.kids[tid])
-        return Node(Ordinal.from_int(self._interner.label[tid]), children)
-
-    def items(self):
-        """Yield (canonical representative, height) for every tree class."""
-        for tid, h in self._heights.items():
-            yield LabelledTree(self.k, self._decode(tid)), h
-
-
-def brute_force_height(k: int, m: int, max_trees: int = 1_000_000) -> HeightTable:
-    """Exact heights of the whole poset by exhausting one-node extensions.
-
-    Requires k <= 3 and m <= 4; within that range the slot-sorted
-    enumeration stays comfortably below ``max_trees`` classes. Heights
-    come from the raw recursion height(T) = max over extensions of
-    height + 1, with no reference to the closed forms.
-    """
-    if not 1 <= k <= 3:
-        raise ValueError("oracle supports arities 1..3")
-    if not 0 <= m <= 4:
-        raise ValueError("oracle supports label bounds 0..4")
-    intern = _Interner(k, max_trees)
-    ext_memo: dict[int, tuple[int, ...]] = {}
-
-    def extensions(tid: int) -> tuple[int, ...]:
-        # Extensions of a nonempty tree; root insertions handled separately.
-        cached = ext_memo.get(tid)
-        if cached is not None:
-            return cached
-        label = intern.label[tid]
-        kids = intern.kids[tid]
-        out: set[int] = set()
-        if 0 in kids:
-            without_one_empty = list(kids)
-            without_one_empty.remove(0)
-            for lab in range(label):
-                out.add(intern.make(label, tuple(without_one_empty) + (intern.leaf(lab),)))
-        for child in set(kids) - {0}:
-            rest = list(kids)
-            rest.remove(child)
-            for ext_child in extensions(child):
-                out.add(intern.make(label, tuple(rest) + (ext_child,)))
-        result = tuple(sorted(out))
-        ext_memo[tid] = result
-        return result
-
-    heights: dict[int, int] = {}
-
-    def height(tid: int) -> int:
-        cached = heights.get(tid)
-        if cached is not None:
-            return cached
-        if tid == 0:
-            succs = tuple(intern.leaf(lab) for lab in range(m))
-        else:
-            succs = extensions(tid)
-        h = 0
-        for s in succs:
-            h = max(h, height(s) + 1)
-        heights[tid] = h
-        return h
-
-    height(0)
-    return HeightTable(k, m, intern, heights)
 
 
 # --- serialization -----------------------------------------------------------

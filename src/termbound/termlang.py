@@ -31,7 +31,6 @@ order; the ranked certificate decreases from earlier to later.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from operator import eq, lt, or_
@@ -789,8 +788,9 @@ class PhiSequence:
 
     The vector is maintained incrementally by ``erdos.IncrementalMeasure``,
     one tree descent per state; rebuilding the labelled tree of every
-    prefix (``erdos.f_star_vec``) gives the same vectors and is kept as
-    the test oracle. The passing check is what makes the bound sound.
+    prefix (``f_star_vec`` in ``tests/oracles.py``) gives the same vectors
+    and is kept as the test oracle. The passing check is what makes the
+    bound sound.
     """
 
     def __init__(self, report: InvariantReport):
@@ -1006,24 +1006,7 @@ def _locations_from_doc(entry: Mapping, key: str, i: int) -> frozenset[int] | No
     return frozenset(locations)
 
 
-def invariant_to_json(inv: TransitionInvariant) -> str:
-    return json.dumps(invariant_to_doc(inv), sort_keys=True, indent=2)
-
-
-def invariant_from_json(text: str) -> TransitionInvariant:
-    return invariant_from_doc(json.loads(text))
-
-
 def trace_to_doc(p: Program, trace: Trace) -> list[dict]:
     return [
         {"location": s.location, "env": s.env_dict(p)} for s in trace.states
     ]
-
-
-def trace_from_doc(p: Program, doc: Sequence[Mapping]) -> Trace:
-    states = []
-    for entry in doc:
-        env = tuple(int(entry["env"][name]) for name in p.variables)
-        states.append(State(int(entry["location"]), env))
-    complete = bool(states) and is_final(p, states[-1])
-    return Trace(states, complete)

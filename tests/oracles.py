@@ -1,6 +1,200 @@
-"""Slow reference paths that the fast code of the package is tested against."""
+"""Slow reference paths that the fast code of the package is tested against.
 
+Each recomputes a result of ``src/`` from its definition: tree heights by
+exhausting the poset (``brute_force_height``), the colored-tree measure by
+rebuilding and re-labelling the whole tree (``f_star``, ``f_star_vec``),
+the new branch of an insertion by reading the descent path
+(``insert_branch``) and the invariant check one pair at a time
+(``check_invariant_pairwise``).
+"""
+
+from typing import Sequence
+
+from termbound.erdos import ColoredList, ErdosTree, embed, height_of_tree
+from termbound.errors import BudgetExceeded
+from termbound.ktree import LabelledTree, Node
+from termbound.ordinals import Ordinal, to_vector
 from termbound.termlang import InvariantReport, Program, Trace, TransitionInvariant
+
+# --- the exhaustive height oracle ---------------------------------------------
+#
+# Heights are invariant under permuting the child slots of any node, so the
+# enumeration works on slot-sorted canonical forms, and the returned table
+# answers for arbitrary trees by canonicalizing the key. Internally trees
+# are interned integers: id 0 is the empty tree, and every other id maps to
+# (label, child ids) with the children sorted by a fixed key, so
+# structurally equal trees (up to slot permutation) intern to the same id.
+# Labels are plain ints because the oracle only handles finite label bounds.
+
+
+class _Interner:
+    def __init__(self, k: int, budget: int):
+        self.k = k
+        self.budget = budget
+        self.table: dict[tuple[int, tuple[int, ...]], int] = {}
+        self.label: list[int] = [-1]
+        self.kids: list[tuple[int, ...]] = [()]
+
+    def sort_key(self, cid: int):
+        # Empties last; among nodes, higher labels first, ties by identity.
+        if cid == 0:
+            return (1, 0, 0)
+        return (0, -self.label[cid], cid)
+
+    def make(self, label: int, kids: tuple[int, ...]) -> int:
+        kids = tuple(sorted(kids, key=self.sort_key))
+        key = (label, kids)
+        tid = self.table.get(key)
+        if tid is None:
+            tid = len(self.label)
+            if tid > self.budget:
+                raise BudgetExceeded(
+                    f"enumeration exceeded {self.budget} distinct trees"
+                )
+            self.table[key] = tid
+            self.label.append(label)
+            self.kids.append(kids)
+        return tid
+
+    def leaf(self, label: int) -> int:
+        return self.make(label, (0,) * self.k)
+
+
+class HeightTable:
+    """Heights of every tree in the poset of k-trees labelled below m.
+
+    Lookup accepts any LabelledTree in the space; slot order is ignored
+    since the one-node-extension poset is invariant under permuting the
+    children of a node.
+    """
+
+    def __init__(self, k: int, m: int, interner: _Interner, heights: dict[int, int]):
+        self.k = k
+        self.m = m
+        self._interner = interner
+        self._heights = heights
+
+    def __len__(self) -> int:
+        return len(self._heights)
+
+    def _intern_tree(self, n: Node | None) -> int:
+        if n is None:
+            return 0
+        kids = tuple(self._intern_tree(c) for c in n.children)
+        return self._interner.make(n.label.to_int(), kids)
+
+    def __getitem__(self, t: LabelledTree) -> int:
+        if t.k != self.k:
+            raise KeyError(f"tree has arity {t.k}, table holds arity {self.k}")
+        before = len(self._interner.label)
+        tid = self._intern_tree(t.root)
+        if tid not in self._heights or len(self._interner.label) != before:
+            raise KeyError(f"tree is not in the space of {self.k}-trees below {self.m}")
+        return self._heights[tid]
+
+    def _decode(self, tid: int) -> Node | None:
+        if tid == 0:
+            return None
+        children = tuple(self._decode(c) for c in self._interner.kids[tid])
+        return Node(Ordinal.from_int(self._interner.label[tid]), children)
+
+    def items(self):
+        """Yield (canonical representative, height) for every tree class."""
+        for tid, h in self._heights.items():
+            yield LabelledTree(self.k, self._decode(tid)), h
+
+
+def brute_force_height(k: int, m: int, max_trees: int = 1_000_000) -> HeightTable:
+    """Exact heights of the whole poset by exhausting one-node extensions.
+
+    Requires k <= 3 and m <= 4; within that range the slot-sorted
+    enumeration stays comfortably below ``max_trees`` classes. Heights
+    come from the raw recursion height(T) = max over extensions of
+    height + 1, with no reference to the closed forms.
+    """
+    if not 1 <= k <= 3:
+        raise ValueError("oracle supports arities 1..3")
+    if not 0 <= m <= 4:
+        raise ValueError("oracle supports label bounds 0..4")
+    intern = _Interner(k, max_trees)
+    ext_memo: dict[int, tuple[int, ...]] = {}
+
+    def extensions(tid: int) -> tuple[int, ...]:
+        # Extensions of a nonempty tree; root insertions handled separately.
+        cached = ext_memo.get(tid)
+        if cached is not None:
+            return cached
+        label = intern.label[tid]
+        kids = intern.kids[tid]
+        out: set[int] = set()
+        if 0 in kids:
+            without_one_empty = list(kids)
+            without_one_empty.remove(0)
+            for lab in range(label):
+                out.add(intern.make(label, tuple(without_one_empty) + (intern.leaf(lab),)))
+        for child in set(kids) - {0}:
+            rest = list(kids)
+            rest.remove(child)
+            for ext_child in extensions(child):
+                out.add(intern.make(label, tuple(rest) + (ext_child,)))
+        result = tuple(sorted(out))
+        ext_memo[tid] = result
+        return result
+
+    heights: dict[int, int] = {}
+
+    def height(tid: int) -> int:
+        cached = heights.get(tid)
+        if cached is not None:
+            return cached
+        if tid == 0:
+            succs = tuple(intern.leaf(lab) for lab in range(m))
+        else:
+            succs = extensions(tid)
+        h = 0
+        for s in succs:
+            h = max(h, height(s) + 1)
+        heights[tid] = h
+        return h
+
+    height(0)
+    return HeightTable(k, m, intern, heights)
+
+
+# --- the rebuild-from-scratch measure ----------------------------------------
+
+
+def insert_branch(t: ErdosTree, y: Sequence[int]) -> ColoredList:
+    """The new branch created when ``y`` is inserted into ``t``.
+
+    Descends from the root, at each node following the child of the first
+    coordinate in which ``y`` decreases below that node's point, and ends
+    with ``y`` as a new leaf.
+    """
+    path, y = t.descent_path(y)
+    return ColoredList(
+        tuple(n.point for n, _ in path) + (y,),
+        tuple(c for _, c in path),
+    )
+
+
+def f_star(s: Sequence[Sequence[int]], k: int) -> Ordinal:
+    """Ordinal measure below ``w^k`` of a nonempty homogeneous sequence.
+
+    The height of the labelled image of the sequence's tree among k-trees
+    labelled below ``w * k``; strictly decreasing under extension.
+    """
+    if len(s) == 0:
+        raise ValueError("the measure is undefined on the empty sequence")
+    return height_of_tree(embed(s, k))
+
+
+def f_star_vec(s: Sequence[Sequence[int]], k: int) -> tuple[int, ...]:
+    """The measure as a vector of k naturals, lexicographically ordered."""
+    return to_vector(f_star(s, k), k)
+
+
+# --- the per-pair invariant check ---------------------------------------------
 
 
 def check_invariant_pairwise(

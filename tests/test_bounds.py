@@ -5,24 +5,29 @@ from termbound.bounds import (
     bound_g,
     find_adjacent_increase,
     find_nondescent,
-    lex_le,
 )
-from termbound.errors import BudgetExceeded, LengthMismatch, NoWitness
+from termbound.errors import BudgetExceeded, NoWitness
 
 
 class TestLexLe:
+    """``find_nondescent`` orders sigma values as tuples, lexicographically;
+    ``SequenceFn`` keeps every value at one length."""
+
     def test_reflexive(self):
-        assert lex_le((0, 0), (0, 0))
+        assert find_nondescent(SequenceFn.constant((0, 0)), 0, 5) == 0
 
     def test_first_coordinate_decides(self):
-        assert lex_le((1, 9), (2, 0))
+        assert find_nondescent(SequenceFn.from_rows([(1, 9), (2, 0)]), 0, 5) == 0
 
     def test_asymmetry(self):
-        assert not lex_le((2, 0), (1, 9))
+        sigma = SequenceFn.from_rows([(2, 0), (1, 9), (1, 9)])
+        assert find_nondescent(sigma, 0, 5) == 1
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            lex_le((1,), (1, 2))
+        with pytest.raises(ValueError):
+            SequenceFn.from_rows([(1,), (1, 2)])
+        with pytest.raises(ValueError):
+            SequenceFn(lambda n: (1,) * (n + 1), 1)(1)
 
 
 class TestFindAdjacentIncrease:
@@ -112,4 +117,4 @@ class TestFindNondescent:
             for n in range(6):
                 m = find_nondescent(sigma, n, bound_g(sigma, n))
                 assert n <= m <= bound_g(sigma, n)
-                assert lex_le(sigma(m), sigma(m + 1))
+                assert sigma(m) <= sigma(m + 1)

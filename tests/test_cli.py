@@ -3,13 +3,14 @@ import hashlib
 import io
 import json
 import re
+import sys
 import time
 from functools import cmp_to_key
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from termbound.cli import eval_ordinal_expr, main
+from termbound.cli import MAX_PRINT_BITS, _digit_limit, eval_ordinal_expr, main
 from termbound.errors import ParseError
 from termbound.ordinals import MAX_NESTING, Ordinal, cmp, nat_sum
 
@@ -417,6 +418,35 @@ class TestInputValidation:
         assert code == 3
         assert err.startswith("budget exceeded:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("point", ["3_0,4", "٣,٤", "+3,4", " 3,4"])
+    def test_points_are_ascii_naturals(self, point):
+        # int() reads each of these; "3_0" as 30.
+        code, err = run_main("embed", point, "1,4")
+        assert code == 2
+        assert err == f"error: bad point {point!r}; expected comma-separated naturals\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pipeline", "{term}", "1_0", "٣"],
+            ["pipeline", "{term}", "2", "+3"],
+            ["pipeline", "{term}", "2", "3", "--max-steps", "1_000"],
+            ["tree-height", "--k", "٢", "3"],
+            ["embed", "--k", " 2", "3,4"],
+            ["bound", "{sigma}", "--n", "1_0"],
+            ["bound", "{sigma}", "--max-bound", "1e9"],
+            ["run", "{term}", "--max-steps", "-5"],
+        ],
+    )
+    def test_numeric_options_are_ascii_naturals(self, add_term, tmp_path, capsys, argv):
+        sigma = tmp_path / "sigma.json"
+        sigma.write_text(json.dumps({"rows": [[1, 0], [0, 0]]}))
+        argv = [a.format(term=add_term, sigma=sigma) for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid nat value" in capsys.readouterr().err
+
     def test_arity_has_a_budget(self, tmp_path):
         term = tmp_path / "zero.pr"
         term.write_text("(z 100000000)")
@@ -446,6 +476,52 @@ class TestInputValidation:
             "budget exceeded: check_invariant: 200010000 pairs exceed the pair "
             "budget of 100000000\n"
         )
+
+
+def decimal(n):
+    """``str(n)`` however long ``n`` is."""
+    with _digit_limit(0):
+        return str(n)
+
+
+class TestPrintBudget:
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (["ord", "exp(3, exp(3, 9))"], lambda: decimal(3**19683)),
+            (
+                ["tree-height", "--k", "3", "w+20000"],
+                lambda: f"w*{decimal(3**20000)}+{decimal((3**20000 - 1) // 2)}",
+            ),
+        ],
+        ids=["ord", "tree-height"],
+    )
+    def test_long_values_print_in_full(self, capsys, argv, expected):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected() + "\n"
+        assert main(["--format", "structured", *argv]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert expected() in (doc.get("result"), doc.get("height"))
+
+    def test_budget_is_inclusive(self, capsys):
+        largest = decimal(2**MAX_PRINT_BITS - 1)
+        assert main(["ord", largest]) == 0
+        assert capsys.readouterr().out == largest + "\n"
+        code, err = run_main("ord", f"{largest} # 1")
+        assert code == 3
+        assert err == (
+            f"budget exceeded: a result of {MAX_PRINT_BITS + 1} bits; "
+            f"at most {MAX_PRINT_BITS} are printed\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv", [["ord", "exp(3, exp(3, 9))"], ["ord", "w+"], ["ord", "--no-such-flag"]]
+    )
+    def test_digit_limit_is_restored(self, argv):
+        before = sys.get_int_max_str_digits()
+        with contextlib.suppress(SystemExit):
+            run_main(*argv)
+        assert sys.get_int_max_str_digits() == before
 
 
 # --- parsers: round trips, the shared nesting cap, and fuzzing of main ---------
@@ -581,6 +657,11 @@ def program_text(draw):
     return "\n".join(lines) + "\n"
 
 
+# Pieces int() reads but an ASCII natural does not contain: "_", "+",
+# spaces and other scripts' digits.
+POINT_PIECES = ["0", "1", "3", "9", ",", ",", "_", "+", " ", "٣", "²"]
+point_text = st.lists(st.sampled_from(POINT_PIECES), max_size=6).map("".join)
+
 sigma_documents = st.fixed_dictionaries(
     {"rows": st.lists(st.lists(st.integers(-1, 6), max_size=3), max_size=6) | json_values},
     optional={"k": st.integers(0, 3) | json_values},
@@ -597,6 +678,14 @@ class TestFuzzMain:
     @given(st.integers(1, 3), expression_text(max_pieces=8))
     def test_tree_height(self, k, text):
         assert_clean_exit(*run_main("tree-height", "--k", str(k), text))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(point_text, min_size=1, max_size=4))
+    def test_embed(self, points):
+        code, err = run_main("embed", *points)
+        assert_clean_exit(code, err)
+        if set("".join(points)) - set("0123456789,"):
+            assert code == 2
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.lists(invariant_entries, max_size=3) | json_values)

@@ -1,30 +1,21 @@
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import f_star, f_star_vec, insert_branch
 from termbound.erdos import (
     ColoredList,
     ErdosTree,
     IncrementalMeasure,
     color_of,
     embed,
-    erdos_from_json,
-    erdos_to_json,
-    f_star,
-    f_star_vec,
-    insert_branch,
+    erdos_to_doc,
     is_homogeneous,
-    label_alpha,
-    node_profile,
     to_labelled_tree,
 )
-from termbound.errors import (
-    BranchNotInTree,
-    EmptySequence,
-    NoRelation,
-    NotHomogeneous,
-)
+from termbound.errors import NoRelation, NotHomogeneous
 from termbound.ktree import LabelledTree, node
 from termbound.ordinals import cmp, nat_prod_nat, parse_ordinal, OMEGA
 
@@ -151,42 +142,38 @@ class TestEmbed:
                 prev = cur
 
 
+def label_at(s, k, *slots):
+    """Label of the node at child ``slots`` of the labelled image of ``embed(s, k)``."""
+    n = to_labelled_tree(embed(s, k)).root
+    for c in slots:
+        n = n.children[c - 1]
+    return n.label
+
+
 class TestNodeProfile:
+    """A label sums, per color above the node, its lowest ancestor's coordinate."""
+
     def test_root(self):
-        t = embed([(3, 4)], 2)
-        p = node_profile(t, ColoredList(((3, 4),), ()))
-        assert (p.i, p.colors, p.ancestors) == (0, (), ())
+        # No colors above: max coordinate + 1, plus w * (k - 1).
+        assert label_at([(3, 4)], 2) == o("w+5")
 
     def test_single_edge(self):
-        t = embed([(3, 4), (1, 4)], 2)
-        p = node_profile(t, ColoredList(((3, 4), (1, 4)), (1,)))
-        assert (p.i, p.colors) == (1, (1,))
-        assert p.ancestor(1) == (3, 4)
+        assert label_at([(3, 4), (1, 4)], 2, 1) == o("w+3")
 
     def test_lowest_ancestor_wins(self):
-        t = embed([(5, 5), (4, 3), (2, 4)], 2)
-        p = node_profile(t, ColoredList(((5, 5), (4, 3), (2, 4)), (1, 1)))
-        assert (p.i, p.colors) == (1, (1,))
-        assert p.ancestor(1) == (4, 3)
-
-    def test_branch_not_in_tree(self):
-        t = embed([(3, 4)], 2)
-        with pytest.raises(BranchNotInTree):
-            node_profile(t, ColoredList(((9, 9),), ()))
+        # Both (5,5) and (4,3) are left by a color-1 edge; (4,3) is lower.
+        assert label_at([(5, 5), (4, 3), (2, 4)], 2, 1, 1) == o("w+4")
 
 
 class TestLabelAlpha:
     def test_root_zero(self):
-        t = embed([(0, 0)], 2)
-        assert label_alpha(t, ColoredList(((0, 0),), ())) == o("w+1")
+        assert label_at([(0, 0)], 2) == o("w+1")
 
     def test_root_coordinates(self):
-        t = embed([(3, 5)], 2)
-        assert label_alpha(t, ColoredList(((3, 5),), ())) == o("w+6")
+        assert label_at([(3, 5)], 2) == o("w+6")
 
     def test_one_color_node(self):
-        t = embed([(1, 1), (0, 1)], 2)
-        assert label_alpha(t, ColoredList(((1, 1), (0, 1)), (1,))) == o("w+1")
+        assert label_at([(1, 1), (0, 1)], 2, 1) == o("w+1")
 
 
 class TestToLabelledTree:
@@ -220,7 +207,7 @@ class TestFStar:
         assert f_star([(1, 1), (0, 1)], 2) == o("w*8+5")
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptySequence):
+        with pytest.raises(ValueError):
             f_star([], 2)
 
     def test_vec(self):
@@ -228,7 +215,7 @@ class TestFStar:
         assert f_star_vec([(1, 1)], 2) == (8, 6)
 
     def test_vec_empty_rejected(self):
-        with pytest.raises(EmptySequence):
+        with pytest.raises(ValueError):
             f_star_vec([], 2)
 
     def test_strictly_decreasing_and_bounded(self):
@@ -284,26 +271,33 @@ class TestBranchProjection:
             k = rng.choice([2, 3])
             s = random_homogeneous(rng, k)
             for branch in embed(s, k).branches():
-                assert branch.is_valid_over(k)
+                points, colors = branch.points, branch.colors
+                # Color c on edge i: every later element descends in c.
+                for i, c in enumerate(colors):
+                    assert 1 <= c <= k
+                    assert all(q[c - 1] < points[i][c - 1] for q in points[i + 1 :])
                 for h in range(1, k + 1):
-                    proj = branch.color_projection(h)
+                    proj = [p for p, c in zip(points, colors) if c == h] + [points[-1]]
                     for a, b in zip(proj, proj[1:]):
                         assert b[h - 1] < a[h - 1]
 
 
 class TestSerialization:
     def test_round_trip(self):
+        # A node's place depends only on its ancestors, so inserting the
+        # end points of the branches, shortest first, rebuilds the tree.
         rng = random.Random(21)
         for _ in range(50):
             k = rng.choice([2, 3])
             t = embed(random_homogeneous(rng, k), k)
-            back = erdos_from_json(erdos_to_json(t))
+            doc = json.loads(json.dumps(erdos_to_doc(t)))
+            back = ErdosTree.empty(doc["k"])
+            for b in sorted(doc["branches"], key=lambda b: len(b["points"])):
+                back = back.insert(b["points"][-1])
             assert back == t
-
-    def test_rejects_invalid_branch(self):
-        bad = '{"k": 2, "branches": [{"points": [[0, 0], [1, 1]], "colors": [1]}]}'
-        with pytest.raises(ValueError):
-            erdos_from_json(bad)
+            assert [b["colors"] for b in doc["branches"]] == [
+                list(b.colors) for b in back.branches()
+            ]
 
     def test_nil_serializes(self):
-        assert erdos_from_json(erdos_to_json(ErdosTree.empty(2))).is_empty
+        assert erdos_to_doc(ErdosTree.empty(2)) == {"k": 2, "branches": []}

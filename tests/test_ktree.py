@@ -3,11 +3,11 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import brute_force_height
 from termbound.errors import BudgetExceeded, LabelNotDecreasing, OccupiedSlot, ParseError
 from termbound.ktree import (
     LabelledTree,
     Node,
-    brute_force_height,
     extend,
     height_nil,
     height_tree,

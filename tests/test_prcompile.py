@@ -1,6 +1,9 @@
 import time
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from oracles import check_invariant_pairwise
 
 from termbound.errors import ArityMismatch, BudgetExceeded, NameCollision, ParseError
 from termbound.ordinals import MAX_NESTING
@@ -29,6 +32,7 @@ from termbound.termlang import (
     check_invariant,
     initial_state,
     run_trace,
+    step_bound,
 )
 
 
@@ -245,11 +249,11 @@ class TestCompileComposite:
         assert run_unit(compile_term(term), args) == eval_pr(term, args)
 
     def test_deterministic_output(self):
-        from termbound.termlang import invariant_to_json, program_to_text
+        from termbound.termlang import invariant_to_doc, program_to_text
 
         u1, u2 = compile_term(MULT), compile_term(MULT)
         assert program_to_text(u1.program) == program_to_text(u2.program)
-        assert invariant_to_json(u1.invariant) == invariant_to_json(u2.invariant)
+        assert invariant_to_doc(u1.invariant) == invariant_to_doc(u2.invariant)
 
 
 class TestMeasureSequence:
@@ -288,3 +292,52 @@ class TestStepFunctionShape:
                 step(unit.program, s)  # never stuck
             else:
                 assert step(unit.program, s) == s
+
+
+@lru_cache(maxsize=None)
+def pr_terms(arity, depth=4):
+    """Well-formed terms of ``arity``, with ``comp`` and ``rec`` nested at
+    most ``depth`` deep and every arity at most 3."""
+    leaves = [st.just(Zero(arity))]
+    if arity == 1:
+        leaves.append(st.just(Succ()))
+    if arity:
+        leaves.append(st.sampled_from([Proj(i, arity) for i in range(1, arity + 1)]))
+    if depth == 0:
+        return st.one_of(leaves)
+    inner = pr_terms(arity, depth - 1)
+    comps = st.integers(1, 3).flatmap(
+        lambda q: st.builds(Comp, pr_terms(q, depth - 1), st.tuples(*[inner] * q))
+    )
+    branches = [*leaves, comps]
+    if 1 <= arity <= 2:
+        branches.append(
+            st.builds(Rec, pr_terms(arity - 1, depth - 1), pr_terms(arity + 1, depth - 1))
+        )
+    return st.one_of(branches)
+
+
+class TestRandomTerms:
+    """Every primitive recursive term compiles to a program whose invariant
+    passes and whose step bound holds."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 3).flatmap(pr_terms), st.data())
+    def test_compile_run_check_bound(self, term, data):
+        assert parse_term(term_to_text(term)) == term
+        unit = compile_term(term)
+        inputs = st.tuples(*[st.integers(0, 2)] * term.arity)
+        for args in data.draw(st.lists(inputs, min_size=1, max_size=3, unique=True)):
+            s0 = initial_state(unit.program, dict(zip(unit.input_vars, args)))
+            trace = run_trace(unit.program, s0, 2_000)
+            if not trace.complete:  # too slow to check here, not wrong
+                continue
+            result = trace.states[-1].env_dict(unit.program)[unit.result_var]
+            assert result == eval_pr(term, args)
+            report = check_invariant(unit.program, trace, unit.invariant)
+            assert report.ok, (term_to_text(term), args)
+            if len(trace) <= 40:
+                assert report == check_invariant_pairwise(
+                    unit.program, trace, unit.invariant
+                )
+            assert trace.steps <= step_bound(report)
