@@ -373,8 +373,17 @@ def cmd_pipeline(args) -> int:
     return 0 if ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a ``ParseError``, so ``main`` gives it
+    one ``error:`` line and exit 2 like any other malformed input;
+    subcommand parsers inherit the class."""
+
+    def error(self, message: str):
+        raise ParseError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="termbound",
         description="Ordinal tree heights and certified termination bounds.",
     )
@@ -438,8 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     with _digit_limit(MAX_PRINT_DIGITS):
-        args = parser.parse_args(argv)
         try:
+            args = parser.parse_args(argv)
             return args.fn(args)
         except BudgetExceeded as exc:
             print(f"budget exceeded: {exc}", file=sys.stderr)

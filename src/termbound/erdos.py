@@ -110,26 +110,25 @@ class ErdosTree:
 
     def branch_count(self) -> int:
         """Number of nonempty branches, i.e. nodes."""
-
-        def count(n: _ENode | None) -> int:
-            if n is None:
-                return 0
-            return 1 + sum(count(c) for c in n.children)
-
-        return count(self.root)
+        count, stack = 0, [self.root]
+        while stack:
+            n = stack.pop()
+            if n is not None:
+                count += 1
+                stack.extend(n.children)
+        return count
 
     def branches(self) -> list[ColoredList]:
         """All nonempty branches, ordered by their color sequence."""
         out: list[ColoredList] = []
-
-        def walk(n: _ENode, points: tuple[Point, ...], colors: tuple[int, ...]):
-            out.append(ColoredList(points + (n.point,), colors))
+        stack = [] if self.root is None else [(self.root, (), ())]
+        while stack:
+            n, points, colors = stack.pop()
+            points += (n.point,)
+            out.append(ColoredList(points, colors))
             for c, child in enumerate(n.children, start=1):
                 if child is not None:
-                    walk(child, points + (n.point,), colors + (c,))
-
-        if self.root is not None:
-            walk(self.root, (), ())
+                    stack.append((child, points, colors + (c,)))
         out.sort(key=lambda b: b.colors)
         return out
 
@@ -170,16 +169,6 @@ def embed(s: Sequence[Sequence[int]], k: int) -> ErdosTree:
     return t
 
 
-def _nearest_ancestors(
-    points: tuple[Point, ...], colors: tuple[int, ...]
-) -> dict[int, Point]:
-    """Color -> lowest of ``points`` whose outgoing edge has that color."""
-    nearest: dict[int, Point] = {}
-    for p, c in zip(points, colors):
-        nearest[c] = p  # later entries are deeper, keep the lowest
-    return nearest
-
-
 def _label(point: Point, nearest: dict[int, Point], k: int) -> Ordinal:
     """Label below ``w * k`` of the node at ``point`` given its nearest
     ancestor per color.
@@ -204,19 +193,24 @@ def to_labelled_tree(t: ErdosTree) -> LabelledTree:
     falsify the labelling construction and raises LabelNotDecreasing.
     """
 
-    def build(n: _ENode, points: tuple[Point, ...], colors: tuple[int, ...]) -> Node:
-        label = _label(n.point, _nearest_ancestors(points, colors), t.k)
-        children = tuple(
-            build(child, points + (n.point,), colors + (c,))
-            if child is not None
-            else None
-            for c, child in enumerate(n.children, start=1)
-        )
-        return Node(label, children)
-
     if t.root is None:
         return LabelledTree.empty(t.k)
-    return LabelledTree(t.k, build(t.root, (), ()))
+    # Labels in preorder with each node's parent index and slot; a node's
+    # nearest ancestor per color is passed down. A child comes after its
+    # parent, so building in reverse order finds every child built.
+    order: list[tuple[Ordinal, int, int]] = []
+    stack: list[tuple[_ENode, dict[int, Point], int, int]] = [(t.root, {}, -1, 0)]
+    while stack:
+        n, nearest, parent, slot = stack.pop()
+        order.append((_label(n.point, nearest, t.k), parent, slot))
+        for c, child in enumerate(n.children, start=1):
+            if child is not None:
+                stack.append((child, {**nearest, c: n.point}, len(order) - 1, c - 1))
+    children: list[list[Node | None]] = [[None] * t.k for _ in order]
+    for index in range(len(order) - 1, 0, -1):
+        label, parent, slot = order[index]
+        children[parent][slot] = Node(label, tuple(children[index]))
+    return LabelledTree(t.k, Node(order[0][0], tuple(children[0])))
 
 
 def height_of_tree(t: ErdosTree) -> Ordinal:

@@ -46,7 +46,3 @@ class LemmaViolated(TermboundError):
 
 class ArityMismatch(TermboundError):
     """Argument count does not match the term's arity."""
-
-
-class NameCollision(TermboundError):
-    """Fresh-name prefix collides with existing variable names."""

@@ -46,7 +46,7 @@ class LabelledTree:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("arity must be at least 1")
-        _validate(self.root, self.k, None)
+        _validate(self.root, self.k)
 
     @classmethod
     def empty(cls, k: int) -> "LabelledTree":
@@ -59,33 +59,33 @@ class LabelledTree:
     def empty_slots(self) -> list[tuple[tuple[int, ...], Ordinal]]:
         """All (path, owner label) pairs addressing an empty slot."""
         out: list[tuple[tuple[int, ...], Ordinal]] = []
-
-        def walk(n: Node, path: tuple[int, ...]) -> None:
-            for i, child in enumerate(n.children, start=1):
-                if child is None:
-                    out.append((path + (i,), n.label))
-                else:
-                    walk(child, path + (i,))
-
-        if self.root is not None:
-            walk(self.root, ())
+        stack = [] if self.root is None else [(self.root, None, ())]
+        while stack:
+            n, owner, path = stack.pop()
+            if n is None:
+                out.append((path, owner))
+                continue
+            for i in range(len(n.children), 0, -1):
+                stack.append((n.children[i - 1], n.label, path + (i,)))
         return out
 
     def __str__(self) -> str:
         return tree_to_text(self)
 
 
-def _validate(node: Node | None, k: int, parent_label: Ordinal | None) -> None:
-    if node is None:
-        return
-    if len(node.children) != k:
-        raise ValueError(f"node has {len(node.children)} slots, expected {k}")
-    if parent_label is not None and cmp(node.label, parent_label) >= 0:
-        raise LabelNotDecreasing(
-            f"label {node.label} not below parent {parent_label}"
-        )
-    for child in node.children:
-        _validate(child, k, node.label)
+def _validate(root: Node | None, k: int) -> None:
+    stack: list[tuple[Node | None, Ordinal | None]] = [(root, None)]
+    while stack:
+        node, parent_label = stack.pop()
+        if node is None:
+            continue
+        if len(node.children) != k:
+            raise ValueError(f"node has {len(node.children)} slots, expected {k}")
+        if parent_label is not None and cmp(node.label, parent_label) >= 0:
+            raise LabelNotDecreasing(
+                f"label {node.label} not below parent {parent_label}"
+            )
+        stack.extend((child, node.label) for child in reversed(node.children))
 
 
 def node(label: Ordinal | int, *children: Node | None, k: int | None = None) -> Node:

@@ -13,7 +13,7 @@ transition invariant whose relations carry explicit rank certificates:
   a single unsatisfiable relation, since a pairless trace has nothing to
   cover;
 * successor is one assignment, covered by a location-progress relation;
-* composition splices the inner calls in sequence with a phase counter
+* composition runs the inner calls in sequence with a phase counter
   ``a`` incremented between them; pairs in different phases are covered
   by the phase relation (rank ``q + 2 - a``), pairs inside one phase by
   the inner invariants conjoined with equal phase;
@@ -25,23 +25,24 @@ transition invariant whose relations carry explicit rank certificates:
   ``(z, y)``, and pairs inside the base call by its invariant conjoined
   with ``z = 0``.
 
-Relations whose atoms or rank mention the location token are never
-lifted through a splice: each unit contributes one fresh
-location-progress relation covering all location-increasing pairs of the
-whole program, and only variable-based relations propagate (renamed,
-with the guards above). Unsatisfiable relations are dropped when lifted.
-
-Every variable of a compiled program is declared up front, so states
-serialize uniformly; fresh names take hierarchical prefixes ``c0_``,
-``c1_``, ... per splice.
+Names are given top down, so each command and relation is built once,
+under its final names. A unit compiled under prefix ``P`` names its
+variables ``P`` + local name; its i-th call gets prefix ``P`` + ``ci_``
+and the caller's guard extended by the atoms above that confine a pair to
+that call. Each composition or recursion emits its phase or counter
+relation once, named and guarded that way. Location-based relations are
+emitted only for the whole program: one location-progress relation covers
+every location-increasing pair, and the unsatisfiable relation of zero
+and projections is emitted only when one is the whole term. Every
+variable is declared up front, so states serialize uniformly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
-from .errors import ArityMismatch, BudgetExceeded, NameCollision, ParseError
+from .errors import ArityMismatch, BudgetExceeded, ParseError
 from .ordinals import MAX_NESTING, is_nat
 from .termlang import (
     Assign,
@@ -49,9 +50,7 @@ from .termlang import (
     Cmd,
     Const,
     ConstraintRelation,
-    Dec,
     FALSE_ATOM,
-    If,
     Inc,
     POST_LOC,
     PRE_LOC,
@@ -176,7 +175,7 @@ def eval_pr(t: PRTerm, args: Sequence[int]) -> int:
 
 # Largest n of ``(z n)`` and ``(p i n)``. Each declares n variables, and each
 # level of composition around it copies them again: ``(p 1 100)`` inside 99
-# ``(comp s ...)`` levels compiles to 10,495 variables in about 2 s.
+# ``(comp s ...)`` levels compiles to 10,495 variables in about 0.05 s.
 MAX_ARITY = 100
 
 
@@ -278,114 +277,6 @@ class CompiledUnit:
     input_vars: tuple[str, ...]
 
 
-class _Lifts:
-    """The relations a compiled unit hands up to its callers, not lifted yet.
-
-    ``own`` are the unit's relations. Each call ``(callee, prefix, guard)``
-    adds the callee's, with ``prefix`` before every variable and behind
-    ``guard``. ``compile_term`` lifts them once, top down, so each atom of
-    the final invariant is built once rather than once per level.
-    """
-
-    def __init__(
-        self,
-        own: tuple[ConstraintRelation, ...],
-        calls: tuple[tuple[_Lifts, str, tuple[Atom, ...]], ...] = (),
-    ):
-        self.own, self.calls = own, calls
-
-    def lifted(
-        self, prefix: str, guard: tuple[Atom, ...]
-    ) -> Iterator[ConstraintRelation]:
-        """Variable-based relations of this unit and its callees, for a caller.
-
-        Location-bound relations are dropped: the caller's own
-        location-progress relation covers every location-increasing pair
-        of the whole program. Unsatisfiable relations cover nothing and are
-        dropped too. Prefixes and guards keep both properties, so each
-        relation is tested once.
-        """
-        for rel in self.own:
-            if not (rel.mentions_loc() or rel.is_unsatisfiable()):
-                yield rel.prefixed(prefix).guarded(guard, prefix + rel.name)
-        for callee, inner, inner_guard in self.calls:
-            yield from callee.lifted(
-                prefix + inner, guard + tuple(a.prefixed(prefix) for a in inner_guard)
-            )
-
-
-class _Unit:
-    """A compiled unit whose invariant is still a ``_Lifts`` tree."""
-
-    def __init__(
-        self, program: Program, lifts: _Lifts, result_var: str, input_vars: tuple[str, ...]
-    ):
-        self.program, self.lifts = program, lifts
-        self.result_var, self.input_vars = result_var, input_vars
-
-
-def splice_call(
-    callee: CompiledUnit | _Unit,
-    actual_inputs: Sequence[str],
-    out: str,
-    fresh_prefix: str,
-) -> tuple[Cmd, ...]:
-    """Commands calling ``callee`` on caller variables.
-
-    Copies the actuals into the callee's renamed inputs, runs the
-    callee's body with every variable renamed under ``fresh_prefix``,
-    and copies the renamed result into ``out``.
-    """
-    actual_inputs = tuple(actual_inputs)
-    if len(actual_inputs) != len(callee.input_vars):
-        raise ArityMismatch(
-            f"callee expects {len(callee.input_vars)} inputs, got {len(actual_inputs)}"
-        )
-    renamed = {v: fresh_prefix + v for v in callee.program.variables}
-    clash = set(renamed.values()) & (set(actual_inputs) | {out})
-    if clash:
-        raise NameCollision(f"renamed variables collide: {sorted(clash)}")
-
-    def rename_cmds(cmds: Sequence[Cmd]) -> tuple[Cmd, ...]:
-        out_cmds = []
-        for c in cmds:
-            if isinstance(c, Assign):
-                e = c.expr
-                if isinstance(e, Var):
-                    e = Var(renamed[e.name])
-                elif isinstance(e, Inc):
-                    e = Inc(renamed[e.name])
-                elif isinstance(e, Dec):
-                    e = Dec(renamed[e.name])
-                out_cmds.append(Assign(renamed[c.var], e))
-            elif isinstance(c, While):
-                out_cmds.append(
-                    While(renamed[c.left], renamed[c.right], rename_cmds(c.body))
-                )
-            else:
-                out_cmds.append(
-                    If(
-                        renamed[c.left],
-                        renamed[c.right],
-                        rename_cmds(c.then_body),
-                        rename_cmds(c.else_body),
-                    )
-                )
-        return tuple(out_cmds)
-
-    copies = tuple(
-        Assign(renamed[formal], Var(actual))
-        for formal, actual in zip(callee.input_vars, actual_inputs)
-    )
-    return copies + rename_cmds(callee.program.body) + (
-        Assign(out, Var(renamed[callee.result_var])),
-    )
-
-
-def _spliced_variables(callee: _Unit, fresh_prefix: str) -> tuple[str, ...]:
-    return tuple(fresh_prefix + v for v in callee.program.variables)
-
-
 def _empty_relation() -> ConstraintRelation:
     return ConstraintRelation("empty", atoms=(FALSE_ATOM,), rank=const(0))
 
@@ -398,6 +289,10 @@ def _line_relation(n_points: int) -> ConstraintRelation:
     )
 
 
+def _names(stem: str, n: int) -> tuple[str, ...]:
+    return tuple(f"{stem}{i}" for i in range(1, n + 1))
+
+
 def compile_term(t: PRTerm) -> CompiledUnit:
     """Compile a term to a program plus a certified transition invariant.
 
@@ -405,122 +300,105 @@ def compile_term(t: PRTerm) -> CompiledUnit:
     the invariant covers every ordered pair of every trace with a
     strictly decreasing rank; unassigned variables start at 0.
     """
-    unit = _compile(t)
-    lifted = (
-        rel
-        for callee, prefix, guard in unit.lifts.calls
-        for rel in callee.lifted(prefix, guard)
-    )
+    relations: list[ConstraintRelation] = []
+    variables, body, result_var, inputs = _compile(t, "", (), relations)
+    program = Program(variables, body)
+    if isinstance(t, (Zero, Proj)):
+        first = _empty_relation()
+    else:
+        first = _line_relation(program.n_points)
     return CompiledUnit(
-        unit.program,
-        TransitionInvariant(unit.lifts.own + tuple(lifted)),
-        unit.result_var,
-        unit.input_vars,
+        program, TransitionInvariant((first, *relations)), result_var, inputs
     )
 
 
-def _compile(t: PRTerm) -> _Unit:
+def _compile(
+    t: PRTerm, prefix: str, guard: tuple[Atom, ...], relations: list[ConstraintRelation]
+) -> tuple[list[str], list[Cmd], str, tuple[str, ...]]:
+    """Variables, commands, result variable and inputs of ``t``, every name
+    under ``prefix``.
+
+    Appends the unit's variable-based relation, then its callees', to
+    ``relations``, each behind ``guard``, the atoms that confine a pair to
+    this unit's run.
+    """
+    inputs, r = _names(prefix + "x", t.arity), prefix + "r"
     if isinstance(t, Zero):
-        inputs = tuple(f"x{i}" for i in range(1, t.n + 1))
-        program = Program(inputs + ("r",), ())
-        return _Unit(program, _Lifts((_empty_relation(),)), "r", inputs)
-
+        return [*inputs, r], [], r, inputs
     if isinstance(t, Proj):
-        inputs = tuple(f"x{i}" for i in range(1, t.n + 1))
-        program = Program(inputs, ())
-        return _Unit(program, _Lifts((_empty_relation(),)), f"x{t.i}", inputs)
-
+        return list(inputs), [], inputs[t.i - 1], inputs
     if isinstance(t, Succ):
-        program = Program(("x1", "r"), (Assign("r", Inc("x1")),))
-        return _Unit(program, _Lifts((_line_relation(program.n_points),)), "r", ("x1",))
+        return [*inputs, r], [Assign(r, Inc(inputs[0]))], r, inputs
+
+    def call(
+        idx: int,
+        callee: PRTerm,
+        call_guard: tuple[Atom, ...],
+        actuals: Sequence[str],
+        out: str,
+    ) -> list[Cmd]:
+        """Commands running ``callee`` on ``actuals`` into ``out``; its
+        variables go to the caller's ``variables``."""
+        names, cmds, result, formals = _compile(
+            callee, f"{prefix}c{idx}_", guard + call_guard, relations
+        )
+        variables.extend(names)
+        copies = [Assign(f, Var(a)) for f, a in zip(formals, actuals)]
+        return copies + cmds + [Assign(out, Var(result))]
 
     if isinstance(t, Comp):
-        return _compile_comp(t)
-    return _compile_rec(t)
-
-
-def _compile_comp(t: Comp) -> _Unit:
-    q = len(t.gs)
-    inputs = tuple(f"x{i}" for i in range(1, t.arity + 1))
-    outs = tuple(f"y{i}" for i in range(1, q + 1))
-    variables = list(inputs) + ["a"] + list(outs) + ["res"]
-    body: list[Cmd] = [Assign("a", Const(1))]
-    lifts = []
-
-    units = [_compile(g) for g in t.gs] + [_compile(t.h)]
-    calls = [(unit, inputs, out) for unit, out in zip(units[:-1], outs)]
-    calls.append((units[-1], outs, "res"))
-    for idx, (unit, actuals, out) in enumerate(calls):
-        prefix = f"c{idx}_"
-        phase = idx + 1
-        if idx > 0:
-            body.append(Assign("a", Inc("a")))
-        body.extend(splice_call(unit, actuals, out, prefix))
-        variables.extend(_spliced_variables(unit, prefix))
-        guard = (
-            Atom(pre("a"), "=", const(phase)),
-            Atom(post("a"), "=", const(phase)),
+        q, a = len(t.gs), prefix + "a"
+        outs = _names(prefix + "y", q)
+        res = prefix + "res"
+        variables = [*inputs, a, *outs, res]
+        relations.append(
+            ConstraintRelation(
+                prefix + "phase",
+                atoms=guard + (
+                    Atom(pre(a), "<", const(q + 1)),
+                    Atom(pre(a), "<", post(a)),
+                    Atom(post(a), "<", const(q + 2)),
+                ),
+                rank=rank_monus(const(q + 2), pre(a)),
+            )
         )
-        lifts.append((unit.lifts, prefix, guard))
+        body: list[Cmd] = [Assign(a, Const(1))]
+        calls = [(g, inputs, out) for g, out in zip(t.gs, outs)] + [(t.h, outs, res)]
+        for idx, (callee, actuals, out) in enumerate(calls):
+            if idx > 0:
+                body.append(Assign(a, Inc(a)))
+            phase = (Atom(pre(a), "=", const(idx + 1)), Atom(post(a), "=", const(idx + 1)))
+            body += call(idx, callee, phase, actuals, out)
+        return variables, body, res, inputs
 
-    program = Program(tuple(variables), tuple(body))
-    phase_relation = ConstraintRelation(
-        "phase",
-        atoms=(
-            Atom(pre("a"), "<", const(q + 1)),
-            Atom(pre("a"), "<", post("a")),
-            Atom(post("a"), "<", const(q + 2)),
-        ),
-        rank=rank_monus(const(q + 2), pre("a")),
+    y, z, w = prefix + "y", prefix + "z", prefix + "w"
+    inputs = (y, *_names(prefix + "x", t.h.arity))
+    copies = _names(prefix + "z", t.h.arity)
+    variables = [*inputs, z, w, *copies]
+    relations.append(
+        ConstraintRelation(
+            prefix + "cross_round",
+            atoms=guard + (
+                Atom(pre(z), "<", post(z)),
+                Atom(pre(z), "<", pre(y)),
+                Atom(post(y), "=", pre(y)),
+            ),
+            rank=rank_monus(pre(y), pre(z)),
+        )
     )
-    relations = (_line_relation(program.n_points), phase_relation)
-    return _Unit(program, _Lifts(relations, tuple(lifts)), "res", inputs)
-
-
-def _compile_rec(t: Rec) -> _Unit:
-    side = t.h.arity
-    inputs = ("y",) + tuple(f"x{i}" for i in range(1, side + 1))
-    copies = tuple(f"z{i}" for i in range(1, side + 1))
-    variables = list(inputs) + ["z", "w"] + list(copies)
-
-    h_unit = _compile(t.h)
-    g_unit = _compile(t.g)
-
-    body: list[Cmd] = [Assign("z", Const(0))]
-    body.extend(splice_call(h_unit, inputs[1:], "w", "c0_"))
-    variables.extend(_spliced_variables(h_unit, "c0_"))
-    body.extend(Assign(zi, Var(xi)) for zi, xi in zip(copies, inputs[1:]))
-
+    base_guard = (Atom(pre(z), "=", const(0)), Atom(post(z), "=", const(0)))
+    step_guard = (
+        Atom(pre(z), "=", post(z)),
+        Atom(pre(y), "=", post(y)),
+        Atom(pre(z), "<", pre(y)),
+    )
+    body = [Assign(z, Const(0))] + call(0, t.h, base_guard, inputs[1:], w)
+    body += [Assign(zi, Var(xi)) for zi, xi in zip(copies, inputs[1:])]
     # The step call reads z as the recursion index, so the counter
     # increments after it: round r runs the step code with z = r - 1.
-    loop_body = splice_call(g_unit, ("z", "w") + copies, "w", "c1_") + (
-        Assign("z", Inc("z")),
-    )
-    variables.extend(_spliced_variables(g_unit, "c1_"))
-    body.append(While("z", "y", loop_body))
-
-    program = Program(tuple(variables), tuple(body))
-    cross_round = ConstraintRelation(
-        "cross_round",
-        atoms=(
-            Atom(pre("z"), "<", post("z")),
-            Atom(pre("z"), "<", pre("y")),
-            Atom(post("y"), "=", pre("y")),
-        ),
-        rank=rank_monus(pre("y"), pre("z")),
-    )
-    base_guard = (
-        Atom(pre("z"), "=", const(0)),
-        Atom(post("z"), "=", const(0)),
-    )
-    step_guard = (
-        Atom(pre("z"), "=", post("z")),
-        Atom(pre("y"), "=", post("y")),
-        Atom(pre("z"), "<", pre("y")),
-    )
-    relations = (_line_relation(program.n_points), cross_round)
-    calls = ((h_unit.lifts, "c0_", base_guard), (g_unit.lifts, "c1_", step_guard))
-    return _Unit(program, _Lifts(relations, calls), "w", inputs)
+    loop_body = call(1, t.g, step_guard, (z, w, *copies), w) + [Assign(z, Inc(z))]
+    body.append(While(z, y, tuple(loop_body)))
+    return variables, body, w, inputs
 
 
 # --- standard terms ----------------------------------------------------------

@@ -35,7 +35,7 @@ from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from operator import eq, lt, or_
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 from .bounds import SequenceFn, bound_g
 from .erdos import IncrementalMeasure
@@ -353,23 +353,6 @@ def _parse_leaf(tok: str) -> tuple:
     raise ParseError(f"bad term {tok!r}")
 
 
-def _prefixed(t: tuple, prefix: str) -> tuple:
-    kind = t[0]
-    if kind in ("pre", "post"):
-        return (kind, prefix + t[1])
-    if kind in ("add", "monus"):
-        return (kind, _prefixed(t[1], prefix), _prefixed(t[2], prefix))
-    return t
-
-
-def _leaves(t: tuple) -> Iterator[tuple]:
-    if t[0] in ("add", "monus"):
-        yield from _leaves(t[1])
-        yield from _leaves(t[2])
-    else:
-        yield t
-
-
 def _compile(t: tuple, p: Program) -> Callable[[State, State], int]:
     """The value of ``t`` on a (pre, post) pair of states of ``p``."""
     kind = t[0]
@@ -412,9 +395,6 @@ class Atom:
 
     def __str__(self) -> str:
         return f"{term_str(self.lhs)} {self.op} {term_str(self.rhs)}"
-
-    def prefixed(self, prefix: str) -> "Atom":
-        return Atom(_prefixed(self.lhs, prefix), self.op, _prefixed(self.rhs, prefix))
 
 
 def parse_rank(text: str) -> tuple:
@@ -467,41 +447,6 @@ class ConstraintRelation:
     rank: tuple
     pre_locations: frozenset[int] | None = None
     post_locations: frozenset[int] | None = None
-
-    def mentions_loc(self) -> bool:
-        terms = [t for a in self.atoms for t in (a.lhs, a.rhs)] + [self.rank]
-        return (
-            any(leaf in (PRE_LOC, POST_LOC) for t in terms for leaf in _leaves(t))
-            or self.pre_locations is not None
-            or self.post_locations is not None
-        )
-
-    def is_unsatisfiable(self) -> bool:
-        for a in self.atoms:
-            if a.lhs[0] == "const" and a.rhs[0] == "const":
-                l, r = a.lhs[1], a.rhs[1]
-                if (a.op == "<" and not l < r) or (a.op == "=" and l != r):
-                    return True
-        return False
-
-    def prefixed(self, prefix: str) -> "ConstraintRelation":
-        """The relation with ``prefix`` before every variable name."""
-        return ConstraintRelation(
-            self.name,
-            tuple(a.prefixed(prefix) for a in self.atoms),
-            _prefixed(self.rank, prefix),
-            self.pre_locations,
-            self.post_locations,
-        )
-
-    def guarded(self, guard: Iterable[Atom], name: str) -> "ConstraintRelation":
-        return ConstraintRelation(
-            name,
-            tuple(guard) + self.atoms,
-            self.rank,
-            self.pre_locations,
-            self.post_locations,
-        )
 
     def compile_member(self, p: Program) -> Callable[[State, State], bool]:
         """Membership of one (pre, post) pair; ``check_invariant`` tests

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from termbound.cli import MAX_PRINT_BITS, _digit_limit, eval_ordinal_expr, main
+from termbound.erdos import IncrementalMeasure
 from termbound.errors import ParseError
 from termbound.ordinals import MAX_NESTING, Ordinal, cmp, nat_sum
 
@@ -85,6 +86,15 @@ class TestCommands:
         assert doc["k"] == 2
         assert doc["f_star_vec"] == [48, 45]
         assert len(doc["tree"]["branches"]) == 2
+
+    def test_embed_long_chain(self, capsys):
+        # One tree level per point: deeper than the interpreter's recursion limit.
+        points = [(y, 0) for y in range(1000, 0, -1)]
+        assert main(["embed", *(f"{y},{x}" for y, x in points)]) == 0
+        measure = IncrementalMeasure(2)
+        for p in points:
+            vector = measure.insert(p)
+        assert capsys.readouterr().out.splitlines()[-1] == f"vector: {vector}"
 
     def test_embed_rejects_non_homogeneous(self, capsys):
         assert main(["embed", "1,1", "1,1"]) == 1
@@ -243,6 +253,14 @@ TERMS = {
     "add": "(rec (p 1 1) (comp s (p 2 3)))",
     "sub": "(rec (p 1 1) (comp (rec (z 0) (p 1 2)) (p 2 3)))",
     "mult": "(rec z (comp (rec (p 1 1) (comp s (p 2 3))) (p 2 3) (p 3 3)))",
+    "zero": "z",
+    "zero-nullary": "(z 0)",
+    "succ": "s",
+    "proj": "(p 2 3)",
+    # The nesting cap of compositions around s, and a 100-input projection
+    # under 99 of them, whose inputs every level copies again.
+    "deep": "(comp " * MAX_NESTING + "s" + " s)" * MAX_NESTING,
+    "wide": "(comp s " * (MAX_NESTING - 1) + "(p 1 100)" + ")" * (MAX_NESTING - 1),
 }
 
 # Exit code and SHA-256 of the --format structured stdout of each case. A
@@ -259,6 +277,15 @@ GOLDEN = {
     "check-budget": (3, "e08a7296521f5cad3117f31b6cf76ea86c794b8f4434abae0f4f12fde383367a"),
     "embed": (0, "1e4a05ed40d0f95ec6eeeac82244dd641311c6ab4dcc39382e4efcb507ff08ee"),
     "bound": (0, "fa478fca22c5d11bfc57c0bc8c41ed7162cc0c641a0743e4f7b90864680a4898"),
+    "compile-add": (0, "478246a2449d22adac76fbe78358eafed9bcb5426dcee5c0a3ea47047019f9b6"),
+    "compile-sub": (0, "5765e1600504a14f8b40f9e745726e0ee6c0d0b48d3f6149b3a0e542f141941d"),
+    "compile-mult": (0, "2a43719f24ab45c6acf07f5a3f5002d28d9f417844de4658f7783b30cf1d6d62"),
+    "compile-zero": (0, "10747e5e69d8acc126e1b387682d3407a9ca7f649602ec2802b071c064dbbba8"),
+    "compile-zero-nullary": (0, "3713ad00722d0915eb61f31c5185ab7b2769ea19b588bdc1f4ae4223aebf0570"),
+    "compile-succ": (0, "afdbb527f61bccc2b40553fcc80dcfbfda171e219382261dea5cca0962108102"),
+    "compile-proj": (0, "9a288963b1ab7216ff578ec248d2a7704f9e52cf459f4cd245964bbecd1fbf52"),
+    "compile-deep": (0, "4b562773c0f5b1727ca01ca203f7b1410f71a25a17659e963ff25f35d91786cb"),
+    "compile-wide": (0, "93de2e3017897248f36464b6e4600c2962b805c0add15f630a7bef4688fe12bb"),
 }
 
 
@@ -283,6 +310,10 @@ class TestStructuredGolden:
 
     def run_case(self, case, tmp_path, capsys):
         command, _, rest = case.partition("-")
+        if command == "compile":
+            term = tmp_path / "term.pr"
+            term.write_text(TERMS[rest])
+            return self.structured(capsys, "compile", str(term))
         if command == "pipeline":
             name, _, kind = rest.partition("-")
             term, _, _, tampered = self.unit_files(tmp_path, capsys, name)
@@ -438,14 +469,20 @@ class TestInputValidation:
             ["run", "{term}", "--max-steps", "-5"],
         ],
     )
-    def test_numeric_options_are_ascii_naturals(self, add_term, tmp_path, capsys, argv):
+    def test_numeric_options_are_ascii_naturals(self, add_term, tmp_path, argv):
         sigma = tmp_path / "sigma.json"
         sigma.write_text(json.dumps({"rows": [[1, 0], [0, 0]]}))
         argv = [a.format(term=add_term, sigma=sigma) for a in argv]
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        assert "invalid nat value" in capsys.readouterr().err
+        code, err = run_main(*argv)
+        assert code == 2
+        assert err.startswith("error: argument ") and err.count("\n") == 1
+        assert "invalid nat value" in err
+
+    @pytest.mark.parametrize("argv", [[], ["bound"], ["ord", "1", "2"], ["--no-such-flag", "ord", "1"]])
+    def test_bad_command_lines_are_one_line(self, argv):
+        code, err = run_main(*argv)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_arity_has_a_budget(self, tmp_path):
         term = tmp_path / "zero.pr"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import check_invariant_pairwise
 
-from termbound.errors import ArityMismatch, BudgetExceeded, NameCollision, ParseError
+from termbound.errors import ArityMismatch, BudgetExceeded, ParseError
 from termbound.ordinals import MAX_NESTING
 from termbound.prcompile import (
     ADD,
@@ -22,13 +22,9 @@ from termbound.prcompile import (
     compile_term,
     eval_pr,
     parse_term,
-    splice_call,
     term_to_text,
 )
 from termbound.termlang import (
-    Assign,
-    Inc,
-    Var,
     check_invariant,
     initial_state,
     run_trace,
@@ -123,11 +119,17 @@ class TestTermDsl:
             parse_term(nested(MAX_NESTING + 1))
 
     def test_deep_composition_compiles_quickly(self):
-        text = "(comp " * (MAX_NESTING - 1) + "s" + " s)" * (MAX_NESTING - 1)
-        start = time.perf_counter()
-        unit = compile_term(parse_term(text))
-        assert time.perf_counter() - start < 1
-        assert unit.program.n_points == 7 * MAX_NESTING - 6
+        levels = MAX_NESTING - 1
+        cases = [
+            ("(comp " * levels + "s" + " s)" * levels, 7 * MAX_NESTING - 6),
+            # Every level copies the 100 inputs again: 10,495 variables.
+            ("(comp s " * levels + "(p 1 100)" + ")" * levels, 10_494),
+        ]
+        for text, n_points in cases:
+            start = time.perf_counter()
+            unit = compile_term(parse_term(text))
+            assert time.perf_counter() - start < 0.5
+            assert unit.program.n_points == n_points
 
     def test_arity_budget(self):
         assert parse_term(f"(z {MAX_ARITY})") == Zero(MAX_ARITY)
@@ -144,36 +146,6 @@ class TestTermDsl:
     def test_rejects_bad_arities(self):
         with pytest.raises(ParseError):
             parse_term("(comp s (p 1 2) (p 2 2))")
-
-
-class TestSpliceCall:
-    def test_zero_splice(self):
-        cmds = splice_call(compile_term(Zero(0)), (), "out", "c0_")
-        assert cmds == (Assign("out", Var("c0_r")),)
-
-    def test_succ_splice(self):
-        cmds = splice_call(compile_term(Succ()), ("a",), "out", "c0_")
-        assert cmds == (
-            Assign("c0_x1", Var("a")),
-            Assign("c0_r", Inc("c0_x1")),
-            Assign("out", Var("c0_r")),
-        )
-
-    def test_proj_splice(self):
-        cmds = splice_call(compile_term(Proj(2, 2)), ("a", "b"), "out", "c0_")
-        assert cmds == (
-            Assign("c0_x1", Var("a")),
-            Assign("c0_x2", Var("b")),
-            Assign("out", Var("c0_x2")),
-        )
-
-    def test_colliding_prefix(self):
-        with pytest.raises(NameCollision):
-            splice_call(compile_term(Succ()), ("c0_x1",), "out", "c0_")
-
-    def test_wrong_arity(self):
-        with pytest.raises(ArityMismatch):
-            splice_call(compile_term(Succ()), ("a", "b"), "out", "c0_")
 
 
 class TestCompileBaseCases:
