@@ -16,17 +16,19 @@ which splits ``[n, g(n)]`` into sigma_1(n) + 2 intervals each containing
 a tail non-descent; the head component can strictly decrease at most
 sigma_1(n) + 1 times across them.
 
-The bound grows non-elementarily in k, so evaluation is budgeted. When a
-sequence is known to be eventually constant (every trace measure from
-the interpreter is, once the program halts), each level's bound function
-becomes ``x + constant`` above the freeze point, and the iteration is
-finished off in closed form; values stay exact however large.
+The bound grows non-elementarily in k, so evaluation is budgeted. Every
+sequence here is a finite list of rows whose last row repeats forever (a
+sigma file, or a trace measure, which is constant once the program
+halts). Above that freeze point each level's bound function becomes
+``x + constant``, and the iteration is finished off in closed form;
+values stay exact however large.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, compress, count, islice
+from operator import le
 from typing import Callable, Sequence
 
 from .errors import BudgetExceeded, LemmaViolated, NoWitness
@@ -36,53 +38,40 @@ DEFAULT_MAX_ITERATIONS = 2_000_000
 
 @dataclass(frozen=True)
 class SequenceFn:
-    """A total deterministic sequence of k-tuples of naturals.
+    """A sequence of k-tuples of naturals: ``rows``, then its last row forever.
 
-    ``eventually_constant_from`` is an optional promise that
-    ``fn(m) == fn(F)`` for every ``m >= F``; it licenses the closed-form
-    evaluation in ``bound_g`` and is trusted, not checked.
+    ``eventually_constant_from`` is the index of the last row; every read
+    at or past it returns that row. Build one with ``from_rows`` or
+    ``constant``, which check the rows once.
     """
 
-    fn: Callable[[int], tuple[int, ...]]
+    rows: list[tuple[int, ...]]
     k: int
-    eventually_constant_from: int | None = None
+    eventually_constant_from: int
 
     def __call__(self, n: int) -> tuple[int, ...]:
-        value = self.fn(n)
-        if len(value) != self.k:
-            raise ValueError(f"sequence produced {value}, expected {self.k} components")
-        return value
+        return self.rows[min(n, self.eventually_constant_from)]
 
     @classmethod
     def constant(cls, values: Sequence[int]) -> "SequenceFn":
-        values = tuple(values)
-        return cls(lambda n: values, len(values), eventually_constant_from=0)
+        return cls.from_rows([values])
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "SequenceFn":
-        """Prefix given explicitly; the last row repeats forever.
-
-        Raises ValueError unless the rows are non-empty, of one length,
-        and every coordinate is a natural (an ``int``, not a ``bool``).
-        """
+        """Raises ValueError unless the rows are non-empty, of one length,
+        and every coordinate is a natural (an ``int``, not a ``bool``)."""
         try:
-            rows = [tuple(r) for r in rows]
+            rows = list(map(tuple, rows))
         except TypeError:
             raise ValueError("every row must be a list of naturals") from None
         if not rows:
             raise ValueError("need at least one row")
-        k = len(rows[0])
-        if any(len(r) != k for r in rows):
+        if len(set(map(len, rows))) != 1:
             raise ValueError("rows of unequal length")
         types = set(map(type, chain.from_iterable(rows)))
         if types - {int} or min(chain.from_iterable(rows), default=0) < 0:
             raise ValueError("every coordinate must be a natural number")
-        last = len(rows) - 1
-
-        def fn(n: int) -> tuple[int, ...]:
-            return rows[min(n, last)]
-
-        return cls(fn, k, eventually_constant_from=last)
+        return cls(rows, len(rows[0]), len(rows) - 1)
 
 
 def find_adjacent_increase(sigma1: Callable[[int], int], m: int, n: int) -> int:
@@ -120,19 +109,8 @@ class _Budget:
 class _Evaluator:
     sigma: SequenceFn
     budget: _Budget
-    values: dict[int, tuple[int, ...]] = field(default_factory=dict)
     memo: dict[tuple[int, int], int] = field(default_factory=dict)
     deltas: dict[int, int] = field(default_factory=dict)
-
-    def component(self, n: int, idx: int) -> int:
-        freeze = self.sigma.eventually_constant_from
-        if freeze is not None and n > freeze:
-            n = freeze
-        row = self.values.get(n)
-        if row is None:
-            row = self.sigma(n)
-            self.values[n] = row
-        return row[idx]
 
     def delta(self, depth: int) -> int:
         """Increment of the depth-level bound above the freeze point.
@@ -143,39 +121,31 @@ class _Evaluator:
         cached = self.deltas.get(depth)
         if cached is not None:
             return cached
-        freeze = self.sigma.eventually_constant_from
-        assert freeze is not None
-        head = self.sigma.k - depth
-        if depth == 1:
-            d = self.component(freeze, self.sigma.k - 1) + 1
-        else:
-            d = (self.component(freeze, head) + 2) * (self.delta(depth - 1) + 1)
+        c = self.sigma.rows[-1][self.sigma.k - depth]
+        d = c + 1 if depth == 1 else (c + 2) * (self.delta(depth - 1) + 1)
         self.deltas[depth] = d
         return d
 
     def bound(self, depth: int, n: int) -> int:
         """Bound for the last ``depth`` components, evaluated at n."""
         freeze = self.sigma.eventually_constant_from
-        if freeze is not None and n >= freeze:
+        if n >= freeze:
             return self.budget.check_value(n + self.delta(depth))
         key = (depth, n)
         cached = self.memo.get(key)
         if cached is not None:
             return cached
-        head = self.sigma.k - depth
+        c = self.sigma(n)[self.sigma.k - depth]
         if depth == 1:
-            result = self.budget.check_value(n + self.component(n, head) + 1)
+            result = self.budget.check_value(n + c + 1)
         else:
-            steps = self.component(n, head) + 2
             x = n
-            done = 0
-            while done < steps:
-                if freeze is not None and x >= freeze:
-                    x += (steps - done) * (self.delta(depth - 1) + 1)
+            for done in range(c + 2):
+                if x >= freeze:
+                    x += (c + 2 - done) * (self.delta(depth - 1) + 1)
                     break
                 self.budget.spend()
                 x = self.bound(depth - 1, x + 1)
-                done += 1
             result = self.budget.check_value(x)
         self.memo[key] = result
         return result
@@ -205,11 +175,13 @@ def find_nondescent(sigma: SequenceFn, n: int, limit: int) -> int:
     bound construction; tests treat that as failure.
     """
     end = min(limit, n + DEFAULT_MAX_ITERATIONS)
-    later = sigma(n)
-    for m in range(n, end + 1):
-        earlier, later = later, sigma(m + 1)
-        if earlier <= later:
-            return m
+    rows, last = sigma.rows, sigma.eventually_constant_from
+    # Compare rows below the last in one C-level pass; past it, sigma(m) == sigma(m + 1).
+    stop = min(end + 1, last)
+    pairs = map(le, islice(rows, n, stop), islice(rows, n + 1, stop + 1))
+    m = next(compress(count(n), pairs), max(n, last))
+    if m <= end:
+        return m
     if end < limit:
         raise BudgetExceeded(
             f"non-descent scan exceeded {DEFAULT_MAX_ITERATIONS} evaluations"

@@ -9,6 +9,7 @@ byte-for-byte deterministic for fixed inputs and budgets.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -19,7 +20,7 @@ from .erdos import embed, erdos_to_doc, height_of_tree
 from .errors import BudgetExceeded, ParseError, TermboundError
 from .ktree import height_nil
 from .ordinals import Ordinal, Scanner, add, exp_base_k, nat_prod_nat, nat_sum
-from .ordinals import is_nat, parse_ordinal, read_ordinal, to_vector
+from .ordinals import is_nat, nat_value, parse_ordinal, read_ordinal, to_vector
 from .prcompile import compile_term, eval_pr, parse_term
 from .termlang import (
     check_invariant,
@@ -100,7 +101,7 @@ def nat(text: str) -> int:
     """
     if not is_nat(text):
         raise ValueError(f"expected a natural in ASCII digits, got {text!r}")
-    return int(text)
+    return nat_value(text)
 
 
 # Printing an integer in decimal takes time quadratic in its length: with
@@ -139,6 +140,32 @@ def _digit_limit(digits: int):
         sys.set_int_max_str_digits(old)
 
 
+@contextmanager
+def _gc_paused():
+    """The cyclic garbage collector off for the block, then as the caller had it."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _read_json(path: str):
+    """The JSON document in the file at ``path``."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError):
+        raise
+    except ValueError:  # int() refused more digits than Python's limit
+        digits = sys.get_int_max_str_digits()
+        raise ParseError(f"{path}: a number of more than {digits} digits") from None
+    except RecursionError:
+        raise ParseError(f"{path}: JSON nested too deeply") from None
+
+
 def _emit(args, doc: dict, human_lines: list[str]) -> None:
     if args.format == "structured":
         print(json.dumps(doc, sort_keys=True, indent=2))
@@ -163,7 +190,7 @@ def _parse_assignments(pairs: list[str]) -> dict[str, int]:
         name, _, value = item.partition("=")
         if not name or not is_nat(value):
             raise ParseError(f"bad assignment {item!r}; expected name=nat")
-        env[name.strip()] = int(value)
+        env[name.strip()] = nat_value(value)
     return env
 
 
@@ -194,12 +221,9 @@ def cmd_embed(args) -> int:
     tree = embed(points, k)
     measure = _printable(height_of_tree(tree))
     vec = to_vector(measure, k)
-    doc = {
-        "k": k,
-        "tree": erdos_to_doc(tree),
-        "f_star": str(measure),
-        "f_star_vec": list(vec),
-    }
+    doc = {"k": k, "f_star": str(measure), "f_star_vec": list(vec)}
+    if args.format == "structured":  # only structured output prints the branches
+        doc["tree"] = erdos_to_doc(tree)
     _emit(
         args,
         doc,
@@ -213,8 +237,7 @@ def cmd_embed(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    with open(args.sigma_file) as fh:
-        doc = json.load(fh)
+    doc = _read_json(args.sigma_file)
     if not isinstance(doc, dict) or not isinstance(doc.get("rows"), list):
         raise ParseError('sigma file must be a JSON object with a list "rows"')
     sigma = SequenceFn.from_rows(doc["rows"])
@@ -222,21 +245,18 @@ def cmd_bound(args) -> int:
         raise ParseError(f"file says k={doc['k']} but rows have {sigma.k} components")
     bound = _printable(bound_g(sigma, args.n, max_value=args.max_bound))
     witness = find_nondescent(sigma, args.n, bound)
+    at, after = sigma(witness), sigma(witness + 1)
     out = {
         "n": args.n,
         "bound": bound,
         "witness": witness,
-        "value_at_witness": list(sigma(witness)),
-        "value_after_witness": list(sigma(witness + 1)),
+        "value_at_witness": list(at),
+        "value_after_witness": list(after),
     }
     _emit(
         args,
         out,
-        [
-            f"bound g({args.n}) = {bound}",
-            f"first non-descent at m = {witness}: "
-            f"{tuple(sigma(witness))} <= {tuple(sigma(witness + 1))}",
-        ],
+        [f"bound g({args.n}) = {bound}", f"first non-descent at m = {witness}: {at} <= {after}"],
     )
     return 0
 
@@ -291,8 +311,7 @@ def cmd_run(args) -> int:
 def cmd_check(args) -> int:
     with open(args.program_file) as fh:
         program = program_from_text(fh.read())
-    with open(args.invariant) as fh:
-        invariant = invariant_from_doc(json.load(fh))
+    invariant = invariant_from_doc(_read_json(args.invariant))
     s0 = initial_state(program, _parse_assignments(args.set or []))
     trace = run_trace(program, s0, args.max_steps)
     report = check_invariant(program, trace, invariant)
@@ -327,8 +346,7 @@ def cmd_pipeline(args) -> int:
         )
     invariant = unit.invariant
     if args.invariant:
-        with open(args.invariant) as fh:
-            invariant = invariant_from_doc(json.load(fh))
+        invariant = invariant_from_doc(_read_json(args.invariant))
 
     s0 = initial_state(unit.program, dict(zip(unit.input_vars, args.inputs)))
     trace = run_trace(unit.program, s0, args.max_steps)
@@ -449,7 +467,9 @@ def main(argv: list[str] | None = None) -> int:
     with _digit_limit(MAX_PRINT_DIGITS):
         try:
             args = parser.parse_args(argv)
-            return args.fn(args)
+            # Reference counting frees a command's data with its frame; the GC would only walk it.
+            with _gc_paused():
+                return args.fn(args)
         except BudgetExceeded as exc:
             print(f"budget exceeded: {exc}", file=sys.stderr)
             return 3

@@ -16,6 +16,7 @@ may be shared freely between threads.
 
 from __future__ import annotations
 
+import sys
 from contextlib import contextmanager
 from typing import Iterable, Union
 
@@ -339,6 +340,15 @@ def is_nat(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
+def nat_value(digits: str) -> int:
+    """The natural that ``digits`` (``is_nat`` holds) spells; a ParseError,
+    not ``int``'s advice to raise the limit, if Python's int-string limit refuses it."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if limit and len(digits) > limit:
+        raise ParseError(f"a natural of {len(digits)} digits; at most {limit} are read")
+    return int(digits)
+
+
 class Scanner:
     """A position in a text, shared by every reader of the grammar."""
 
@@ -375,7 +385,7 @@ class Scanner:
             self.pos += 1
         if start == self.pos:
             raise ParseError(f"expected a number at position {start} in {self.text!r}")
-        return int(self.text[start : self.pos])
+        return nat_value(self.text[start : self.pos])
 
     @contextmanager
     def nest(self):

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .errors import ArityMismatch, BudgetExceeded, ParseError
-from .ordinals import MAX_NESTING, is_nat
+from .ordinals import MAX_NESTING, is_nat, nat_value
 from .termlang import (
     Assign,
     Atom,
@@ -247,7 +247,7 @@ def parse_term(text: str) -> PRTerm:
         nonlocal pos
         if pos >= len(tokens) or not is_nat(tokens[pos]):
             raise ParseError("expected a number")
-        value = int(tokens[pos])
+        value = nat_value(tokens[pos])
         pos += 1
         return value
 

@@ -40,7 +40,7 @@ from typing import Callable, Mapping, Sequence, Union
 from .bounds import SequenceFn, bound_g
 from .erdos import IncrementalMeasure
 from .errors import BudgetExceeded, NotHomogeneous, ParseError
-from .ordinals import MAX_NESTING, is_nat
+from .ordinals import MAX_NESTING, is_nat, nat_value
 
 # --- expressions and commands ------------------------------------------------
 
@@ -345,7 +345,7 @@ def _parse_leaf(tok: str) -> tuple:
     if tok == "loc'":
         return POST_LOC
     if is_nat(tok):
-        return const(int(tok))
+        return const(nat_value(tok))
     if tok.endswith("'") and tok[:-1].isidentifier():
         return post(tok[:-1])
     if tok.isidentifier():
@@ -756,9 +756,7 @@ class PhiSequence:
         return self.vectors[min(x, self.final_step)]
 
     def sequence(self) -> SequenceFn:
-        return SequenceFn(
-            self.value, self.k, eventually_constant_from=self.final_step
-        )
+        return SequenceFn.from_rows(self.vectors)
 
 
 def step_bound(report: InvariantReport) -> int:
@@ -821,7 +819,7 @@ def program_from_text(text: str) -> Program:
             head, _, rest = line.partition(":")
             if not is_nat(head.strip()):
                 raise ParseError(f"missing location in line {line!r}")
-            loc = int(head.strip())
+            loc = nat_value(head.strip())
             body = rest[1:] if rest.startswith(" ") else rest
         depth = (len(body) - len(body.lstrip())) // 2
         if depth > MAX_NESTING:
@@ -884,7 +882,7 @@ def _parse_assign(text: str) -> Assign:
     var = var.strip()
     rhs = rhs.strip()
     if is_nat(rhs):
-        return Assign(var, Const(int(rhs)))
+        return Assign(var, Const(nat_value(rhs)))
     if rhs.endswith("+ 1"):
         return Assign(var, Inc(rhs[:-3].strip()))
     if rhs.endswith("- 1"):

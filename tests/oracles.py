@@ -4,14 +4,18 @@ Each recomputes a result of ``src/`` from its definition: tree heights by
 exhausting the poset (``brute_force_height``), the colored-tree measure by
 rebuilding and re-labelling the whole tree (``f_star``, ``f_star_vec``),
 the new branch of an insertion by reading the descent path
-(``insert_branch``) and the invariant check one pair at a time
-(``check_invariant_pairwise``).
+(``insert_branch``), the invariant check one pair at a time
+(``check_invariant_pairwise``), the descent bound by its recursion with no
+closed form (``bound_g_literal``) and the non-descent scan one point at a
+time (``find_nondescent_pointwise``).
 """
 
 from typing import Sequence
 
+from termbound import bounds
+from termbound.bounds import SequenceFn
 from termbound.erdos import ColoredList, ErdosTree, embed, height_of_tree
-from termbound.errors import BudgetExceeded
+from termbound.errors import BudgetExceeded, LemmaViolated
 from termbound.ktree import LabelledTree, Node
 from termbound.ordinals import Ordinal, to_vector
 from termbound.termlang import InvariantReport, Program, Trace, TransitionInvariant
@@ -231,3 +235,39 @@ def check_invariant_pairwise(
                 if len(report.uncovered) < report.MAX_LISTED:
                     report.uncovered.append((i, j))
     return report
+
+
+# --- the descent bound and its witness ----------------------------------------
+
+
+def bound_g_literal(sigma: SequenceFn, n: int) -> int:
+    """``bound_g`` by the H recursion of the ``bounds`` docstring.
+
+    ``g_1(m) = m + sigma_k(m) + 1``; each further level applies the one
+    below ``sigma_head(m) + 2`` times with a +1 between steps. Every
+    application is evaluated; nothing is finished in closed form.
+    """
+
+    def g(depth: int, m: int) -> int:
+        c = sigma(m)[sigma.k - depth]
+        if depth == 1:
+            return m + c + 1
+        x = m
+        for _ in range(c + 2):
+            x = g(depth - 1, x + 1)
+        return x
+
+    return g(sigma.k, n)
+
+
+def find_nondescent_pointwise(sigma: SequenceFn, n: int, limit: int) -> int:
+    """``find_nondescent`` one point at a time: two sigma calls per point."""
+    end = min(limit, n + bounds.DEFAULT_MAX_ITERATIONS)
+    later = sigma(n)
+    for m in range(n, end + 1):
+        earlier, later = later, sigma(m + 1)
+        if earlier <= later:
+            return m
+    if end < limit:
+        raise BudgetExceeded("non-descent scan exceeded its budget")
+    raise LemmaViolated(f"strict lexicographic descent throughout [{n}, {limit}]")

@@ -1,12 +1,17 @@
-import pytest
+from unittest import mock
 
+import pytest
+from hypothesis import example, given, strategies as st
+
+from oracles import bound_g_literal, find_nondescent_pointwise
+from termbound import bounds
 from termbound.bounds import (
     SequenceFn,
     bound_g,
     find_adjacent_increase,
     find_nondescent,
 )
-from termbound.errors import BudgetExceeded, NoWitness
+from termbound.errors import BudgetExceeded, LemmaViolated, NoWitness
 
 
 class TestLexLe:
@@ -27,7 +32,7 @@ class TestLexLe:
         with pytest.raises(ValueError):
             SequenceFn.from_rows([(1,), (1, 2)])
         with pytest.raises(ValueError):
-            SequenceFn(lambda n: (1,) * (n + 1), 1)(1)
+            SequenceFn.from_rows([(1, 2), (1, 2), (1,)])
 
 
 class TestFindAdjacentIncrease:
@@ -61,7 +66,7 @@ class TestBoundG:
         assert bound_g(sigma, 0) == 8
 
     def test_one_component_descending(self):
-        sigma = SequenceFn(lambda n: (max(0, 5 - n),), 1, eventually_constant_from=5)
+        sigma = SequenceFn.from_rows([(5,), (4,), (3,), (2,), (1,), (0,)])
         assert bound_g(sigma, 0) == 6
 
     def test_two_components_unfolds_twice(self):
@@ -75,12 +80,10 @@ class TestBoundG:
             bound_g(sigma, 0, max_value=10**9)
 
     def test_closed_form_matches_iteration(self):
-        # Same sequence with and without the eventual-constancy promise.
-        rows = [(3, 1), (2, 4), (2, 2), (1, 1)]
-        hinted = SequenceFn.from_rows(rows)
-        plain = SequenceFn(hinted.fn, 2)
+        # The closed form above the last row against every application.
+        sigma = SequenceFn.from_rows([(3, 1), (2, 4), (2, 2), (1, 1)])
         for n in range(6):
-            assert bound_g(hinted, n) == bound_g(plain, n)
+            assert bound_g(sigma, n) == bound_g_literal(sigma, n)
 
     def test_k_one_sharpness(self):
         # A strict descent from a constant c lasts at most c steps.
@@ -118,3 +121,56 @@ class TestFindNondescent:
                 m = find_nondescent(sigma, n, bound_g(sigma, n))
                 assert n <= m <= bound_g(sigma, n)
                 assert sigma(m) <= sigma(m + 1)
+
+
+def outcome(fn, *args):
+    """The result of ``fn(*args)``, or the type of the package error it raised."""
+    try:
+        return fn(*args)
+    except (BudgetExceeded, LemmaViolated) as exc:
+        return type(exc)
+
+
+def row_lists(max_rows: int, max_value: int):
+    """Rows of one length k from 1 to 3, at most ``max_rows`` of them."""
+    return st.integers(1, 3).flatmap(
+        lambda k: st.lists(
+            st.tuples(*[st.integers(0, max_value)] * k), min_size=1, max_size=max_rows
+        )
+    )
+
+
+class TestAgainstOracles:
+    # A row list sorted in reverse descends strictly wherever it has no
+    # repeated row, so both exceptions and late witnesses are reached.
+    @given(
+        row_lists(12, 3),
+        st.booleans(),
+        st.integers(0, 15),
+        st.integers(0, 20),
+        st.one_of(st.just(bounds.DEFAULT_MAX_ITERATIONS), st.integers(0, 8)),
+    )
+    @example([(3,), (2,), (1,), (0,)], False, 0, 2, 100)  # LemmaViolated
+    @example([(3,), (2,), (1,), (1,)], False, 0, 2, 100)  # witness at the limit
+    @example([(3,), (2,), (1,), (0,)], False, 0, 5, 1)  # BudgetExceeded
+    @example([(3,), (2,), (1,), (0,)], False, 6, 9, 100)  # n past the last row
+    def test_find_nondescent(self, rows, descending, n, limit, max_iterations):
+        if descending:
+            rows = sorted(rows, reverse=True)
+        sigma = SequenceFn.from_rows(rows)
+        with mock.patch.object(bounds, "DEFAULT_MAX_ITERATIONS", max_iterations):
+            expected = outcome(find_nondescent_pointwise, sigma, n, limit)
+            assert outcome(find_nondescent, sigma, n, limit) == expected
+
+    def test_find_nondescent_raises_both(self):
+        sigma = SequenceFn.from_rows([(3, 0), (2, 9), (2, 1), (0, 0)])
+        with pytest.raises(LemmaViolated):
+            find_nondescent(sigma, 0, 2)
+        with mock.patch.object(bounds, "DEFAULT_MAX_ITERATIONS", 1):
+            with pytest.raises(BudgetExceeded):
+                find_nondescent(sigma, 0, 3)
+
+    @given(row_lists(8, 3), st.integers(0, 10))
+    def test_bound_g(self, rows, n):
+        sigma = SequenceFn.from_rows(rows)
+        assert bound_g(sigma, n) == bound_g_literal(sigma, n)

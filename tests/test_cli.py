@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -265,6 +266,8 @@ TERMS = {
 
 # Exit code and SHA-256 of the --format structured stdout of each case. A
 # changed digest is a changed command-line contract and needs a stated reason.
+COUNTDOWN = [[v // 600, v // 30 % 20, v % 30] for v in range(9999, -1, -1)]
+
 GOLDEN = {
     "pipeline-add-pass": (0, "e10074d26e3460e5b55d3e69f62a3c082ad961e76ac1ec10d1a2a1328534ce1a"),
     "pipeline-sub-pass": (0, "74a3965b835d36fe2d2825c18527cb9cfdd4a69ed8d7e48ed95bdbb274aa8a58"),
@@ -277,6 +280,9 @@ GOLDEN = {
     "check-budget": (3, "e08a7296521f5cad3117f31b6cf76ea86c794b8f4434abae0f4f12fde383367a"),
     "embed": (0, "1e4a05ed40d0f95ec6eeeac82244dd641311c6ab4dcc39382e4efcb507ff08ee"),
     "bound": (0, "fa478fca22c5d11bfc57c0bc8c41ed7162cc0c641a0743e4f7b90864680a4898"),
+    "bound-0": (0, "3aaa7505ef91c67d1d1fefa955b31158e09c80f3f57dac48fe5a261d413a2dde"),
+    "bound-5000": (0, "34029757e9c1c8a480d133cb64da525bb20c3140645f5ddc027e55a166709380"),
+    "bound-12000": (0, "ad1fc73bb2aadacac3d31aecdf87e192846ad412f68dfc81dc781e5e9c5c33a6"),
     "compile-add": (0, "478246a2449d22adac76fbe78358eafed9bcb5426dcee5c0a3ea47047019f9b6"),
     "compile-sub": (0, "5765e1600504a14f8b40f9e745726e0ee6c0d0b48d3f6149b3a0e542f141941d"),
     "compile-mult": (0, "2a43719f24ab45c6acf07f5a3f5002d28d9f417844de4658f7783b30cf1d6d62"),
@@ -339,6 +345,11 @@ class TestStructuredGolden:
         if command == "embed":
             return self.structured(capsys, "embed", "3,4", "1,4", "0,9")
         sigma = tmp_path / "sigma.json"
+        if rest:
+            # A 10^4-row mixed-radix countdown, read at its start, its
+            # midpoint and past its last row.
+            sigma.write_text(json.dumps({"k": 3, "rows": COUNTDOWN}))
+            return self.structured(capsys, "bound", str(sigma), "--n", rest)
         sigma.write_text(json.dumps({"k": 2, "rows": [[1, 1], [1, 0], [0, 5], [0, 4], [0, 4]]}))
         return self.structured(capsys, "bound", str(sigma))
 
@@ -484,6 +495,39 @@ class TestInputValidation:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("kind", ["sigma-row", "ord-literal", "term", "program"])
+    def test_over_long_naturals_are_the_packages_error(self, tmp_path, kind):
+        digits = "1" * 80_000
+        path = tmp_path / "input"
+        if kind == "sigma-row":
+            path.write_text('{"rows": [[' + digits + "]]}")
+            argv = ["bound", str(path)]
+        elif kind == "ord-literal":
+            argv = ["ord", digits]
+        elif kind == "term":
+            path.write_text(f"(z {digits})")
+            argv = ["compile", str(path)]
+        else:
+            path.write_text(f"vars x\n0: x := {digits}\n")
+            argv = ["run", str(path)]
+        code, err = run_main(*argv)
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "set_int_max_str_digits" not in err
+
+    @pytest.mark.parametrize("command", ["bound", "check"])
+    def test_deeply_nested_json_is_a_parse_error(self, tmp_path, command):
+        path = tmp_path / "doc.json"
+        path.write_text('{"rows": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        prog = tmp_path / "count.prog"
+        prog.write_text(COUNTING_PROGRAM)
+        argv = ["bound", str(path)] if command == "bound" else [
+            "check", str(prog), "--invariant", str(path)
+        ]
+        code, err = run_main(*argv)
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_arity_has_a_budget(self, tmp_path):
         term = tmp_path / "zero.pr"
         term.write_text("(z 100000000)")
@@ -559,6 +603,30 @@ class TestPrintBudget:
         with contextlib.suppress(SystemExit):
             run_main(*argv)
         assert sys.get_int_max_str_digits() == before
+
+
+class TestGcPause:
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_main_restores_the_callers_gc_state(self, tmp_path, enabled):
+        sigma = tmp_path / "sigma.json"
+        sigma.write_text(json.dumps({"k": 3, "rows": [[10**6, 10**6, 10**6]]}))
+        prog = tmp_path / "count.prog"
+        prog.write_text(COUNTING_PROGRAM)
+        inv = tmp_path / "rising.inv.json"
+        inv.write_text(json.dumps([{"name": "r", "atoms": [], "rank": "x"}]))
+        cases = [
+            (["ord", "w # 1"], 0),
+            (["check", str(prog), "--invariant", str(inv), "--set", "y=5"], 1),
+            (["ord", "w+"], 2),
+            (["bound", str(sigma)], 3),
+        ]
+        try:
+            for argv, expected in cases:
+                (gc.enable if enabled else gc.disable)()
+                assert run_main(*argv)[0] == expected
+                assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
 
 
 # --- parsers: round trips, the shared nesting cap, and fuzzing of main ---------
