@@ -16,11 +16,11 @@ import sys
 from contextlib import contextmanager
 
 from .bounds import SequenceFn, bound_g, find_nondescent
-from .erdos import embed, erdos_to_doc, height_of_tree
+from .erdos import embed, erdos_to_doc
 from .errors import BudgetExceeded, ParseError, TermboundError
 from .ktree import height_nil
 from .ordinals import Ordinal, Scanner, add, exp_base_k, nat_prod_nat, nat_sum
-from .ordinals import is_nat, nat_value, parse_ordinal, read_ordinal, to_vector
+from .ordinals import from_vector, is_nat, nat_value, parse_ordinal, read_ordinal
 from .prcompile import compile_term, eval_pr, parse_term
 from .termlang import (
     check_invariant,
@@ -219,8 +219,8 @@ def cmd_embed(args) -> int:
     k = args.k if args.k is not None else len(first)
     points = [_parse_point(p, k) for p in args.points]
     tree = embed(points, k)
-    measure = _printable(height_of_tree(tree))
-    vec = to_vector(measure, k)
+    vec = tree.vector
+    measure = _printable(from_vector(vec))
     doc = {"k": k, "f_star": str(measure), "f_star_vec": list(vec)}
     if args.format == "structured":  # only structured output prints the branches
         doc["tree"] = erdos_to_doc(tree)

@@ -15,21 +15,26 @@ along edges, so the labelled image lives in the bounded-tree poset of
 ``ktree`` and its height (``height_of_tree``) is an ordinal measure below
 ``w^k`` that strictly decreases whenever the sequence grows. That
 measure, ``f_star``, is the bridge from homogeneous sequences to integer
-vectors ordered lexicographically. ``IncrementalMeasure`` keeps its
-vector up to date one point at a time. Rebuilding the tree of every
-prefix (``f_star_vec``) is its oracle, kept with the other test oracles
-in ``tests/oracles.py``.
+vectors ordered lexicographically.
+
+``ErdosTree`` is the one tree: it grows in place, labels each new leaf as
+it is added and keeps the measure vector up to date, one descent per
+point. ``to_labelled_tree`` and ``height_of_tree`` recompute every label
+and the height from the points alone; they are the rebuild path that the
+test oracles (``f_star_vec`` in ``tests/oracles.py``) check the vector
+against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+from operator import le
 from typing import Sequence
 
 from .errors import LabelNotDecreasing, NoRelation, NotHomogeneous
 from .ktree import LabelledTree, Node, height_nil, height_tree
-from .ordinals import OMEGA, Ordinal, cmp, nat_prod_nat, nat_sum, nat_sum_all
-from .ordinals import to_vector as _ordinal_to_vector
+from .ordinals import OMEGA, Ordinal, cmp, nat_prod_nat, nat_sum, nat_sum_all, to_vector
 
 Point = tuple[int, ...]
 
@@ -47,14 +52,13 @@ def is_homogeneous(s: Sequence[Sequence[int]], k: int) -> bool:
     """True when every later point descends below every earlier point.
 
     For all i < j some coordinate h has s[j][h] < s[i][h]; the empty and
-    singleton sequences are vacuously homogeneous.
+    singleton sequences are vacuously homogeneous. A pair fails when the
+    earlier point is coordinatewise <= the later one.
     """
     pts = [_check_point(p, k) for p in s]
-    for j in range(1, len(pts)):
-        for i in range(j):
-            if not any(pts[j][h] < pts[i][h] for h in range(k)):
-                return False
-    return True
+    return not any(
+        all(map(le, e, l)) for j, l in enumerate(pts) for e in islice(pts, j)
+    )
 
 
 def color_of(y: Sequence[int], x: Sequence[int]) -> int:
@@ -82,27 +86,37 @@ class ColoredList:
         return len(self.points)
 
 
-@dataclass(frozen=True)
-class _ENode:
+@dataclass(slots=True)
+class _Node:
     point: Point
-    children: tuple["_ENode | None", ...]
+    label: Ordinal
+    children: list["_Node | None"]
 
 
-@dataclass(frozen=True)
 class ErdosTree:
-    """A prefix-closed trie of colored lists, keyed by color sequences.
+    """A prefix-closed trie of colored lists, keyed by color sequences,
+    with the measure vector of the sequence inserted so far.
 
     The empty colored list is always present; a nonempty tree has a single
     root point and at most one child per color at every node, so each
-    branch is addressed by its color sequence.
+    branch is addressed by its color sequence. The tree grows in place.
+
+    The measure is the height of the labelled tree: the natural sum, over
+    its empty slots, of ``h_k`` at the slot owner's label, and below
+    ``w^k`` a natural sum is a coefficient-wise vector sum. A label depends
+    only on the node's ancestors, so adding a leaf labelled ``L`` in a slot
+    owned by a node labelled ``P`` changes no existing label and moves the
+    vector by ``k * vec(h_k(L)) - vec(h_k(P))``. The first point replaces
+    the empty tree, whose one slot is owned by ``w * k``, so nothing is
+    subtracted. ``vector`` is ``()`` while the tree is empty.
     """
 
-    k: int
-    root: _ENode | None = None
-
-    @classmethod
-    def empty(cls, k: int) -> "ErdosTree":
-        return cls(k, None)
+    def __init__(self, k: int):
+        self.k = k
+        self.root: _Node | None = None
+        self.vector: tuple[int, ...] = ()
+        self._size = 0
+        self._height_vec: dict[Ordinal, tuple[int, ...]] = {}
 
     @property
     def is_empty(self) -> bool:
@@ -110,13 +124,7 @@ class ErdosTree:
 
     def branch_count(self) -> int:
         """Number of nonempty branches, i.e. nodes."""
-        count, stack = 0, [self.root]
-        while stack:
-            n = stack.pop()
-            if n is not None:
-                count += 1
-                stack.extend(n.children)
-        return count
+        return self._size
 
     def branches(self) -> list[ColoredList]:
         """All nonempty branches, ordered by their color sequence."""
@@ -132,26 +140,51 @@ class ErdosTree:
         out.sort(key=lambda b: b.colors)
         return out
 
-    def descent_path(self, y: Sequence[int]) -> tuple[list[tuple[_ENode, int]], Point]:
-        """Nodes visited when inserting ``y``, with the color taken at each."""
+    def _vec_h(self, label: Ordinal) -> tuple[int, ...]:
+        vec = self._height_vec.get(label)
+        if vec is None:
+            vec = to_vector(height_nil(self.k, label), self.k)
+            self._height_vec[label] = vec
+        return vec
+
+    def insert(self, y: Sequence[int]) -> tuple[int, ...]:
+        """Add ``y`` as a new leaf on its descent path; the new measure vector.
+
+        From the root, ``y`` follows at every node the child edge colored
+        by the first coordinate in which it descends below that node's
+        point. Only the descent path is compared with ``y``: the caller
+        guarantees homogeneity, as ``embed`` does. Raises NoRelation when
+        ``y`` does not descend below a node on the path, and
+        LabelNotDecreasing, like ``to_labelled_tree``, if the new label is
+        not below its parent's.
+        """
         y = _check_point(y, self.k)
-        path: list[tuple[_ENode, int]] = []
+        k = self.k
+        nearest: dict[int, Point] = {}
+        owner, color = None, 0
         cur = self.root
         while cur is not None:
-            c = color_of(y, cur.point)
-            path.append((cur, c))
-            cur = cur.children[c - 1]
-        return path, y
-
-    def insert(self, y: Sequence[int]) -> "ErdosTree":
-        """The tree extended with one leaf on the descent path of ``y``."""
-        path, y = self.descent_path(y)
-        new: _ENode | None = _ENode(y, (None,) * self.k)
-        for parent, c in reversed(path):
-            children = parent.children[: c - 1] + (new,) + parent.children[c:]
-            new = _ENode(parent.point, children)
-        return ErdosTree(self.k, new)
-
+            color = color_of(y, cur.point)
+            nearest[color] = cur.point
+            owner, cur = cur, cur.children[color - 1]
+        label = _label(y, nearest, k)
+        gained = self._vec_h(label)
+        leaf = _Node(y, label, [None] * k)
+        if owner is None:
+            self.root = leaf
+            self.vector = tuple(k * g for g in gained)
+        else:
+            if cmp(label, owner.label) >= 0:
+                raise LabelNotDecreasing(
+                    f"label {label} of {y} not below parent label {owner.label}"
+                )
+            lost = self._vec_h(owner.label)
+            owner.children[color - 1] = leaf
+            self.vector = tuple(
+                v + k * g - l for v, g, l in zip(self.vector, gained, lost)
+            )
+        self._size += 1
+        return self.vector
 
 
 def embed(s: Sequence[Sequence[int]], k: int) -> ErdosTree:
@@ -163,9 +196,9 @@ def embed(s: Sequence[Sequence[int]], k: int) -> ErdosTree:
     """
     if not is_homogeneous(s, k):
         raise NotHomogeneous(f"{[tuple(p) for p in s]} is not homogeneous")
-    t = ErdosTree.empty(k)
+    t = ErdosTree(k)
     for y in s:
-        t = t.insert(y)
+        t.insert(y)
     return t
 
 
@@ -189,8 +222,10 @@ def _label(point: Point, nearest: dict[int, Point], k: int) -> Ordinal:
 def to_labelled_tree(t: ErdosTree) -> LabelledTree:
     """Same shape as ``t`` (child slot = color) with ordinal labels.
 
-    Labels strictly decrease from parent to child; a violation would
-    falsify the labelling construction and raises LabelNotDecreasing.
+    Every label is recomputed from the points; the labels ``insert``
+    stored are not read. Labels strictly decrease from parent to child; a
+    violation would falsify the labelling construction and raises
+    LabelNotDecreasing.
     """
 
     if t.root is None:
@@ -199,7 +234,7 @@ def to_labelled_tree(t: ErdosTree) -> LabelledTree:
     # nearest ancestor per color is passed down. A child comes after its
     # parent, so building in reverse order finds every child built.
     order: list[tuple[Ordinal, int, int]] = []
-    stack: list[tuple[_ENode, dict[int, Point], int, int]] = [(t.root, {}, -1, 0)]
+    stack: list[tuple[_Node, dict[int, Point], int, int]] = [(t.root, {}, -1, 0)]
     while stack:
         n, nearest, parent, slot = stack.pop()
         order.append((_label(n.point, nearest, t.k), parent, slot))
@@ -216,78 +251,6 @@ def to_labelled_tree(t: ErdosTree) -> LabelledTree:
 def height_of_tree(t: ErdosTree) -> Ordinal:
     """Height of an embedded tree's labelled image below ``w * k``."""
     return height_tree(to_labelled_tree(t), nat_prod_nat(OMEGA, t.k))
-
-
-@dataclass(slots=True)
-class _LNode:
-    point: Point
-    label: Ordinal
-    children: list["_LNode | None"]
-
-
-class IncrementalMeasure:
-    """The measure vector of a growing homogeneous sequence, one point at a time.
-
-    The height of the labelled tree is the natural sum, over its empty
-    slots, of ``h_k`` at the slot owner's label, and below ``w^k`` a
-    natural sum is a coefficient-wise vector sum. A label depends only on
-    the node's ancestors, so adding a leaf labelled ``L`` in a slot owned
-    by a node labelled ``P`` changes no existing label and moves the
-    vector by ``k * vec(h_k(L)) - vec(h_k(P))``. The first point replaces
-    the empty tree, whose one slot is owned by ``w * k``, so nothing is
-    subtracted. An insert therefore costs one descent, not a rebuild;
-    rebuilding the tree of the prefix (``f_star_vec`` in
-    ``tests/oracles.py``) is the test oracle.
-
-    The caller guarantees homogeneity: only the descent path is compared
-    with the new point, as in ``ErdosTree.insert``.
-    """
-
-    def __init__(self, k: int):
-        self.k = k
-        self._root: _LNode | None = None
-        self._vector: tuple[int, ...] = ()
-        self._height_vec: dict[Ordinal, tuple[int, ...]] = {}
-
-    def _vec_h(self, label: Ordinal) -> tuple[int, ...]:
-        vec = self._height_vec.get(label)
-        if vec is None:
-            vec = _ordinal_to_vector(height_nil(self.k, label), self.k)
-            self._height_vec[label] = vec
-        return vec
-
-    def insert(self, y: Sequence[int]) -> tuple[int, ...]:
-        """Add ``y`` as a new leaf; the measure vector of the longer prefix.
-
-        Raises LabelNotDecreasing, like ``to_labelled_tree``, if the new
-        label is not below its parent's.
-        """
-        y = _check_point(y, self.k)
-        k = self.k
-        nearest: dict[int, Point] = {}
-        owner, color = None, 0
-        cur = self._root
-        while cur is not None:
-            color = color_of(y, cur.point)
-            nearest[color] = cur.point
-            owner, cur = cur, cur.children[color - 1]
-        label = _label(y, nearest, k)
-        leaf = _LNode(y, label, [None] * k)
-        gained = self._vec_h(label)
-        if owner is None:
-            self._root = leaf
-            self._vector = tuple(k * g for g in gained)
-            return self._vector
-        if cmp(label, owner.label) >= 0:
-            raise LabelNotDecreasing(
-                f"label {label} of {y} not below parent label {owner.label}"
-            )
-        lost = self._vec_h(owner.label)
-        owner.children[color - 1] = leaf
-        self._vector = tuple(
-            v + k * g - l for v, g, l in zip(self._vector, gained, lost)
-        )
-        return self._vector
 
 
 # --- serialization -----------------------------------------------------------

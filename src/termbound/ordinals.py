@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import sys
 from contextlib import contextmanager
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import BudgetExceeded, DomainTooLarge, ParseError
 
@@ -307,6 +307,14 @@ def to_vector(a: OrdinalLike, k: int) -> tuple[int, ...]:
             raise DomainTooLarge(f"{a} is not below w^{k}")
         vec[k - 1 - exp.to_int()] = coeff
     return tuple(vec)
+
+
+def from_vector(vec: Sequence[int]) -> Ordinal:
+    """The ordinal below ``w^len(vec)`` with coefficients ``vec``; inverts ``to_vector``."""
+    k = len(vec)
+    return Ordinal(
+        (Ordinal.from_int(k - 1 - i), c) for i, c in enumerate(vec) if c != 0
+    )
 
 
 # --- textual grammar ---------------------------------------------------------

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence, Union
 
 from .bounds import SequenceFn, bound_g
-from .erdos import IncrementalMeasure
+from .erdos import ErdosTree
 from .errors import BudgetExceeded, NotHomogeneous, ParseError
 from .ordinals import MAX_NESTING, is_nat, nat_value
 
@@ -731,11 +731,11 @@ class PhiSequence:
     after which the value is constant; that freeze point makes the
     sequence usable by the closed-form path of ``bound_g``.
 
-    The vector is maintained incrementally by ``erdos.IncrementalMeasure``,
-    one tree descent per state; rebuilding the labelled tree of every
-    prefix (``f_star_vec`` in ``tests/oracles.py``) gives the same vectors
-    and is kept as the test oracle. The passing check is what makes the
-    bound sound.
+    One ``erdos.ErdosTree`` keeps the vector up to date, one tree descent
+    per state; rebuilding the labelled tree of every prefix
+    (``f_star_vec`` in ``tests/oracles.py``) gives the same vectors and is
+    kept as the test oracle. The passing check is what makes the bound
+    sound.
     """
 
     def __init__(self, report: InvariantReport):
@@ -748,12 +748,8 @@ class PhiSequence:
             )
         self.points = report.rank_tuples
         self.k = len(self.points[0])
-        measure = IncrementalMeasure(self.k)
-        self.vectors = [measure.insert(pt) for pt in self.points]
-        self.final_step = len(self.vectors) - 1
-
-    def value(self, x: int) -> tuple[int, ...]:
-        return self.vectors[min(x, self.final_step)]
+        tree = ErdosTree(self.k)
+        self.vectors = [tree.insert(pt) for pt in self.points]
 
     def sequence(self) -> SequenceFn:
         return SequenceFn.from_rows(self.vectors)

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from termbound import bounds
 from termbound.bounds import SequenceFn
-from termbound.erdos import ColoredList, ErdosTree, embed, height_of_tree
+from termbound.erdos import ColoredList, ErdosTree, color_of, embed, height_of_tree
 from termbound.errors import BudgetExceeded, LemmaViolated
 from termbound.ktree import LabelledTree, Node
 from termbound.ordinals import Ordinal, to_vector
@@ -175,11 +175,15 @@ def insert_branch(t: ErdosTree, y: Sequence[int]) -> ColoredList:
     coordinate in which ``y`` decreases below that node's point, and ends
     with ``y`` as a new leaf.
     """
-    path, y = t.descent_path(y)
-    return ColoredList(
-        tuple(n.point for n, _ in path) + (y,),
-        tuple(c for _, c in path),
-    )
+    points: list = []
+    colors: list[int] = []
+    cur = t.root
+    while cur is not None:
+        c = color_of(y, cur.point)
+        points.append(cur.point)
+        colors.append(c)
+        cur = cur.children[c - 1]
+    return ColoredList(tuple(points) + (tuple(y),), tuple(colors))
 
 
 def f_star(s: Sequence[Sequence[int]], k: int) -> Ordinal:

@@ -11,8 +11,8 @@ from functools import cmp_to_key
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from oracles import f_star_vec
 from termbound.cli import MAX_PRINT_BITS, _digit_limit, eval_ordinal_expr, main
-from termbound.erdos import IncrementalMeasure
 from termbound.errors import ParseError
 from termbound.ordinals import MAX_NESTING, Ordinal, cmp, nat_sum
 
@@ -92,9 +92,7 @@ class TestCommands:
         # One tree level per point: deeper than the interpreter's recursion limit.
         points = [(y, 0) for y in range(1000, 0, -1)]
         assert main(["embed", *(f"{y},{x}" for y, x in points)]) == 0
-        measure = IncrementalMeasure(2)
-        for p in points:
-            vector = measure.insert(p)
+        vector = f_star_vec(points, 2)
         assert capsys.readouterr().out.splitlines()[-1] == f"vector: {vector}"
 
     def test_embed_rejects_non_homogeneous(self, capsys):

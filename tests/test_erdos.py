@@ -8,7 +8,6 @@ from oracles import f_star, f_star_vec, insert_branch
 from termbound.erdos import (
     ColoredList,
     ErdosTree,
-    IncrementalMeasure,
     color_of,
     embed,
     erdos_to_doc,
@@ -62,6 +61,17 @@ class TestHomogeneous:
         # below (2,0).
         assert not is_homogeneous([(2, 0), (1, 9), (2, 5)], 2)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.integers(1, 4))
+    def test_matches_definition(self, data, k):
+        s = data.draw(st.lists(st.tuples(*[st.integers(0, 3)] * k), max_size=6))
+        literal = all(
+            any(s[j][h] < s[i][h] for h in range(k))
+            for j in range(len(s))
+            for i in range(j)
+        )
+        assert is_homogeneous(s, k) == literal
+
 
 class TestColorOf:
     def test_single_coordinate(self):
@@ -80,7 +90,7 @@ class TestColorOf:
 
 class TestInsertBranch:
     def test_into_empty(self):
-        t = ErdosTree.empty(2)
+        t = ErdosTree(2)
         assert insert_branch(t, (2, 2)) == ColoredList(((2, 2),), ())
 
     def test_first_child(self):
@@ -131,7 +141,7 @@ class TestEmbed:
         for _ in range(100):
             k = rng.choice([2, 3])
             s = random_homogeneous(rng, k)
-            prev = ErdosTree.empty(k)
+            prev = ErdosTree(k)
             for n in range(1, len(s) + 1):
                 cur = embed(s[:n], k)
                 assert cur.branch_count() == prev.branch_count() + 1
@@ -178,7 +188,7 @@ class TestLabelAlpha:
 
 class TestToLabelledTree:
     def test_empty(self):
-        assert to_labelled_tree(ErdosTree.empty(2)) == LabelledTree.empty(2)
+        assert to_labelled_tree(ErdosTree(2)) == LabelledTree.empty(2)
 
     def test_single(self):
         t = to_labelled_tree(embed([(0, 0)], 2))
@@ -248,20 +258,22 @@ def homogeneous_sequences(draw):
     return k, pts
 
 
-class TestIncrementalMeasure:
+class TestInsertMeasure:
     @settings(max_examples=200, deadline=None)
     @given(homogeneous_sequences())
     def test_matches_rebuild_on_every_prefix(self, case):
         k, s = case
-        measure = IncrementalMeasure(k)
+        t = ErdosTree(k)
+        assert t.vector == ()
         for n, y in enumerate(s):
-            assert measure.insert(y) == f_star_vec(s[: n + 1], k)
+            assert t.insert(y) == t.vector == f_star_vec(s[: n + 1], k)
 
     def test_rejects_point_off_the_descent_path(self):
-        measure = IncrementalMeasure(2)
-        measure.insert((3, 4))
+        t = ErdosTree(2)
+        t.insert((3, 4))
         with pytest.raises(NoRelation):
-            measure.insert((3, 4))
+            t.insert((3, 4))
+        assert t.branch_count() == 1
 
 
 class TestBranchProjection:
@@ -291,13 +303,14 @@ class TestSerialization:
             k = rng.choice([2, 3])
             t = embed(random_homogeneous(rng, k), k)
             doc = json.loads(json.dumps(erdos_to_doc(t)))
-            back = ErdosTree.empty(doc["k"])
+            back = ErdosTree(doc["k"])
             for b in sorted(doc["branches"], key=lambda b: len(b["points"])):
-                back = back.insert(b["points"][-1])
-            assert back == t
+                back.insert(b["points"][-1])
+            assert erdos_to_doc(back) == erdos_to_doc(t)
+            assert back.vector == t.vector
             assert [b["colors"] for b in doc["branches"]] == [
                 list(b.colors) for b in back.branches()
             ]
 
     def test_nil_serializes(self):
-        assert erdos_to_doc(ErdosTree.empty(2)) == {"k": 2, "branches": []}
+        assert erdos_to_doc(ErdosTree(2)) == {"k": 2, "branches": []}

@@ -14,6 +14,7 @@ from termbound.ordinals import (
     add,
     cmp,
     exp_base_k,
+    from_vector,
     is_nat,
     nat_prod_nat,
     nat_sum,
@@ -249,3 +250,14 @@ def test_to_vector_is_an_order_isomorphism():
         (a, va), (b, vb) = pairs
         assert to_vector(a, k) == va
         assert cmp(a, b) == (va > vb) - (va < vb)
+
+
+@given(small_ordinals(), st.integers(0, 2))
+def test_from_vector_inverts_to_vector(a, extra):
+    # small_ordinals() are below w^4.
+    assert from_vector(to_vector(a, 4 + extra)) == a
+
+
+@given(st.lists(st.integers(0, 9), max_size=6))
+def test_to_vector_inverts_from_vector(vec):
+    assert to_vector(from_vector(vec), len(vec)) == tuple(vec)

@@ -235,11 +235,12 @@ class TestMeasureSequence:
         unit = compile_term(ADD)
         s0 = initial_state(unit.program, {"y": 1, "x1": 1})
         trace = run_trace(unit.program, s0)
-        seq = PhiSequence(check_invariant(unit.program, trace, unit.invariant))
-        assert seq.value(1) < seq.value(0)
-        for x in range(seq.final_step):
-            assert seq.value(x + 1) < seq.value(x)
-        assert seq.value(seq.final_step + 10) == seq.value(seq.final_step)
+        seq = PhiSequence(check_invariant(unit.program, trace, unit.invariant)).sequence()
+        final = seq.eventually_constant_from
+        assert seq(1) < seq(0)
+        for x in range(final):
+            assert seq(x + 1) < seq(x)
+        assert seq(final + 10) == seq(final)
 
     def test_bound_dominates_small_runs(self):
         from termbound.termlang import step_bound

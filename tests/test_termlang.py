@@ -195,19 +195,20 @@ class TestPhi:
 
     def test_singleton_prefix(self):
         p, s0, inv = self.make(2)
-        seq = PhiSequence(checked(p, s0, inv))
-        assert seq.value(0) == f_star_vec([seq.points[0]], 2)
+        phi = PhiSequence(checked(p, s0, inv))
+        assert phi.sequence()(0) == f_star_vec([phi.points[0]], 2)
 
     def test_lexicographically_decreasing_until_final(self):
         p, s0, inv = self.make(3)
-        seq = PhiSequence(checked(p, s0, inv))
-        for x in range(seq.final_step):
-            assert seq.value(x + 1) < seq.value(x)
+        seq = PhiSequence(checked(p, s0, inv)).sequence()
+        for x in range(seq.eventually_constant_from):
+            assert seq(x + 1) < seq(x)
 
     def test_frozen_after_final(self):
         p, s0, inv = self.make(2)
-        seq = PhiSequence(checked(p, s0, inv))
-        assert seq.value(seq.final_step + 7) == seq.value(seq.final_step)
+        seq = PhiSequence(checked(p, s0, inv)).sequence()
+        final = seq.eventually_constant_from
+        assert seq(final + 7) == seq(final)
 
     def test_invalid_invariant_detected(self):
         p = counting_program()
