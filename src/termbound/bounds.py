@@ -29,9 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain, compress, count, islice
 from operator import le
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .errors import BudgetExceeded, LemmaViolated, NoWitness
+from .errors import BudgetExceeded, LemmaViolated
 
 DEFAULT_MAX_ITERATIONS = 2_000_000
 
@@ -72,19 +72,6 @@ class SequenceFn:
         if types - {int} or min(chain.from_iterable(rows), default=0) < 0:
             raise ValueError("every coordinate must be a natural number")
         return cls(rows, len(rows[0]), len(rows) - 1)
-
-
-def find_adjacent_increase(sigma1: Callable[[int], int], m: int, n: int) -> int:
-    """Least p in [m, n-1] with sigma1(p) < sigma1(p+1).
-
-    A witness exists whenever m < n and sigma1(m) < sigma1(n); the scan
-    is the decidable content of that statement. Raises NoWitness only
-    when the precondition is violated.
-    """
-    for p in range(m, n):
-        if sigma1(p) < sigma1(p + 1):
-            return p
-    raise NoWitness(f"no adjacent increase in [{m}, {n - 1}]")
 
 
 @dataclass

@@ -19,6 +19,10 @@ vectors ordered lexicographically.
 
 ``ErdosTree`` is the one tree: it grows in place, labels each new leaf as
 it is added and keeps the measure vector up to date, one descent per
+point. Its nodes sit in one list in insertion order, each with its
+parent's index and edge color, so a parent always precedes its children
+and every walk over the whole tree is a loop over that list; the
+structured document (``erdos_to_doc``) is that list, one entry per
 point. ``to_labelled_tree`` and ``height_of_tree`` recompute every label
 and the height from the points alone; they are the rebuild path that the
 test oracles (``f_star_vec`` in ``tests/oracles.py``) check the vector
@@ -90,7 +94,9 @@ class ColoredList:
 class _Node:
     point: Point
     label: Ordinal
-    children: list["_Node | None"]
+    parent: int  # index in ErdosTree.nodes; -1 for the root
+    color: int  # color of the edge from the parent; 0 for the root
+    children: list[int]  # index of the child per color; -1 for none
 
 
 class ErdosTree:
@@ -99,7 +105,9 @@ class ErdosTree:
 
     The empty colored list is always present; a nonempty tree has a single
     root point and at most one child per color at every node, so each
-    branch is addressed by its color sequence. The tree grows in place.
+    branch is addressed by its color sequence. The tree grows in place:
+    ``nodes`` holds one node per inserted point, in insertion order, so the
+    root is ``nodes[0]`` and every parent comes before its children.
 
     The measure is the height of the labelled tree: the natural sum, over
     its empty slots, of ``h_k`` at the slot owner's label, and below
@@ -113,30 +121,23 @@ class ErdosTree:
 
     def __init__(self, k: int):
         self.k = k
-        self.root: _Node | None = None
+        self.nodes: list[_Node] = []
         self.vector: tuple[int, ...] = ()
-        self._size = 0
         self._height_vec: dict[Ordinal, tuple[int, ...]] = {}
-
-    @property
-    def is_empty(self) -> bool:
-        return self.root is None
 
     def branch_count(self) -> int:
         """Number of nonempty branches, i.e. nodes."""
-        return self._size
+        return len(self.nodes)
 
     def branches(self) -> list[ColoredList]:
         """All nonempty branches, ordered by their color sequence."""
         out: list[ColoredList] = []
-        stack = [] if self.root is None else [(self.root, (), ())]
-        while stack:
-            n, points, colors = stack.pop()
-            points += (n.point,)
-            out.append(ColoredList(points, colors))
-            for c, child in enumerate(n.children, start=1):
-                if child is not None:
-                    stack.append((child, points, colors + (c,)))
+        for n in self.nodes:
+            if n.parent < 0:
+                out.append(ColoredList((n.point,), ()))
+            else:
+                up = out[n.parent]
+                out.append(ColoredList(up.points + (n.point,), up.colors + (n.color,)))
         out.sort(key=lambda b: b.colors)
         return out
 
@@ -159,31 +160,31 @@ class ErdosTree:
         not below its parent's.
         """
         y = _check_point(y, self.k)
-        k = self.k
+        k, nodes = self.k, self.nodes
         nearest: dict[int, Point] = {}
-        owner, color = None, 0
-        cur = self.root
-        while cur is not None:
-            color = color_of(y, cur.point)
-            nearest[color] = cur.point
-            owner, cur = cur, cur.children[color - 1]
+        parent, color = -1, 0
+        cur = 0 if nodes else -1
+        while cur >= 0:
+            n = nodes[cur]
+            color = color_of(y, n.point)
+            nearest[color] = n.point
+            parent, cur = cur, n.children[color - 1]
         label = _label(y, nearest, k)
         gained = self._vec_h(label)
-        leaf = _Node(y, label, [None] * k)
-        if owner is None:
-            self.root = leaf
+        if parent < 0:
             self.vector = tuple(k * g for g in gained)
         else:
+            owner = nodes[parent]
             if cmp(label, owner.label) >= 0:
                 raise LabelNotDecreasing(
                     f"label {label} of {y} not below parent label {owner.label}"
                 )
             lost = self._vec_h(owner.label)
-            owner.children[color - 1] = leaf
+            owner.children[color - 1] = len(nodes)
             self.vector = tuple(
                 v + k * g - l for v, g, l in zip(self.vector, gained, lost)
             )
-        self._size += 1
+        nodes.append(_Node(y, label, parent, color, [-1] * k))
         return self.vector
 
 
@@ -227,25 +228,24 @@ def to_labelled_tree(t: ErdosTree) -> LabelledTree:
     violation would falsify the labelling construction and raises
     LabelNotDecreasing.
     """
-
-    if t.root is None:
+    if not t.nodes:
         return LabelledTree.empty(t.k)
-    # Labels in preorder with each node's parent index and slot; a node's
-    # nearest ancestor per color is passed down. A child comes after its
-    # parent, so building in reverse order finds every child built.
-    order: list[tuple[Ordinal, int, int]] = []
-    stack: list[tuple[_Node, dict[int, Point], int, int]] = [(t.root, {}, -1, 0)]
-    while stack:
-        n, nearest, parent, slot = stack.pop()
-        order.append((_label(n.point, nearest, t.k), parent, slot))
-        for c, child in enumerate(n.children, start=1):
-            if child is not None:
-                stack.append((child, {**nearest, c: n.point}, len(order) - 1, c - 1))
-    children: list[list[Node | None]] = [[None] * t.k for _ in order]
-    for index in range(len(order) - 1, 0, -1):
-        label, parent, slot = order[index]
-        children[parent][slot] = Node(label, tuple(children[index]))
-    return LabelledTree(t.k, Node(order[0][0], tuple(children[0])))
+    # A parent comes before its children: each node's nearest ancestor per
+    # color is its parent's plus the parent itself, and building in reverse
+    # order finds every child built.
+    nearest: list[dict[int, Point]] = []
+    labels: list[Ordinal] = []
+    for n in t.nodes:
+        up = {}
+        if n.parent >= 0:
+            up = {**nearest[n.parent], n.color: t.nodes[n.parent].point}
+        nearest.append(up)
+        labels.append(_label(n.point, up, t.k))
+    children: list[list[Node | None]] = [[None] * t.k for _ in t.nodes]
+    for index in range(len(t.nodes) - 1, 0, -1):
+        n = t.nodes[index]
+        children[n.parent][n.color - 1] = Node(labels[index], tuple(children[index]))
+    return LabelledTree(t.k, Node(labels[0], tuple(children[0])))
 
 
 def height_of_tree(t: ErdosTree) -> Ordinal:
@@ -257,10 +257,16 @@ def height_of_tree(t: ErdosTree) -> Ordinal:
 
 
 def erdos_to_doc(t: ErdosTree) -> dict:
+    """One entry per node, in insertion order: its point, its parent's
+    index and the color of the edge from it, both null for the root."""
     return {
         "k": t.k,
-        "branches": [
-            {"points": [list(p) for p in b.points], "colors": list(b.colors)}
-            for b in t.branches()
+        "nodes": [
+            {
+                "point": list(n.point),
+                "parent": n.parent if n.parent >= 0 else None,
+                "color": n.color or None,
+            }
+            for n in t.nodes
         ],
     }

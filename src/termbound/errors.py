@@ -13,10 +13,6 @@ class DomainTooLarge(TermboundError):
     """Ordinal does not fit below the requested power of omega."""
 
 
-class OccupiedSlot(TermboundError):
-    """Tree path does not address an empty slot."""
-
-
 class LabelNotDecreasing(TermboundError):
     """Child label is not strictly below its parent's label."""
 
@@ -34,10 +30,6 @@ class NotHomogeneous(TermboundError):
 
     Also raised by ``PhiSequence`` when the invariant check did not pass.
     """
-
-
-class NoWitness(TermboundError):
-    """Scan found no witness; the stated precondition was violated."""
 
 
 class LemmaViolated(TermboundError):

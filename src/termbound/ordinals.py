@@ -328,9 +328,9 @@ def from_vector(vec: Sequence[int]) -> Ordinal:
 # A literal has no inner whitespace, and it continues across "+" only when
 # a term follows at once, so "w+ 1" is the literal "w" and then a "+".
 #
-# Readers that embed literals (the command line's ordinal expressions, tree
-# text) read each one in place on their own Scanner, so error positions
-# count from the start of the input. Parsing, printing and comparing
+# A reader that embeds literals (the command line's ordinal expressions)
+# reads each one in place on its own Scanner, so error positions count
+# from the start of the input. Parsing, printing and comparing
 # recurse per level, so all levels of one input (exponents, parentheses,
 # ``exp(``) share one depth of at most MAX_NESTING: deeper input is a
 # ParseError, not a RecursionError in whichever of them runs out of stack

@@ -413,7 +413,7 @@ def parse_rank(text: str) -> tuple:
     i = 1
     while i < len(tokens):
         op = tokens[i]
-        if op not in "+-" or i + 1 >= len(tokens):
+        if op not in ("+", "-") or i + 1 >= len(tokens):
             raise ParseError(f"bad rank expression {text!r}")
         rhs = term(tokens[i + 1])
         expr = ("add" if op == "+" else "monus", expr, rhs)
@@ -768,11 +768,11 @@ def step_bound(report: InvariantReport) -> int:
 
 # --- serialization -----------------------------------------------------------
 #
-# Program text: a ``vars`` line, then one command per line with its
-# preorder location, two spaces of indentation per nesting level, and a
-# bare ``else`` line separating the branches of an ``if``. The parser,
-# the lowering and the printer recurse per level, so commands nest at most
-# MAX_NESTING levels deep.
+# Program text: a ``vars`` line declaring identifiers, then one command
+# per line with its preorder location, two spaces of indentation per
+# nesting level (no tabs), and a bare ``else`` line separating the
+# branches of an ``if``. The parser, the lowering and the printer recurse
+# per level, so commands nest at most MAX_NESTING levels deep.
 
 
 def program_to_text(p: Program) -> str:
@@ -801,10 +801,16 @@ def program_to_text(p: Program) -> str:
 
 
 def program_from_text(text: str) -> Program:
+    if "\t" in text:
+        raise ParseError("program text contains a tab; indent with two spaces per level")
     raw = [l for l in text.splitlines() if l.strip()]
-    if not raw or not raw[0].startswith("vars"):
+    header = raw[0].split() if raw else []
+    if header[:1] != ["vars"]:
         raise ParseError("program text must start with a 'vars' line")
-    variables = tuple(raw[0].split()[1:])
+    variables = tuple(header[1:])
+    for name in variables:
+        if not name.isidentifier():
+            raise ParseError(f"declared name {name!r} is not an identifier")
 
     # Each parsed line: (loc or None for else, depth, payload)
     parsed = []
@@ -817,10 +823,13 @@ def program_from_text(text: str) -> Program:
                 raise ParseError(f"missing location in line {line!r}")
             loc = nat_value(head.strip())
             body = rest[1:] if rest.startswith(" ") else rest
-        depth = (len(body) - len(body.lstrip())) // 2
+        payload = body.lstrip(" ")
+        depth, odd = divmod(len(body) - len(payload), 2)
+        if odd or payload[:1].isspace():
+            raise ParseError(f"line {line!r} is not indented by two spaces per level")
         if depth > MAX_NESTING:
             raise ParseError(f"commands nested too deeply (limit {MAX_NESTING})")
-        parsed.append((loc, depth, body.strip()))
+        parsed.append((loc, depth, payload.strip()))
 
     pos = 0
 

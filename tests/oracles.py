@@ -177,12 +177,13 @@ def insert_branch(t: ErdosTree, y: Sequence[int]) -> ColoredList:
     """
     points: list = []
     colors: list[int] = []
-    cur = t.root
-    while cur is not None:
-        c = color_of(y, cur.point)
-        points.append(cur.point)
+    cur = 0 if t.nodes else -1
+    while cur >= 0:
+        n = t.nodes[cur]
+        c = color_of(y, n.point)
+        points.append(n.point)
         colors.append(c)
-        cur = cur.children[c - 1]
+        cur = n.children[c - 1]
     return ColoredList(tuple(points) + (tuple(y),), tuple(colors))
 
 

@@ -5,13 +5,8 @@ from hypothesis import example, given, strategies as st
 
 from oracles import bound_g_literal, find_nondescent_pointwise
 from termbound import bounds
-from termbound.bounds import (
-    SequenceFn,
-    bound_g,
-    find_adjacent_increase,
-    find_nondescent,
-)
-from termbound.errors import BudgetExceeded, LemmaViolated, NoWitness
+from termbound.bounds import SequenceFn, bound_g, find_nondescent
+from termbound.errors import BudgetExceeded, LemmaViolated
 
 
 class TestLexLe:
@@ -33,31 +28,6 @@ class TestLexLe:
             SequenceFn.from_rows([(1,), (1, 2)])
         with pytest.raises(ValueError):
             SequenceFn.from_rows([(1, 2), (1, 2), (1,)])
-
-
-class TestFindAdjacentIncrease:
-    def test_identity(self):
-        assert find_adjacent_increase(lambda n: n, 0, 3) == 0
-
-    def test_scan(self):
-        values = [5, 5, 2, 9]
-        assert find_adjacent_increase(lambda n: values[n], 0, 3) == 2
-
-    def test_no_witness_when_precondition_violated(self):
-        with pytest.raises(NoWitness):
-            find_adjacent_increase(lambda n: 7, 0, 3)
-
-    def test_postcondition_on_random_instances(self):
-        import random
-
-        rng = random.Random(17)
-        for _ in range(200):
-            values = [rng.randint(0, 9) for _ in range(10)]
-            m = rng.randint(0, 8)
-            n = rng.randint(m + 1, 9)
-            if values[m] < values[n]:
-                p = find_adjacent_increase(lambda i: values[i], m, n)
-                assert m <= p < n and values[p] < values[p + 1]
 
 
 class TestBoundG:

@@ -86,7 +86,10 @@ class TestCommands:
         doc = json.loads(capsys.readouterr().out)
         assert doc["k"] == 2
         assert doc["f_star_vec"] == [48, 45]
-        assert len(doc["tree"]["branches"]) == 2
+        assert doc["tree"]["nodes"] == [
+            {"point": [3, 4], "parent": None, "color": None},
+            {"point": [1, 4], "parent": 0, "color": 1},
+        ]
 
     def test_embed_long_chain(self, capsys):
         # One tree level per point: deeper than the interpreter's recursion limit.
@@ -94,6 +97,14 @@ class TestCommands:
         assert main(["embed", *(f"{y},{x}" for y, x in points)]) == 0
         vector = f_star_vec(points, 2)
         assert capsys.readouterr().out.splitlines()[-1] == f"vector: {vector}"
+
+    def test_embed_long_chain_structured_size(self, capsys):
+        # Each node is printed once, so the document grows linearly.
+        points = [f"{y},0" for y in range(1000, 0, -1)]
+        assert main(["--format", "structured", "embed", *points]) == 0
+        out = capsys.readouterr().out
+        assert len(out.encode()) < 1_000_000
+        assert len(json.loads(out)["tree"]["nodes"]) == 1000
 
     def test_embed_rejects_non_homogeneous(self, capsys):
         assert main(["embed", "1,1", "1,1"]) == 1
@@ -276,7 +287,7 @@ GOLDEN = {
     "check-pass": (0, "9b2653e4eea23e849a50ec93feff91a63e92472b5b1cafc3c2ede2767bbcfb38"),
     "check-fail": (1, "9f6c21b7941feab7c19e4564b782e20eae2cb3c7529a32f929dbc2ba12ebd0a1"),
     "check-budget": (3, "e08a7296521f5cad3117f31b6cf76ea86c794b8f4434abae0f4f12fde383367a"),
-    "embed": (0, "1e4a05ed40d0f95ec6eeeac82244dd641311c6ab4dcc39382e4efcb507ff08ee"),
+    "embed": (0, "a75f2691fba913465b5e7cc47fd32252fd74502e642bef5d3dbce9802bbd8b7d"),
     "bound": (0, "fa478fca22c5d11bfc57c0bc8c41ed7162cc0c641a0743e4f7b90864680a4898"),
     "bound-0": (0, "3aaa7505ef91c67d1d1fefa955b31158e09c80f3f57dac48fe5a261d413a2dde"),
     "bound-5000": (0, "34029757e9c1c8a480d133cb64da525bb20c3140645f5ddc027e55a166709380"),
@@ -404,6 +415,11 @@ class TestInputValidation:
     def test_check_rejects_bad_locations(self, tmp_path, key, locations):
         inv = [{"name": "r", "atoms": [], "rank": "y - x", key: locations}]
         code, err = counting_check(tmp_path, inv)
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_check_rejects_doubled_rank_operator(self, tmp_path):
+        code, err = counting_check(tmp_path, [{"name": "r", "atoms": [], "rank": "3 +- loc"}])
         assert code == 2
         assert err.startswith("error:") and err.count("\n") == 1
 

@@ -119,7 +119,7 @@ class TestInsertBranch:
 class TestEmbed:
     def test_empty(self):
         t = embed([], 2)
-        assert t.is_empty
+        assert t.branch_count() == 0
         assert t.branches() == []
 
     def test_single(self):
@@ -128,9 +128,11 @@ class TestEmbed:
 
     def test_two_points(self):
         t = embed([(3, 4), (1, 4)], 2)
-        assert t.root.point == (3, 4)
-        assert t.root.children[0].point == (1, 4)
-        assert t.root.children[1] is None
+        assert [(n.point, n.parent, n.color) for n in t.nodes] == [
+            ((3, 4), -1, 0),
+            ((1, 4), 0, 1),
+        ]
+        assert t.nodes[0].children == [1, -1]
 
     def test_rejects_non_homogeneous(self):
         with pytest.raises(NotHomogeneous):
@@ -295,22 +297,30 @@ class TestBranchProjection:
 
 
 class TestSerialization:
-    def test_round_trip(self):
-        # A node's place depends only on its ancestors, so inserting the
-        # end points of the branches, shortest first, rebuilds the tree.
-        rng = random.Random(21)
-        for _ in range(50):
-            k = rng.choice([2, 3])
-            t = embed(random_homogeneous(rng, k), k)
-            doc = json.loads(json.dumps(erdos_to_doc(t)))
-            back = ErdosTree(doc["k"])
-            for b in sorted(doc["branches"], key=lambda b: len(b["points"])):
-                back.insert(b["points"][-1])
-            assert erdos_to_doc(back) == erdos_to_doc(t)
-            assert back.vector == t.vector
-            assert [b["colors"] for b in doc["branches"]] == [
-                list(b.colors) for b in back.branches()
-            ]
+    @settings(max_examples=200, deadline=None)
+    @given(homogeneous_sequences())
+    def test_round_trip(self, case):
+        # One entry per point in input order. A node's place depends only
+        # on the nodes before it, so reinserting the points in document
+        # order rebuilds the tree, and each node's chain of parents and
+        # colors is the branch its point finds in the tree before it.
+        k, s = case
+        t = embed(s, k)
+        doc = json.loads(json.dumps(erdos_to_doc(t)))
+        nodes = doc["nodes"]
+        assert [n["point"] for n in nodes] == [list(p) for p in s]
+        back = ErdosTree(doc["k"])
+        for i, entry in enumerate(nodes):
+            colors, j = [], i
+            while nodes[j]["parent"] is not None:
+                assert nodes[j]["parent"] < j
+                colors.append(nodes[j]["color"])
+                j = nodes[j]["parent"]
+            assert j == 0 and nodes[0]["color"] is None
+            assert insert_branch(back, entry["point"]).colors == tuple(reversed(colors))
+            back.insert(entry["point"])
+        assert erdos_to_doc(back) == doc
+        assert back.vector == t.vector
 
     def test_nil_serializes(self):
-        assert erdos_to_doc(ErdosTree(2)) == {"k": 2, "branches": []}
+        assert erdos_to_doc(ErdosTree(2)) == {"k": 2, "nodes": []}

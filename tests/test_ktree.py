@@ -1,20 +1,10 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
 
 from oracles import brute_force_height
-from termbound.errors import BudgetExceeded, LabelNotDecreasing, OccupiedSlot, ParseError
-from termbound.ktree import (
-    LabelledTree,
-    Node,
-    extend,
-    height_nil,
-    height_tree,
-    node,
-    tree_from_text,
-    tree_to_text,
-)
+from termbound.errors import BudgetExceeded, LabelNotDecreasing
+from termbound.ktree import LabelledTree, Node, height_nil, height_tree, node
 from termbound.ordinals import OMEGA, Ordinal, cmp, nat_prod_nat, parse_ordinal
 
 o = parse_ordinal
@@ -69,41 +59,35 @@ def to_labelled(t, k):
     return LabelledTree(k, conv(t))
 
 
-class TestExtend:
-    def test_root_insertion(self):
-        t = extend(LabelledTree.empty(2), (), 1)
-        assert t.root == node(1, k=2)
+def add_leaf(t, path, label):
+    """``t`` with a new leaf labelled ``label`` at the empty slot ``path``
+    (child indices from 1; the empty path is the root), copying the path."""
 
-    def test_legal_child(self):
-        t = LabelledTree(2, node(1, k=2))
-        t2 = extend(t, (1,), 0)
-        assert t2.root == node(1, node(0, k=2), k=2)
+    def copy(n, rest):
+        if not rest:
+            return Node(label, (None,) * t.k)
+        i = rest[0] - 1
+        kids = n.children
+        return Node(n.label, kids[:i] + (copy(kids[i], rest[1:]),) + kids[i + 1 :])
 
+    return LabelledTree(t.k, copy(t.root, tuple(path)))
+
+
+class TestLabelledTree:
     def test_equal_label_rejected(self):
-        t = LabelledTree(2, node(1, k=2))
         with pytest.raises(LabelNotDecreasing):
-            extend(t, (1,), 1)
+            LabelledTree(2, node(1, node(1, k=2), k=2))
 
-    def test_occupied_root(self):
-        t = LabelledTree(2, node(1, k=2))
-        with pytest.raises(OccupiedSlot):
-            extend(t, (), 0)
+    def test_rejects_nondecreasing_labels(self):
+        # The increase sits below the root: every edge is checked.
+        with pytest.raises(LabelNotDecreasing):
+            LabelledTree(2, node(o("w*2"), None, node(1, node(o("w"), k=2), k=2), k=2))
 
-    def test_occupied_slot(self):
-        t = LabelledTree(2, node(2, node(1, k=2), k=2))
-        with pytest.raises(OccupiedSlot):
-            extend(t, (1,), 0)
-
-    def test_path_past_hole(self):
-        t = LabelledTree(2, node(2, k=2))
-        with pytest.raises(OccupiedSlot):
-            extend(t, (1, 1), 0)
-
-    def test_sharing(self):
-        left = node(2, node(1, k=2), k=2)
-        t = LabelledTree(2, node(3, left, k=2))
-        t2 = extend(t, (2,), 0)
-        assert t2.root.children[0] is t.root.children[0]
+    @pytest.mark.parametrize("slots", [1, 3])
+    def test_rejects_wrong_slot_count(self, slots):
+        child = Node(Ordinal.from_int(0), (None,) * slots)
+        with pytest.raises(ValueError, match="slots"):
+            LabelledTree(2, node(1, child, k=2))
 
 
 class TestHeightNil:
@@ -159,14 +143,14 @@ class TestHeightTree:
         for _ in range(200):
             t = LabelledTree.empty(2)
             for _ in range(rng.randint(0, 6)):
-                slots = [((), alpha)] if t.is_empty else t.empty_slots()
+                slots = [((), alpha)] if t.root is None else t.empty_slots()
                 if not slots:
                     break
                 path, owner = rng.choice(slots)
                 below = [l for l in labels if cmp(l, owner) < 0]
                 if not below:
                     continue
-                t2 = extend(t, path, rng.choice(below))
+                t2 = add_leaf(t, path, rng.choice(below))
                 assert cmp(height_tree(t2, alpha), height_tree(t, alpha)) < 0
                 t = t2
 
@@ -214,55 +198,3 @@ class TestBruteForce:
         right = LabelledTree(2, node(2, None, node(0, k=2), k=2))
         assert table[left] == table[right]
         assert height_tree(left, 3) == height_tree(right, 3)
-
-
-class TestSerialization:
-    @pytest.mark.parametrize(
-        "text,k",
-        [
-            ("_", 2),
-            ("(1 _ _)", 2),
-            ("(w*2+1 (w _ _) _)", 2),
-            ("(w^(w) _ _ _)", 3),
-            ("(2 (1 (0 _ _ _) _ _) _ _)", 3),
-        ],
-    )
-    def test_round_trip(self, text, k):
-        t = tree_from_text(text, k)
-        assert tree_to_text(t) == text
-
-    def test_rejects_garbage(self):
-        with pytest.raises(ParseError):
-            tree_from_text("(1 _", 2)
-
-    def test_rejects_nondecreasing_labels(self):
-        with pytest.raises(LabelNotDecreasing):
-            tree_from_text("(1 (1 _ _) _)", 2)
-
-    @pytest.mark.parametrize("text", ["(37_)", "(1(0 _) _)", "(1(0 _))", "(w^(1)_)"])
-    def test_label_needs_whitespace_after_it(self, text):
-        with pytest.raises(ParseError):
-            tree_from_text(text, 1)
-
-    @given(st.data())
-    def test_text_round_trip(self, data):
-        k = data.draw(st.integers(1, 3))
-        t = data.draw(labelled_trees(k))
-        assert tree_from_text(tree_to_text(t), k) == t
-
-
-# Increasing, so a label drawn below index i is below LABELS[i].
-LABELS = [o(text) for text in (
-    "0", "1", "2", "7", "w", "w+1", "w*2+3", "w^2", "w^3*2+w", "w^(w)", "w^(w+1)*4+9", "w^(w^(w))",
-)]
-
-
-def labelled_trees(k):
-    @st.composite
-    def grow(draw, below):
-        if below == 0 or not draw(st.booleans()):
-            return None
-        i = draw(st.integers(0, below - 1))
-        return Node(LABELS[i], tuple(draw(grow(i)) for _ in range(k)))
-
-    return grow(len(LABELS)).map(lambda root: LabelledTree(k, root))

@@ -441,6 +441,25 @@ class TestProgramText:
         with pytest.raises(ParseError):
             program_from_text(text)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # One space short: the assignment would leave the loop.
+            "vars x y\n0: while x < y\n1:  x := x + 1\n",
+            "vars x y\n0: while x < y\n1:    x := x + 1\n",
+            "vars x y\n0: if x < y\n1:   x := 1\n else\n2:   x := 0\n",
+            "vars x y\n0: while x < y\n1: \tx := x + 1\n",
+            "vars x y\n0: while x < y\n\t1:   x := x + 1\n",
+            "vars x y\n0: while x < y\n1: \u00a0 x := x + 1\n",
+            "varsfoo x\n0: x := 1\n",
+            "vars x 1 x'\n0: x := 1\n",
+        ],
+        ids=["odd-short", "odd-long", "odd-else", "tab-body", "tab-line", "nbsp", "header", "name"],
+    )
+    def test_rejects_malformed_indentation_and_header(self, text):
+        with pytest.raises(ParseError):
+            program_from_text(text)
+
 
 class TestInvariantJson:
     def test_round_trip(self):
@@ -472,6 +491,11 @@ class TestInvariantJson:
     @pytest.mark.parametrize("text", ["x'", "y - loc'", "x + x'"])
     def test_rank_reads_the_pre_state_only(self, text):
         with pytest.raises(ParseError, match="post state"):
+            parse_rank(text)
+
+    @pytest.mark.parametrize("text", ["x +- y", "x ++ y", "x -- y", "3 +- loc"])
+    def test_rank_rejects_doubled_operators(self, text):
+        with pytest.raises(ParseError):
             parse_rank(text)
 
     @pytest.mark.parametrize("text", ["٣ - x", "x + ²"])
