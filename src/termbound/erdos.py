@@ -18,27 +18,30 @@ measure, ``f_star``, is the bridge from homogeneous sequences to integer
 vectors ordered lexicographically.
 
 ``ErdosTree`` is the one tree: it grows in place, labels each new leaf as
-it is added and keeps the measure vector up to date, one descent per
-point. Its nodes sit in one list in insertion order, each with its
-parent's index and edge color, so a parent always precedes its children
-and every walk over the whole tree is a loop over that list; the
-structured document (``erdos_to_doc``) is that list, one entry per
-point. ``to_labelled_tree`` and ``height_of_tree`` recompute every label
-and the height from the points alone; they are the rebuild path that the
-test oracles (``f_star_vec`` in ``tests/oracles.py``) check the vector
-against.
+it is added and keeps the measure vector up to date. Its nodes sit in one
+list in insertion order, each with its parent's index and edge color, so
+a parent precedes its children; the structured document
+(``erdos_to_doc``) is that list, one entry per point. A descent bisects
+each run of same-colored edges on its path, and a label ``w * m + n`` is
+the int pair ``(m, n)`` whose height vector has a closed form
+(``height_vector``), so a point costs a few bisects and integer sums.
+``to_labelled_tree`` and ``height_of_tree`` recompute every label and the
+height with ordinals from the points alone; they are the rebuild path
+that the test oracles (``f_star_vec`` and the node-by-node ``WalkTree``
+in ``tests/oracles.py``) check the vector against.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice
-from operator import le
+from operator import le, lt
 from typing import Sequence
 
 from .errors import LabelNotDecreasing, NoRelation, NotHomogeneous
-from .ktree import LabelledTree, Node, height_nil, height_tree
-from .ordinals import OMEGA, Ordinal, cmp, nat_prod_nat, nat_sum, nat_sum_all, to_vector
+from .ktree import LabelledTree, Node, height_tree
+from .ordinals import OMEGA, Ordinal, from_vector, int_power, nat_prod_nat, nat_sum, nat_sum_all
 
 Point = tuple[int, ...]
 
@@ -93,10 +96,22 @@ class ColoredList:
 @dataclass(slots=True)
 class _Node:
     point: Point
-    label: Ordinal
+    label: tuple[int, int]  # (m, n) for the label w * m + n
     parent: int  # index in ErdosTree.nodes; -1 for the root
     color: int  # color of the edge from the parent; 0 for the root
     children: list[int]  # index of the child per color; -1 for none
+    run: list[int]  # nodes entered by this node's maximal run of color-``color`` edges
+
+
+def height_vector(k: int, m: int, n: int) -> tuple[int, ...]:
+    """``to_vector(height_nil(k, w * m + n), k)`` in closed form, for m < k."""
+    if k == 1:
+        return (n,)
+    power = int_power(k, n)
+    vec = [0] * (k - 1) + [(power - 1) // (k - 1)]
+    if m:
+        vec[k - 1 - m] = power
+    return tuple(vec)
 
 
 class ErdosTree:
@@ -107,23 +122,27 @@ class ErdosTree:
     root point and at most one child per color at every node, so each
     branch is addressed by its color sequence. The tree grows in place:
     ``nodes`` holds one node per inserted point, in insertion order, so the
-    root is ``nodes[0]`` and every parent comes before its children.
+    root is ``nodes[0]`` and every parent comes before its children. A
+    node shares with the nodes above it by edges of its own color the list
+    of that run of edges, which only grows at its tail.
 
     The measure is the height of the labelled tree: the natural sum, over
     its empty slots, of ``h_k`` at the slot owner's label, and below
-    ``w^k`` a natural sum is a coefficient-wise vector sum. A label depends
-    only on the node's ancestors, so adding a leaf labelled ``L`` in a slot
-    owned by a node labelled ``P`` changes no existing label and moves the
-    vector by ``k * vec(h_k(L)) - vec(h_k(P))``. The first point replaces
-    the empty tree, whose one slot is owned by ``w * k``, so nothing is
-    subtracted. ``vector`` is ``()`` while the tree is empty.
+    ``w^k`` a natural sum is a coefficient-wise vector sum. A label
+    ``w * m + n`` is kept as the pair ``(m, n)``, so labels compare as
+    tuples. A label depends only on the node's ancestors, so adding a leaf
+    labelled ``L`` in a slot owned by a node labelled ``P`` changes no
+    existing label and moves the vector by ``k * vec(h_k(L)) -
+    vec(h_k(P))``. The first point replaces the empty tree, whose one slot
+    is owned by ``w * k``, so nothing is subtracted. ``vector`` is ``()``
+    while the tree is empty.
     """
 
     def __init__(self, k: int):
         self.k = k
         self.nodes: list[_Node] = []
         self.vector: tuple[int, ...] = ()
-        self._height_vec: dict[Ordinal, tuple[int, ...]] = {}
+        self._height_vec: dict[tuple[int, int], tuple[int, ...]] = {}
 
     def branch_count(self) -> int:
         """Number of nonempty branches, i.e. nodes."""
@@ -141,50 +160,64 @@ class ErdosTree:
         out.sort(key=lambda b: b.colors)
         return out
 
-    def _vec_h(self, label: Ordinal) -> tuple[int, ...]:
-        vec = self._height_vec.get(label)
-        if vec is None:
-            vec = to_vector(height_nil(self.k, label), self.k)
-            self._height_vec[label] = vec
-        return vec
-
     def insert(self, y: Sequence[int]) -> tuple[int, ...]:
         """Add ``y`` as a new leaf on its descent path; the new measure vector.
 
         From the root, ``y`` follows at every node the child edge colored
         by the first coordinate in which it descends below that node's
-        point. Only the descent path is compared with ``y``: the caller
-        guarantees homogeneity, as ``embed`` does. Raises NoRelation when
-        ``y`` does not descend below a node on the path, and
-        LabelNotDecreasing, like ``to_labelled_tree``, if the new label is
-        not below its parent's.
+        point. Along a run of color-c edges coordinate c strictly falls and
+        every coordinate before it only rises, so ``y`` takes color c on a
+        prefix of the run: a bisect finds its end, and ``color_of`` runs in
+        full only at the node after it. Only the descent path is compared
+        with ``y``: the caller guarantees homogeneity, as ``embed`` does.
+        Raises NoRelation when ``y`` does not descend below a node on the
+        path, and LabelNotDecreasing, like ``to_labelled_tree``, if the new
+        label is not below its parent's; the tree is then unchanged.
         """
         y = _check_point(y, self.k)
-        k, nodes = self.k, self.nodes
+        k, nodes, memo = self.k, self.nodes, self._height_vec
         nearest: dict[int, Point] = {}
         parent, color = -1, 0
+
+        def leaves_run(i: int) -> bool:
+            p = nodes[i].point
+            return y[color - 1] >= p[color - 1] or any(map(lt, y[: color - 1], p))
+
         cur = 0 if nodes else -1
         while cur >= 0:
             n = nodes[cur]
             color = color_of(y, n.point)
             nearest[color] = n.point
             parent, cur = cur, n.children[color - 1]
-        label = _label(y, nearest, k)
-        gained = self._vec_h(label)
+            if cur >= 0:
+                # n's own edge is not colored ``color``, so cur heads its run.
+                run = nodes[cur].run
+                end = bisect_left(run, True, key=leaves_run)
+                if end:
+                    parent = run[end - 1]
+                    nearest[color] = nodes[parent].point
+                cur = run[end] if end < len(run) else -1
         if parent < 0:
+            label, run = (k - 1, max(y) + 1), []
+            gained = memo[label] = height_vector(k, *label)
             self.vector = tuple(k * g for g in gained)
         else:
+            label = (k - len(nearest), sum(p[h - 1] for h, p in nearest.items()))
+            gained = memo.get(label) or memo.setdefault(label, height_vector(k, *label))
             owner = nodes[parent]
-            if cmp(label, owner.label) >= 0:
+            if label >= owner.label:
                 raise LabelNotDecreasing(
-                    f"label {label} of {y} not below parent label {owner.label}"
+                    f"label {from_vector(label)} of {y} not below parent label "
+                    f"{from_vector(owner.label)}"
                 )
-            lost = self._vec_h(owner.label)
+            lost = memo[owner.label]
             owner.children[color - 1] = len(nodes)
             self.vector = tuple(
                 v + k * g - l for v, g, l in zip(self.vector, gained, lost)
             )
-        nodes.append(_Node(y, label, parent, color, [-1] * k))
+            run = owner.run if owner.color == color else []
+        run.append(len(nodes))
+        nodes.append(_Node(y, label, parent, color, [-1] * k, run))
         return self.vector
 
 

@@ -139,13 +139,16 @@ class Program:
 
     Locations number the commands in preorder; the location one past the
     last command is the single final point of a top-level run. Undeclared
-    variable references are rejected at construction.
+    variable references are rejected at construction, and so is a variable
+    named ``loc``, which atoms and ranks read as the location.
     """
 
     def __init__(self, variables: Sequence[str], body: Sequence[Cmd]):
         self.variables: tuple[str, ...] = tuple(variables)
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("duplicate variable declaration")
+        if "loc" in self.variables:
+            raise ValueError("'loc' names the location and cannot be declared")
         self.body: tuple[Cmd, ...] = tuple(body)
         self._index = {name: i for i, name in enumerate(self.variables)}
         self._table: list[tuple] = []
@@ -811,6 +814,8 @@ def program_from_text(text: str) -> Program:
     for name in variables:
         if not name.isidentifier():
             raise ParseError(f"declared name {name!r} is not an identifier")
+        if name == "loc":
+            raise ParseError("'loc' names the location and cannot be declared")
 
     # Each parsed line: (loc or None for else, depth, payload)
     parsed = []

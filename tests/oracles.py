@@ -4,7 +4,8 @@ Each recomputes a result of ``src/`` from its definition: tree heights by
 exhausting the poset (``brute_force_height``), the colored-tree measure by
 rebuilding and re-labelling the whole tree (``f_star``, ``f_star_vec``),
 the new branch of an insertion by reading the descent path
-(``insert_branch``), the invariant check one pair at a time
+(``insert_branch``), the growing tree's measure node by node with ordinal
+labels (``WalkTree``), the invariant check one pair at a time
 (``check_invariant_pairwise``), the descent bound by its recursion with no
 closed form (``bound_g_literal``) and the non-descent scan one point at a
 time (``find_nondescent_pointwise``).
@@ -14,10 +15,10 @@ from typing import Sequence
 
 from termbound import bounds
 from termbound.bounds import SequenceFn
-from termbound.erdos import ColoredList, ErdosTree, color_of, embed, height_of_tree
-from termbound.errors import BudgetExceeded, LemmaViolated
-from termbound.ktree import LabelledTree, Node
-from termbound.ordinals import Ordinal, to_vector
+from termbound.erdos import ColoredList, ErdosTree, _label, color_of, embed, height_of_tree
+from termbound.errors import BudgetExceeded, LabelNotDecreasing, LemmaViolated
+from termbound.ktree import LabelledTree, Node, height_nil
+from termbound.ordinals import Ordinal, cmp, to_vector
 from termbound.termlang import InvariantReport, Program, Trace, TransitionInvariant
 
 # --- the exhaustive height oracle ---------------------------------------------
@@ -185,6 +186,51 @@ def insert_branch(t: ErdosTree, y: Sequence[int]) -> ColoredList:
         colors.append(c)
         cur = n.children[c - 1]
     return ColoredList(tuple(points) + (tuple(y),), tuple(colors))
+
+
+class WalkTree:
+    """``ErdosTree.insert`` node by node, with ordinal labels.
+
+    The descent calls ``color_of`` at every node of the path; each label is
+    the ``Ordinal`` of ``erdos._label``, labels compare with ``cmp``, and
+    the vector moves by ``to_vector(height_nil(k, label), k)``. ``nodes``
+    holds ``[point, label, parent, color, children]`` per inserted point,
+    in insertion order; the tree is unchanged when ``insert`` raises.
+    """
+
+    def __init__(self, k: int):
+        self.k = k
+        self.nodes: list[list] = []
+        self.vector: tuple[int, ...] = ()
+
+    def insert(self, y: Sequence[int]) -> tuple[int, ...]:
+        y = tuple(y)
+        k, nodes = self.k, self.nodes
+        nearest: dict = {}
+        parent, color = -1, 0
+        cur = 0 if nodes else -1
+        while cur >= 0:
+            point, _, _, _, children = nodes[cur]
+            color = color_of(y, point)
+            nearest[color] = point
+            parent, cur = cur, children[color - 1]
+        label = _label(y, nearest, k)
+        gained = to_vector(height_nil(k, label), k)
+        if parent < 0:
+            self.vector = tuple(k * g for g in gained)
+        else:
+            owner = nodes[parent]
+            if cmp(label, owner[1]) >= 0:
+                raise LabelNotDecreasing(
+                    f"label {label} of {y} not below parent label {owner[1]}"
+                )
+            lost = to_vector(height_nil(k, owner[1]), k)
+            owner[4][color - 1] = len(nodes)
+            self.vector = tuple(
+                v + k * g - l for v, g, l in zip(self.vector, gained, lost)
+            )
+        nodes.append([y, label, parent, color, [-1] * k])
+        return self.vector
 
 
 def f_star(s: Sequence[Sequence[int]], k: int) -> Ordinal:

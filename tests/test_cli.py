@@ -410,6 +410,17 @@ class TestInputValidation:
         assert code == 2
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_check_rejects_a_variable_named_loc(self, tmp_path):
+        # The rank ``loc`` reads the location, never a variable of that
+        # name, so the declaration is refused rather than misread.
+        prog = tmp_path / "loc.prog"
+        prog.write_text("vars loc x\n0: loc := x\n")
+        inv = tmp_path / "loc.inv.json"
+        inv.write_text(json.dumps([{"name": "r", "atoms": [], "rank": "loc"}]))
+        code, err = run_main("check", str(prog), "--invariant", str(inv), "--set", "loc=5")
+        assert code == 2
+        assert err == "error: 'loc' names the location and cannot be declared\n"
+
     @pytest.mark.parametrize("locations", [5, "01", [0, "a"]], ids=["int", "string", "mixed"])
     @pytest.mark.parametrize("key", ["pre_locations", "post_locations"])
     def test_check_rejects_bad_locations(self, tmp_path, key, locations):

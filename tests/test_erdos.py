@@ -1,22 +1,44 @@
 import json
 import random
+from functools import lru_cache
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import f_star, f_star_vec, insert_branch
+from oracles import WalkTree, f_star, f_star_vec, insert_branch
 from termbound.erdos import (
     ColoredList,
     ErdosTree,
     color_of,
     embed,
     erdos_to_doc,
+    height_of_tree,
+    height_vector,
     is_homogeneous,
     to_labelled_tree,
 )
-from termbound.errors import NoRelation, NotHomogeneous
-from termbound.ktree import LabelledTree, node
-from termbound.ordinals import cmp, nat_prod_nat, parse_ordinal, OMEGA
+from termbound.errors import (
+    BudgetExceeded,
+    LabelNotDecreasing,
+    NoRelation,
+    NotHomogeneous,
+    TermboundError,
+)
+from termbound.ktree import LabelledTree, height_nil, node
+from termbound.ordinals import (
+    MAX_POWER_BITS,
+    OMEGA,
+    Ordinal,
+    cmp,
+    from_vector,
+    nat_prod_nat,
+    nat_sum,
+    parse_ordinal,
+    to_vector,
+)
+from termbound.prcompile import ADD, MULT, SUB, compile_term
+from termbound.termlang import check_invariant, initial_state, run_trace
 
 o = parse_ordinal
 
@@ -276,6 +298,187 @@ class TestInsertMeasure:
         with pytest.raises(NoRelation):
             t.insert((3, 4))
         assert t.branch_count() == 1
+
+    def test_label_error_prints_ordinals(self):
+        # The labelling makes every child's label fall, so only a label
+        # changed by hand can trip the check; the message prints both
+        # labels as ordinals, as the walk oracle does.
+        tree, walk = ErdosTree(2), WalkTree(2)
+        for t in (tree, walk):
+            t.insert((3, 4))
+        tree.nodes[0].label = (0, 2)
+        walk.nodes[0][1] = Ordinal.from_int(2)
+        message = "label w+3 of (1, 4) not below parent label 2"
+        for t in (tree, walk):
+            with pytest.raises(LabelNotDecreasing) as err:
+                t.insert((1, 4))
+            assert str(err.value) == message
+        assert [n.children for n in tree.nodes] == [[-1, -1]]
+        assert tree.vector == walk.vector == f_star_vec([(3, 4)], 2)
+
+    def test_power_budget_holds(self):
+        # A root label w + n needs 2^n: past the budget at the root ...
+        t = ErdosTree(2)
+        with pytest.raises(BudgetExceeded):
+            t.insert((MAX_POWER_BITS, 0))
+        assert (t.nodes, t.vector) == ([], ())
+        # ... and at a node whose label sums two colors' coordinates.
+        half = MAX_POWER_BITS * 3 // 4
+        t.insert((half, 0))
+        t.insert((0, half))
+        before = (list(t.vector), [list(n.children) for n in t.nodes])
+        with pytest.raises(BudgetExceeded):
+            t.insert((0, 0))
+        assert (list(t.vector), [list(n.children) for n in t.nodes]) == before
+        assert t.branch_count() == 2
+
+
+class TestHeightVector:
+    def test_matches_height_nil_on_every_small_label(self):
+        labels = [
+            (k, m, n) for k in range(1, 7) for m in range(k) for n in range(40)
+        ]
+        assert len(labels) == 840
+        for k, m, n in labels:
+            label = nat_sum(nat_prod_nat(OMEGA, m), n)
+            assert height_vector(k, m, n) == to_vector(height_nil(k, label), k)
+
+    def test_power_past_the_budget_raises(self):
+        with pytest.raises(BudgetExceeded):
+            height_vector(2, 1, MAX_POWER_BITS + 1)
+        with pytest.raises(BudgetExceeded):
+            height_vector(3, 0, MAX_POWER_BITS)
+
+
+def assert_insert_matches_oracles(k, s):
+    """Insert ``s`` into an ErdosTree and a WalkTree, comparing after every point.
+
+    Both give the same vector or the same exception, keep the same nodes
+    and labels, and a kept prefix's vector is its rebuilt measure
+    (``f_star_vec`` when the prefix is homogeneous).
+    """
+    tree, walk, kept = ErdosTree(k), WalkTree(k), []
+    for y in s:
+        outcomes = []
+        for t in (tree, walk):
+            try:
+                outcomes.append(("vector", t.insert(y)))
+            except TermboundError as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1]
+        assert [
+            (n.point, from_vector(n.label), n.parent, n.color, n.children)
+            for n in tree.nodes
+        ] == [tuple(n) for n in walk.nodes]
+        assert tree.vector == walk.vector
+        if outcomes[0][0] == "vector":
+            kept.append(y)
+            if is_homogeneous(kept, k):
+                assert tree.vector == f_star_vec(kept, k)
+            else:
+                assert tree.vector == to_vector(height_of_tree(tree), k)
+
+
+@st.composite
+def any_sequences(draw):
+    """(k, s): points with no homogeneity filter."""
+    k = draw(st.integers(1, 4))
+    return k, draw(st.lists(st.tuples(*[st.integers(0, 5)] * k), max_size=20))
+
+
+@st.composite
+def single_color_chains(draw):
+    """(k, s): one run of color c+1, then points that leave it part way.
+
+    Along the run coordinate c falls and the coordinates before it rise. A
+    later point copies a run member's coordinates before c and goes one
+    below it at c, so it keeps color c+1 down to that member and leaves
+    the run where a coordinate before c rose past it.
+    """
+    rng = draw(st.randoms(use_true_random=False))
+    k = rng.randint(1, 4)
+    c = rng.randrange(k)
+    p = [rng.randint(0, 3) for _ in range(k)]
+    p[c] = rng.randint(20, 150)
+    run = []
+    while p[c] >= 0 and len(run) < 60:
+        run.append(tuple(p))
+        p = [
+            v + rng.randint(0, 1) if h < c else v - rng.randint(1, 3) if h == c
+            else rng.randint(0, 9)
+            for h, v in enumerate(p)
+        ]
+    tail = []
+    for _ in range(rng.randint(0, 8)):
+        q = list(rng.choice(run))
+        q[c] -= 1
+        tail.append(tuple(v if h <= c else rng.randint(0, 9) for h, v in enumerate(q)))
+    return k, [pt for pt in run + tail if min(pt) >= 0]
+
+
+@st.composite
+def alternating_colors(draw):
+    """(k, s): each point descends below the one before in colors that
+    take turns; with ``homogeneous`` a point is kept only when it descends
+    below every point before it."""
+    rng = draw(st.randoms(use_true_random=False))
+    k = rng.randint(2, 4)
+    colors = rng.sample(range(k), 2)
+    homogeneous = rng.random() < 0.5
+    s = [tuple(rng.randint(10, 40) for _ in range(k))]
+    for i in range(rng.randint(1, 50)):
+        c = colors[i % 2]
+        q = [
+            v + rng.randint(0, 1) if h < c else v - rng.randint(1, 2) if h == c
+            else rng.randint(0, 40)
+            for h, v in enumerate(s[-1])
+        ]
+        if q[c] < 0:
+            break
+        if homogeneous and not all(any(a < b for a, b in zip(q, e)) for e in s):
+            continue
+        s.append(tuple(q))
+    return k, s
+
+
+SMALL_TRACES = (
+    [("add", args) for args in product(range(4), range(3))]
+    + [("sub", args) for args in product(range(4), repeat=2)]
+    + [("mult", args) for args in product(range(3), repeat=2)]
+)
+
+
+@lru_cache(maxsize=None)
+def trace_rank_tuples(name, args):
+    """(k, rank tuples) of the checked trace of a compiled term."""
+    unit = compile_term({"add": ADD, "sub": SUB, "mult": MULT}[name])
+    s0 = initial_state(unit.program, dict(zip(unit.input_vars, args)))
+    report = check_invariant(unit.program, run_trace(unit.program, s0), unit.invariant)
+    assert report.ok
+    return unit.invariant.k, report.rank_tuples
+
+
+class TestInsertAgainstWalk:
+    """The bisecting insert against the node-by-node walk and the rebuild."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(homogeneous_sequences() | any_sequences())
+    def test_random_sequences(self, case):
+        assert_insert_matches_oracles(*case)
+
+    @settings(max_examples=60, deadline=None)
+    @given(single_color_chains())
+    def test_single_color_chains(self, case):
+        assert_insert_matches_oracles(*case)
+
+    @settings(max_examples=100, deadline=None)
+    @given(alternating_colors())
+    def test_alternating_colors(self, case):
+        assert_insert_matches_oracles(*case)
+
+    @pytest.mark.parametrize("name,args", SMALL_TRACES)
+    def test_compiled_traces(self, name, args):
+        assert_insert_matches_oracles(*trace_rank_tuples(name, args))
 
 
 class TestBranchProjection:

@@ -412,6 +412,14 @@ class TestProgramText:
         assert program_from_text(text) == p
         assert program_to_text(program_from_text(text)) == text
 
+    def test_loc_is_not_a_variable_name(self):
+        # Atoms and ranks read ``loc`` as the location, so a variable of
+        # that name could never be read.
+        with pytest.raises(ValueError, match="'loc' names the location"):
+            Program(("loc", "x"), (Assign("loc", Var("x")),))
+        with pytest.raises(ParseError, match="'loc' names the location"):
+            program_from_text("vars loc x\n0: loc := x\n")
+
     def test_text_shape(self):
         p = counting_program()
         assert program_to_text(p) == "vars x y\n0: while x < y\n1:   x := x + 1\n"
