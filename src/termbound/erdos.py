@@ -50,7 +50,7 @@ def _check_point(p: Sequence[int], k: int) -> Point:
     p = tuple(p)
     if len(p) != k:
         raise ValueError(f"point {p} does not have {k} coordinates")
-    if any(not isinstance(c, int) or c < 0 for c in p):
+    if any(type(c) is not int or c < 0 for c in p):
         raise ValueError(f"point {p} has non-natural coordinates")
     return p
 

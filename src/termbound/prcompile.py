@@ -48,15 +48,12 @@ from .termlang import (
     Assign,
     Atom,
     Cmd,
-    Const,
     ConstraintRelation,
     FALSE_ATOM,
-    Inc,
     POST_LOC,
     PRE_LOC,
     Program,
     TransitionInvariant,
-    Var,
     While,
     const,
     post,
@@ -289,6 +286,10 @@ def _line_relation(n_points: int) -> ConstraintRelation:
     )
 
 
+def _increment(var: str, source: str) -> Assign:
+    return Assign(var, ("add", pre(source), const(1)))
+
+
 def _names(stem: str, n: int) -> tuple[str, ...]:
     return tuple(f"{stem}{i}" for i in range(1, n + 1))
 
@@ -328,7 +329,7 @@ def _compile(
     if isinstance(t, Proj):
         return list(inputs), [], inputs[t.i - 1], inputs
     if isinstance(t, Succ):
-        return [*inputs, r], [Assign(r, Inc(inputs[0]))], r, inputs
+        return [*inputs, r], [_increment(r, inputs[0])], r, inputs
 
     def call(
         idx: int,
@@ -343,8 +344,8 @@ def _compile(
             callee, f"{prefix}c{idx}_", guard + call_guard, relations
         )
         variables.extend(names)
-        copies = [Assign(f, Var(a)) for f, a in zip(formals, actuals)]
-        return copies + cmds + [Assign(out, Var(result))]
+        copies = [Assign(f, pre(a)) for f, a in zip(formals, actuals)]
+        return copies + cmds + [Assign(out, pre(result))]
 
     if isinstance(t, Comp):
         q, a = len(t.gs), prefix + "a"
@@ -362,11 +363,11 @@ def _compile(
                 rank=rank_monus(const(q + 2), pre(a)),
             )
         )
-        body: list[Cmd] = [Assign(a, Const(1))]
+        body: list[Cmd] = [Assign(a, const(1))]
         calls = [(g, inputs, out) for g, out in zip(t.gs, outs)] + [(t.h, outs, res)]
         for idx, (callee, actuals, out) in enumerate(calls):
             if idx > 0:
-                body.append(Assign(a, Inc(a)))
+                body.append(_increment(a, a))
             phase = (Atom(pre(a), "=", const(idx + 1)), Atom(post(a), "=", const(idx + 1)))
             body += call(idx, callee, phase, actuals, out)
         return variables, body, res, inputs
@@ -392,11 +393,11 @@ def _compile(
         Atom(pre(y), "=", post(y)),
         Atom(pre(z), "<", pre(y)),
     )
-    body = [Assign(z, Const(0))] + call(0, t.h, base_guard, inputs[1:], w)
-    body += [Assign(zi, Var(xi)) for zi, xi in zip(copies, inputs[1:])]
+    body = [Assign(z, const(0))] + call(0, t.h, base_guard, inputs[1:], w)
+    body += [Assign(zi, pre(xi)) for zi, xi in zip(copies, inputs[1:])]
     # The step call reads z as the recursion index, so the counter
     # increments after it: round r runs the step code with z = r - 1.
-    loop_body = call(1, t.g, step_guard, (z, w, *copies), w) + [Assign(z, Inc(z))]
+    loop_body = call(1, t.g, step_guard, (z, w, *copies), w) + [_increment(z, z)]
     body.append(While(z, y, tuple(loop_body)))
     return variables, body, w, inputs
 

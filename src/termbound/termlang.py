@@ -1,12 +1,14 @@
 """A deterministic while-if language with certified transition invariants.
 
-Programs operate on unbounded natural variables with four expression
-forms (constant, copy, increment, truncated decrement) and compare
-variables only with ``<``. Structured commands lower to a flat table of
-numbered program points; a state is a location plus one value per
-declared variable, and the interpreter takes one small step at a time.
-A state whose location carries no instruction is final and steps to
-itself.
+Programs operate on unbounded natural variables and compare them only
+with ``<``. The right side of an assignment is a term of the one term
+language that atoms and ranks also use, restricted to four forms:
+constant ``n``, copy ``x``, increment ``x + 1`` and truncated decrement
+``x - 1``; it is printed and evaluated like every other term. Structured
+commands lower to a flat table of numbered program points; a state is a
+location plus one value per declared variable, and the interpreter takes
+one small step at a time. A state whose location carries no instruction
+is final and steps to itself.
 
 A ranked relation is a binary relation on states together with a rank
 into the naturals that must strictly decrease on every member pair; a
@@ -42,50 +44,19 @@ from .erdos import ErdosTree
 from .errors import BudgetExceeded, NotHomogeneous, ParseError
 from .ordinals import MAX_NESTING, is_nat, nat_value
 
-# --- expressions and commands ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Const:
-    value: int
-
-    def __str__(self) -> str:
-        return str(self.value)
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-    def __str__(self) -> str:
-        return self.name
-
-
-@dataclass(frozen=True)
-class Inc:
-    name: str
-
-    def __str__(self) -> str:
-        return f"{self.name} + 1"
-
-
-@dataclass(frozen=True)
-class Dec:
-    """Truncated decrement: 0 - 1 = 0."""
-
-    name: str
-
-    def __str__(self) -> str:
-        return f"{self.name} - 1"
-
-
-Expr = Union[Const, Var, Inc, Dec]
+# --- commands ----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Assign:
+    """``var := expr``, where ``expr`` is a term of the one term language
+    that atoms and ranks use, in one of four forms: a constant
+    ``const(n)``, a copy ``pre(x)``, an increment
+    ``("add", pre(x), const(1))`` or a truncated decrement
+    ``("monus", pre(x), const(1))``. ``Program`` refuses any other term."""
+
     var: str
-    expr: Expr
+    expr: tuple
 
 
 @dataclass(frozen=True)
@@ -106,12 +77,6 @@ class If:
 Cmd = Union[Assign, While, If]
 
 
-def _expr_vars(e: Expr) -> tuple[str, ...]:
-    if isinstance(e, Const):
-        return ()
-    return (e.name,)
-
-
 def _count_points(cmds: Sequence[Cmd], sizes: dict[int, int]) -> int:
     """Program points of ``cmds``, bottom up; each command's count goes to ``sizes[id(c)]``."""
     total = 0
@@ -130,7 +95,7 @@ def _count_points(cmds: Sequence[Cmd], sizes: dict[int, int]) -> int:
 
 
 # Flat instruction table entries; locations are preorder command indices.
-# ("assign", var_index, expr, next_loc)
+# ("assign", var_index, value, next_loc), value(s, s) the assigned value
 # ("branch", left_index, right_index, true_loc, false_loc)
 
 
@@ -151,11 +116,10 @@ class Program:
             raise ValueError("'loc' names the location and cannot be declared")
         self.body: tuple[Cmd, ...] = tuple(body)
         self._index = {name: i for i, name in enumerate(self.variables)}
-        self._table: list[tuple] = []
         sizes: dict[int, int] = {}
         self.n_points = _count_points(self.body, sizes)
+        self._table: list[tuple] = [None] * self.n_points
         self._lower(self.body, 0, self.n_points, sizes)
-        assert len(self._table) == self.n_points
 
     def var_index(self, name: str) -> int:
         try:
@@ -175,12 +139,14 @@ class Program:
             after = begin + sizes[id(c)]
             cont = after if pos < len(cmds) - 1 else exit_loc
             if isinstance(c, Assign):
-                for v in _expr_vars(c.expr):
-                    self.var_index(v)
-                self._table.append(None)
-                self._table[begin] = ("assign", self.var_index(c.var), c.expr, cont)
+                if not _is_assign_expr(c.expr):
+                    raise ValueError(
+                        f"assignment to {c.var!r}: {c.expr!r} is not a constant, "
+                        "a copy, an increment or a decrement"
+                    )
+                value = _compile(c.expr, self)
+                self._table[begin] = ("assign", self.var_index(c.var), value, cont)
             elif isinstance(c, While):
-                self._table.append(None)
                 self._table[begin] = (
                     "branch",
                     self.var_index(c.left),
@@ -192,7 +158,6 @@ class Program:
             else:
                 then_start = begin + 1
                 else_start = then_start + sum(sizes[id(b)] for b in c.then_body)
-                self._table.append(None)
                 self._table[begin] = (
                     "branch",
                     self.var_index(c.left),
@@ -224,10 +189,14 @@ class State:
 
 
 def initial_state(p: Program, assignments: Mapping[str, int] | None = None) -> State:
-    """State at location 0; unassigned variables start at 0."""
+    """State at location 0; unassigned variables start at 0.
+
+    Raises ValueError for a value that is not an ``int`` (a ``bool`` is
+    not) or is negative.
+    """
     env = [0] * len(p.variables)
     for name, value in (assignments or {}).items():
-        if value < 0:
+        if type(value) is not int or value < 0:
             raise ValueError(f"variable {name!r} must be a natural number")
         env[p.var_index(name)] = value
     return State(0, tuple(env))
@@ -237,26 +206,14 @@ def is_final(p: Program, s: State) -> bool:
     return not 0 <= s.location < len(p._table)
 
 
-def _eval_expr(e: Expr, env: tuple[int, ...], p: Program) -> int:
-    if isinstance(e, Const):
-        return e.value
-    value = env[p.var_index(e.name)]
-    if isinstance(e, Var):
-        return value
-    if isinstance(e, Inc):
-        return value + 1
-    return max(0, value - 1)
-
-
 def step(p: Program, s: State) -> State:
     """One small step; final states repeat themselves."""
     if is_final(p, s):
         return s
     instr = p._table[s.location]
     if instr[0] == "assign":
-        _, vidx, expr, nxt = instr
-        value = _eval_expr(expr, s.env, p)
-        env = s.env[:vidx] + (value,) + s.env[vidx + 1 :]
+        _, vidx, value, nxt = instr
+        env = s.env[:vidx] + (value(s, s),) + s.env[vidx + 1 :]
         return State(nxt, env)
     _, li, ri, t, f = instr
     return State(t if s.env[li] < s.env[ri] else f, s.env)
@@ -303,7 +260,8 @@ def run_trace(p: Program, s0: State, max_steps: int = 10_000) -> Trace:
 # Terms: ("const", n) | ("pre", var) | ("post", var) | ("preloc",) | ("postloc",)
 # | ("add", l, r) | ("monus", l, r), where monus truncates at zero. An atom
 # compares two leaf terms of a (pre, post) pair; a rank is a term over the
-# pre state alone.
+# pre state alone, and so is an assignment's right side (one of the four
+# forms ``_is_assign_expr`` admits).
 
 
 def pre(name: str) -> tuple:
@@ -376,6 +334,22 @@ def _compile(t: tuple, p: Program) -> Callable[[State, State], int]:
     if kind == "add":
         return lambda s, s2: lf(s, s2) + rf(s, s2)
     return lambda s, s2: max(0, lf(s, s2) - rf(s, s2))
+
+
+def _is_assign_expr(t) -> bool:
+    """Whether ``t`` is one of the four right sides of an assignment: a
+    natural ``const``, a ``pre`` copy, or ``add``/``monus`` of a ``pre``
+    and ``const(1)``."""
+    if type(t) is tuple and len(t) == 3 and t[0] in ("add", "monus"):
+        x, one = t[1], t[2]
+        return (
+            _is_assign_expr(x) and x[0] == "pre" and one == const(1) and type(one[1]) is int
+        )
+    if type(t) is not tuple or len(t) != 2:
+        return False
+    if t[0] == "const":
+        return type(t[1]) is int and t[1] >= 0
+    return t[0] == "pre" and type(t[1]) is str
 
 
 _LEAF_KINDS = ("const", "pre", "post", "preloc", "postloc")
@@ -787,7 +761,7 @@ def program_to_text(p: Program) -> str:
         pad = "  " * depth
         for c in cmds:
             if isinstance(c, Assign):
-                lines.append(f"{loc}: {pad}{c.var} := {c.expr}")
+                lines.append(f"{loc}: {pad}{c.var} := {term_str(c.expr)}")
                 loc += 1
             elif isinstance(c, While):
                 lines.append(f"{loc}: {pad}while {c.left} < {c.right}")
@@ -892,13 +866,13 @@ def _parse_assign(text: str) -> Assign:
     var = var.strip()
     rhs = rhs.strip()
     if is_nat(rhs):
-        return Assign(var, Const(nat_value(rhs)))
+        return Assign(var, const(nat_value(rhs)))
     if rhs.endswith("+ 1"):
-        return Assign(var, Inc(rhs[:-3].strip()))
+        return Assign(var, ("add", pre(rhs[:-3].strip()), const(1)))
     if rhs.endswith("- 1"):
-        return Assign(var, Dec(rhs[:-3].strip()))
+        return Assign(var, ("monus", pre(rhs[:-3].strip()), const(1)))
     if rhs.isidentifier():
-        return Assign(var, Var(rhs))
+        return Assign(var, pre(rhs))
     raise ParseError(f"bad expression {rhs!r}")
 
 

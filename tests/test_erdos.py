@@ -299,6 +299,16 @@ class TestInsertMeasure:
             t.insert((3, 4))
         assert t.branch_count() == 1
 
+    @pytest.mark.parametrize(
+        "point", [(True, 0), (2.5, 0), (-1, 0), ("3", 0)], ids=["bool", "float", "neg", "str"]
+    )
+    def test_rejects_non_natural_coordinates(self, point):
+        t = ErdosTree(2)
+        t.insert((3, 4))
+        with pytest.raises(ValueError, match="non-natural coordinates"):
+            t.insert(point)
+        assert (t.branch_count(), t.vector) == (1, f_star_vec([(3, 4)], 2))
+
     def test_label_error_prints_ordinals(self):
         # The labelling makes every child's label fall, so only a label
         # changed by hand can trip the check; the message prints both

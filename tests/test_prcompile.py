@@ -27,6 +27,8 @@ from termbound.prcompile import (
 from termbound.termlang import (
     check_invariant,
     initial_state,
+    program_from_text,
+    program_to_text,
     run_trace,
     step_bound,
 )
@@ -221,7 +223,7 @@ class TestCompileComposite:
         assert run_unit(compile_term(term), args) == eval_pr(term, args)
 
     def test_deterministic_output(self):
-        from termbound.termlang import invariant_to_doc, program_to_text
+        from termbound.termlang import invariant_to_doc
 
         u1, u2 = compile_term(MULT), compile_term(MULT)
         assert program_to_text(u1.program) == program_to_text(u2.program)
@@ -299,6 +301,7 @@ class TestRandomTerms:
     def test_compile_run_check_bound(self, term, data):
         assert parse_term(term_to_text(term)) == term
         unit = compile_term(term)
+        assert program_from_text(program_to_text(unit.program)) == unit.program
         inputs = st.tuples(*[st.integers(0, 2)] * term.arity)
         for args in data.draw(st.lists(inputs, min_size=1, max_size=3, unique=True)):
             s0 = initial_state(unit.program, dict(zip(unit.input_vars, args)))

@@ -14,16 +14,12 @@ from termbound.termlang import (
     MAX_CHECK_PAIRS,
     Assign,
     Atom,
-    Const,
     ConstraintRelation,
-    Dec,
     If,
-    Inc,
     PhiSequence,
     Program,
     State,
     TransitionInvariant,
-    Var,
     While,
     check_invariant,
     const,
@@ -49,6 +45,14 @@ from termbound.termlang import (
 )
 
 
+def inc(x):
+    return ("add", pre(x), const(1))
+
+
+def dec(x):
+    return ("monus", pre(x), const(1))
+
+
 def checked(p, s0, inv, max_steps=10_000):
     return check_invariant(p, run_trace(p, s0, max_steps), inv)
 
@@ -57,7 +61,7 @@ def counting_program():
     # x counts up to y, then stops.
     return Program(
         ("x", "y"),
-        (While("x", "y", (Assign("x", Inc("x")),)),),
+        (While("x", "y", (Assign("x", inc("x")),)),),
     )
 
 
@@ -69,7 +73,7 @@ class TestStep:
         assert step(p, s) == s
 
     def test_assignment(self):
-        p = Program(("x",), (Assign("x", Inc("x")),))
+        p = Program(("x",), (Assign("x", inc("x")),))
         s = State(0, (2,))
         assert step(p, s) == State(1, (3,))
 
@@ -81,7 +85,7 @@ class TestStep:
         assert is_final(p, s2)
 
     def test_truncated_decrement(self):
-        p = Program(("x",), (Assign("x", Dec("x")),))
+        p = Program(("x",), (Assign("x", dec("x")),))
         assert step(p, State(0, (0,))).env == (0,)
         assert step(p, State(0, (3,))).env == (2,)
 
@@ -92,8 +96,8 @@ class TestStep:
                 If(
                     "x",
                     "y",
-                    (Assign("r", Const(1)),),
-                    (Assign("r", Const(2)),),
+                    (Assign("r", const(1)),),
+                    (Assign("r", const(2)),),
                 ),
             ),
         )
@@ -104,7 +108,7 @@ class TestStep:
 
     def test_undeclared_variable_rejected(self):
         with pytest.raises(ValueError):
-            Program(("x",), (Assign("x", Var("ghost")),))
+            Program(("x",), (Assign("x", pre("ghost")),))
 
 
 class TestRunTrace:
@@ -114,7 +118,7 @@ class TestRunTrace:
         assert len(t) == 1 and t.complete
 
     def test_single_assignment(self):
-        p = Program(("x",), (Assign("x", Const(5)),))
+        p = Program(("x",), (Assign("x", const(5)),))
         t = run_trace(p, initial_state(p))
         assert len(t) == 2 and t.complete
 
@@ -123,6 +127,14 @@ class TestRunTrace:
         t = run_trace(p, initial_state(p, {"y": 100}), max_steps=10)
         assert not t.complete
         assert len(t) == 11
+
+    @pytest.mark.parametrize(
+        "value", [2.5, True, -1, "3"], ids=["float", "bool", "neg", "str"]
+    )
+    def test_initial_state_takes_naturals_only(self, value):
+        p = counting_program()
+        with pytest.raises(ValueError, match="'x' must be a natural number"):
+            initial_state(p, {"x": value})
 
     def test_loop_counts_up(self):
         p = counting_program()
@@ -219,7 +231,7 @@ class TestPhi:
             PhiSequence(checked(p, initial_state(p, {"y": 2}), bad))
 
     def test_nonterminating_budget(self):
-        p = Program(("x", "y"), (While("x", "y", (Assign("x", Dec("x")),)),))
+        p = Program(("x", "y"), (While("x", "y", (Assign("x", dec("x")),)),))
         inv = TransitionInvariant((line_relation(2),))
         with pytest.raises(BudgetExceeded):
             PhiSequence(checked(p, initial_state(p, {"y": 5}), inv, max_steps=50))
@@ -247,6 +259,8 @@ class TestPhiAgainstRebuild:
             for n in range(len(seq.points))
         ]
         assert seq.vectors == rebuilt
+        text = program_to_text(unit.program)
+        assert program_from_text(text) == unit.program
         assert step_bound(report) == bound_g(
             SequenceFn.from_rows(rebuilt), 0
         )
@@ -396,16 +410,16 @@ class TestProgramText:
         p = Program(
             ("x", "y", "r"),
             (
-                Assign("r", Const(0)),
+                Assign("r", const(0)),
                 While(
                     "x",
                     "y",
                     (
-                        Assign("x", Inc("x")),
-                        If("r", "x", (Assign("r", Inc("r")),), (Assign("r", Dec("r")),)),
+                        Assign("x", inc("x")),
+                        If("r", "x", (Assign("r", inc("r")),), (Assign("r", dec("r")),)),
                     ),
                 ),
-                Assign("y", Var("r")),
+                Assign("y", pre("r")),
             ),
         )
         text = program_to_text(p)
@@ -416,9 +430,50 @@ class TestProgramText:
         # Atoms and ranks read ``loc`` as the location, so a variable of
         # that name could never be read.
         with pytest.raises(ValueError, match="'loc' names the location"):
-            Program(("loc", "x"), (Assign("loc", Var("x")),))
+            Program(("loc", "x"), (Assign("loc", pre("x")),))
         with pytest.raises(ParseError, match="'loc' names the location"):
             program_from_text("vars loc x\n0: loc := x\n")
+
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            ("add", pre("x"), pre("y")),
+            ("monus", const(3), pre("x")),
+            ("add", pre("x"), const(2)),
+            PRE_LOC,
+            post("x"),
+            const(-1),
+            ("add", pre("x"), ("const", True)),
+        ],
+        ids=["x + y", "3 - x", "x + 2", "loc", "x'", "-1", "x + True"],
+    )
+    def test_program_rejects_other_right_sides(self, expr):
+        with pytest.raises(ValueError, match="not a constant, a copy"):
+            Program(("x", "y"), (Assign("x", expr),))
+
+    @pytest.mark.parametrize(
+        "rhs,printed",
+        [("x+ 1", "x + 1"), ("y - 1", "y - 1"), ("007", "7"), ("y", "y")],
+    )
+    def test_assignment_spellings_accepted(self, rhs, printed):
+        p = program_from_text(f"vars x y\n0: x := {rhs}\n")
+        assert program_to_text(p) == f"vars x y\n0: x := {printed}\n"
+
+    @pytest.mark.parametrize(
+        "rhs,error,message",
+        [
+            ("x +1", ParseError, "bad expression 'x +1'"),
+            ("x + y", ParseError, "bad expression 'x + y'"),
+            ("x'", ParseError, "bad expression \"x'\""),
+            # "+ 1" is split off first, so "5" is read as a variable name.
+            ("5 + 1", ValueError, "undeclared variable '5'"),
+            ("loc", ValueError, "undeclared variable 'loc'"),
+        ],
+    )
+    def test_assignment_spellings_rejected(self, rhs, error, message):
+        with pytest.raises(error) as exc:
+            program_from_text(f"vars x y\n0: x := {rhs}\n")
+        assert type(exc.value) is error and str(exc.value) == message
 
     def test_text_shape(self):
         p = counting_program()
