@@ -26,18 +26,16 @@ values stay exact however large.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from itertools import chain, compress, count, islice
 from operator import le
-from typing import Sequence
 
-from .errors import BudgetExceeded, LemmaViolated
+from .errors import BudgetExceeded, LemmaViolated, Record
 
 DEFAULT_MAX_ITERATIONS = 2_000_000
 
 
-@dataclass(frozen=True)
-class SequenceFn:
+class SequenceFn(Record):
     """A sequence of k-tuples of naturals: ``rows``, then its last row forever.
 
     ``eventually_constant_from`` is the index of the last row; every read
@@ -45,9 +43,7 @@ class SequenceFn:
     ``constant``, which check the rows once.
     """
 
-    rows: list[tuple[int, ...]]
-    k: int
-    eventually_constant_from: int
+    __slots__ = ("rows", "k", "eventually_constant_from")
 
     def __call__(self, n: int) -> tuple[int, ...]:
         return self.rows[min(n, self.eventually_constant_from)]
@@ -74,10 +70,11 @@ class SequenceFn:
         return cls(rows, len(rows[0]), len(rows) - 1)
 
 
-@dataclass
 class _Budget:
-    max_value: int | None
-    iterations: int = 0
+    __slots__ = ("max_value", "iterations")
+
+    def __init__(self, max_value: int | None):
+        self.max_value, self.iterations = max_value, 0
 
     def spend(self) -> None:
         self.iterations += 1
@@ -92,12 +89,13 @@ class _Budget:
         return x
 
 
-@dataclass
 class _Evaluator:
-    sigma: SequenceFn
-    budget: _Budget
-    memo: dict[tuple[int, int], int] = field(default_factory=dict)
-    deltas: dict[int, int] = field(default_factory=dict)
+    __slots__ = ("sigma", "budget", "memo", "deltas")
+
+    def __init__(self, sigma: SequenceFn, budget: _Budget):
+        self.sigma, self.budget = sigma, budget
+        self.memo: dict[tuple[int, int], int] = {}
+        self.deltas: dict[int, int] = {}
 
     def delta(self, depth: int) -> int:
         """Increment of the depth-level bound above the freeze point.

@@ -1,7 +1,8 @@
 """Batch command-line front end, one subcommand per pipeline stage.
 
 Exit codes: 0 all checks pass, 1 a check reported a violation, 2 parse
-or usage error, 3 a configured budget was exceeded. With
+or usage error, 3 a configured budget was exceeded, 141 the reader closed
+standard output early (as a process ended by SIGPIPE would report). With
 ``--format structured`` every subcommand prints a single JSON document,
 byte-for-byte deterministic for fixed inputs and budgets.
 """
@@ -12,6 +13,7 @@ import argparse
 import gc
 import json
 import math
+import os
 import sys
 from contextlib import contextmanager
 
@@ -206,11 +208,7 @@ def cmd_ord(args) -> int:
 def cmd_tree_height(args) -> int:
     alpha = parse_ordinal(args.alpha)
     value = _printable(height_nil(args.k, alpha))
-    _emit(
-        args,
-        {"k": args.k, "alpha": str(alpha), "height": str(value)},
-        [str(value)],
-    )
+    _emit(args, {"k": args.k, "alpha": str(alpha), "height": str(value)}, [str(value)])
     return 0
 
 
@@ -224,15 +222,7 @@ def cmd_embed(args) -> int:
     doc = {"k": k, "f_star": str(measure), "f_star_vec": list(vec)}
     if args.format == "structured":  # only structured output prints the branches
         doc["tree"] = erdos_to_doc(tree)
-    _emit(
-        args,
-        doc,
-        [
-            f"branches: {tree.branch_count()}",
-            f"f*: {measure}",
-            f"vector: {vec}",
-        ],
-    )
+    _emit(args, doc, [f"branches: {tree.branch_count()}", f"f*: {measure}", f"vector: {vec}"])
     return 0
 
 
@@ -323,16 +313,13 @@ def cmd_check(args) -> int:
         verdict, code = "inconclusive (budget)", 3
     else:
         verdict, code = "pass", 0
-    _emit(
-        args,
-        report.to_doc(),
-        [
-            f"pairs checked: {report.pairs_checked}",
-            f"uncovered: {report.uncovered_total}",
-            f"rank violations: {report.rank_violation_total}",
-            f"verdict: {verdict}",
-        ],
-    )
+    lines = [
+        f"pairs checked: {report.pairs_checked}",
+        f"uncovered: {report.uncovered_total}",
+        f"rank violations: {report.rank_violation_total}",
+        f"verdict: {verdict}",
+    ]
+    _emit(args, report.to_doc(), lines)
     return code
 
 
@@ -341,9 +328,7 @@ def cmd_pipeline(args) -> int:
         term = parse_term(fh.read())
     unit = compile_term(term)
     if len(args.inputs) != len(unit.input_vars):
-        raise ParseError(
-            f"term takes {len(unit.input_vars)} inputs, got {len(args.inputs)}"
-        )
+        raise ParseError(f"term takes {len(unit.input_vars)} inputs, got {len(args.inputs)}")
     invariant = unit.invariant
     if args.invariant:
         invariant = invariant_from_doc(_read_json(args.invariant))
@@ -356,8 +341,7 @@ def cmd_pipeline(args) -> int:
     oracle = _printable(eval_pr(term, args.inputs))
     report = check_invariant(unit.program, trace, invariant)
 
-    bound = None
-    bound_holds = None
+    bound = bound_holds = None
     if report.ok:
         # The descent bound is exact but astronomically loose; it is
         # reported in full rather than capped by --max-bound.
@@ -450,9 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-steps", type=nat, default=10_000)
     p.set_defaults(fn=cmd_check)
 
-    p = sub.add_parser(
-        "pipeline", help="compile, run, check and bound a term on inputs"
-    )
+    p = sub.add_parser("pipeline", help="compile, run, check and bound a term on inputs")
     p.add_argument("term_file")
     p.add_argument("inputs", nargs="*", type=nat)
     p.add_argument("--invariant", help="override the emitted invariant")
@@ -469,7 +451,12 @@ def main(argv: list[str] | None = None) -> int:
             args = parser.parse_args(argv)
             # Reference counting frees a command's data with its frame; the GC would only walk it.
             with _gc_paused():
-                return args.fn(args)
+                code = args.fn(args)
+            sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+            return code
+        except BrokenPipeError:
+            sys.stdout = open(os.devnull, "w")  # the interpreter's last flush goes nowhere
+            return 141
         except BudgetExceeded as exc:
             print(f"budget exceeded: {exc}", file=sys.stderr)
             return 3

@@ -34,12 +34,11 @@ in ``tests/oracles.py``) check the vector against.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections.abc import Sequence
 from itertools import islice
 from operator import le, lt
-from typing import Sequence
 
-from .errors import LabelNotDecreasing, NoRelation, NotHomogeneous
+from .errors import LabelNotDecreasing, NoRelation, NotHomogeneous, Record
 from .ktree import LabelledTree, Node, height_tree
 from .ordinals import OMEGA, Ordinal, from_vector, int_power, nat_prod_nat, nat_sum, nat_sum_all
 
@@ -78,29 +77,30 @@ def color_of(y: Sequence[int], x: Sequence[int]) -> int:
     raise NoRelation(f"{tuple(y)} does not descend below {tuple(x)}")
 
 
-@dataclass(frozen=True)
-class ColoredList:
+class ColoredList(Record):
     """A list of points with a color on each of its n-1 edges."""
 
-    points: tuple[Point, ...]
-    colors: tuple[int, ...]
+    __slots__ = ("points", "colors")
 
-    def __post_init__(self):
-        if len(self.colors) != max(0, len(self.points) - 1):
+    def __init__(self, points: tuple[Point, ...], colors: tuple[int, ...]):
+        if len(colors) != max(0, len(points) - 1):
             raise ValueError("need exactly one color per edge")
+        super().__init__(points, colors)
 
     def __len__(self) -> int:
         return len(self.points)
 
 
-@dataclass(slots=True)
 class _Node:
-    point: Point
-    label: tuple[int, int]  # (m, n) for the label w * m + n
-    parent: int  # index in ErdosTree.nodes; -1 for the root
-    color: int  # color of the edge from the parent; 0 for the root
-    children: list[int]  # index of the child per color; -1 for none
-    run: list[int]  # nodes entered by this node's maximal run of color-``color`` edges
+    __slots__ = ("point", "label", "parent", "color", "children", "run")
+
+    def __init__(self, point, label, parent, color, children, run):
+        self.point = point
+        self.label = label  # (m, n) for the label w * m + n
+        self.parent = parent  # index in ErdosTree.nodes; -1 for the root
+        self.color = color  # color of the edge from the parent; 0 for the root
+        self.children = children  # index of the child per color; -1 for none
+        self.run = run  # nodes entered by this node's maximal run of color-``color`` edges
 
 
 def height_vector(k: int, m: int, n: int) -> tuple[int, ...]:

@@ -1,4 +1,42 @@
-"""Exception types shared across the toolkit."""
+"""Exception types and the immutable-record base shared across the toolkit."""
+
+
+class Record:
+    """Base of the immutable values: ``__init__`` sets each field named in ``__slots__``
+    once, then assignment raises AttributeError; equal when of one class and equal fields."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _fields(self) == _fields(other)
+
+    def __hash__(self):
+        return hash(_fields(self))
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), _fields(self)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _fields(value) -> tuple:
+    return tuple(getattr(value, name) for name in value.__slots__)
 
 
 class TermboundError(Exception):

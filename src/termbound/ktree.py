@@ -25,29 +25,24 @@ one node to an existing tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import LabelNotDecreasing
+from .errors import LabelNotDecreasing, Record
 from .ordinals import Ordinal, add, cmp, exp_base_k, int_power, nat_sum_all
 
 
-@dataclass(frozen=True)
-class Node:
-    label: Ordinal
-    children: tuple["Node | None", ...]
+class Node(Record):
+    __slots__ = ("label", "children")
 
 
-@dataclass(frozen=True)
-class LabelledTree:
+class LabelledTree(Record):
     """A k-branching tree; ``root is None`` denotes the empty tree."""
 
-    k: int
-    root: Node | None = None
+    __slots__ = ("k", "root")
 
-    def __post_init__(self):
-        if self.k < 1:
+    def __init__(self, k: int, root: Node | None = None):
+        if k < 1:
             raise ValueError("arity must be at least 1")
-        _validate(self.root, self.k)
+        _validate(root, k)
+        super().__init__(k, root)
 
     @classmethod
     def empty(cls, k: int) -> "LabelledTree":

@@ -17,12 +17,10 @@ may be shared freely between threads.
 from __future__ import annotations
 
 import sys
+from collections.abc import Iterable, Sequence
 from contextlib import contextmanager
-from typing import Iterable, Sequence, Union
 
 from .errors import BudgetExceeded, DomainTooLarge, ParseError
-
-OrdinalLike = Union["Ordinal", int]
 
 
 class Ordinal:
@@ -160,6 +158,7 @@ class Ordinal:
         return f'Ordinal.parse("{self}")'
 
 
+OrdinalLike = Ordinal | int
 ZERO = Ordinal._make(())
 ONE = Ordinal._make(((ZERO, 1),))
 OMEGA = Ordinal._make(((ONE, 1),))

@@ -39,10 +39,9 @@ variable is declared up front, so states serialize uniformly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence, Union
+from collections.abc import Sequence
 
-from .errors import ArityMismatch, BudgetExceeded, ParseError
+from .errors import ArityMismatch, BudgetExceeded, ParseError, Record
 from .ordinals import MAX_NESTING, is_nat, nat_value
 from .termlang import (
     Assign,
@@ -64,83 +63,77 @@ from .termlang import (
 # --- terms -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Zero:
+class Zero(Record):
     """The constant-zero function of the given arity."""
 
-    n: int = 1
+    __slots__ = ("n",)
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n: int = 1):
+        if n < 0:
             raise ValueError("arity must be a natural number")
+        super().__init__(n)
 
     @property
     def arity(self) -> int:
         return self.n
 
 
-@dataclass(frozen=True)
-class Succ:
+class Succ(Record):
+    __slots__ = ()
+
     @property
     def arity(self) -> int:
         return 1
 
 
-@dataclass(frozen=True)
-class Proj:
-    i: int
-    n: int
+class Proj(Record):
+    __slots__ = ("i", "n")
 
-    def __post_init__(self):
-        if not 1 <= self.i <= self.n:
-            raise ValueError(f"projection index {self.i} outside [1, {self.n}]")
+    def __init__(self, i: int, n: int):
+        if not 1 <= i <= n:
+            raise ValueError(f"projection index {i} outside [1, {n}]")
+        super().__init__(i, n)
 
     @property
     def arity(self) -> int:
         return self.n
 
 
-@dataclass(frozen=True)
-class Comp:
-    h: "PRTerm"
-    gs: tuple["PRTerm", ...]
+class Comp(Record):
+    __slots__ = ("h", "gs")
 
-    def __post_init__(self):
-        if not self.gs:
+    def __init__(self, h: PRTerm, gs: tuple[PRTerm, ...]):
+        if not gs:
             raise ValueError("composition needs at least one inner function")
-        if self.h.arity != len(self.gs):
-            raise ValueError(
-                f"outer arity {self.h.arity} does not match {len(self.gs)} inner functions"
-            )
-        arities = {g.arity for g in self.gs}
+        if h.arity != len(gs):
+            raise ValueError(f"outer arity {h.arity} does not match {len(gs)} inner functions")
+        arities = {g.arity for g in gs}
         if len(arities) != 1:
             raise ValueError(f"inner functions disagree on arity: {sorted(arities)}")
+        super().__init__(h, gs)
 
     @property
     def arity(self) -> int:
         return self.gs[0].arity
 
 
-@dataclass(frozen=True)
-class Rec:
+class Rec(Record):
     """Primitive recursion on the first argument: f(0, xs) = h(xs),
     f(y + 1, xs) = g(y, f(y, xs), xs)."""
 
-    h: "PRTerm"
-    g: "PRTerm"
+    __slots__ = ("h", "g")
 
-    def __post_init__(self):
-        if self.g.arity != self.h.arity + 2:
-            raise ValueError(
-                f"step arity {self.g.arity} must be base arity {self.h.arity} + 2"
-            )
+    def __init__(self, h: PRTerm, g: PRTerm):
+        if g.arity != h.arity + 2:
+            raise ValueError(f"step arity {g.arity} must be base arity {h.arity} + 2")
+        super().__init__(h, g)
 
     @property
     def arity(self) -> int:
         return self.h.arity + 1
 
 
-PRTerm = Union[Zero, Succ, Proj, Comp, Rec]
+PRTerm = Zero | Succ | Proj | Comp | Rec
 
 
 def eval_pr(t: PRTerm, args: Sequence[int]) -> int:
@@ -266,12 +259,8 @@ def parse_term(text: str) -> PRTerm:
 # --- compiled units ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CompiledUnit:
-    program: Program
-    invariant: TransitionInvariant
-    result_var: str
-    input_vars: tuple[str, ...]
+class CompiledUnit(Record):
+    __slots__ = ("program", "invariant", "result_var", "input_vars")
 
 
 def _empty_relation() -> ConstraintRelation:
@@ -332,11 +321,7 @@ def _compile(
         return [*inputs, r], [_increment(r, inputs[0])], r, inputs
 
     def call(
-        idx: int,
-        callee: PRTerm,
-        call_guard: tuple[Atom, ...],
-        actuals: Sequence[str],
-        out: str,
+        idx: int, callee: PRTerm, call_guard: tuple[Atom, ...], actuals: Sequence[str], out: str
     ) -> list[Cmd]:
         """Commands running ``callee`` on ``actuals`` into ``out``; its
         variables go to the caller's ``variables``."""

@@ -34,47 +34,39 @@ order; the ranked certificate decreases from earlier to later.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections.abc import Callable, Mapping, Sequence
 from itertools import accumulate
 from operator import eq, lt, or_
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence, Union
 
 from .bounds import SequenceFn, bound_g
 from .erdos import ErdosTree
-from .errors import BudgetExceeded, NotHomogeneous, ParseError
+from .errors import BudgetExceeded, NotHomogeneous, ParseError, Record
 from .ordinals import MAX_NESTING, is_nat, nat_value
+
+_set = object.__setattr__  # a Record's own __setattr__ refuses
 
 # --- commands ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Assign:
+class Assign(Record):
     """``var := expr``, where ``expr`` is a term of the one term language
     that atoms and ranks use, in one of four forms: a constant
     ``const(n)``, a copy ``pre(x)``, an increment
     ``("add", pre(x), const(1))`` or a truncated decrement
     ``("monus", pre(x), const(1))``. ``Program`` refuses any other term."""
 
-    var: str
-    expr: tuple
+    __slots__ = ("var", "expr")
 
 
-@dataclass(frozen=True)
-class While:
-    left: str
-    right: str
-    body: tuple["Cmd", ...]
+class While(Record):
+    __slots__ = ("left", "right", "body")
 
 
-@dataclass(frozen=True)
-class If:
-    left: str
-    right: str
-    then_body: tuple["Cmd", ...]
-    else_body: tuple["Cmd", ...]
+class If(Record):
+    __slots__ = ("left", "right", "then_body", "else_body")
 
 
-Cmd = Union[Assign, While, If]
+Cmd = Assign | While | If
 
 
 def _count_points(cmds: Sequence[Cmd], sizes: dict[int, int]) -> int:
@@ -177,12 +169,14 @@ class Program:
         return f"Program(variables={self.variables!r}, commands={self.n_points})"
 
 
-@dataclass(frozen=True)
-class State:
+class State(Record):
     """A program point plus one value per declared variable."""
 
-    location: int
-    env: tuple[int, ...]
+    __slots__ = ("location", "env")
+
+    def __init__(self, location: int, env: tuple[int, ...]):
+        _set(self, "location", location)
+        _set(self, "env", env)
 
     def env_dict(self, p: Program) -> dict[str, int]:
         return dict(zip(p.variables, self.env))
@@ -219,7 +213,6 @@ def step(p: Program, s: State) -> State:
     return State(t if s.env[li] < s.env[ri] else f, s.env)
 
 
-@dataclass
 class Trace:
     """States from an initial one up to the first final state, inclusive.
 
@@ -227,8 +220,10 @@ class Trace:
     reported condition, not an error.
     """
 
-    states: list[State]
-    complete: bool
+    __slots__ = ("states", "complete")
+
+    def __init__(self, states: list[State], complete: bool):
+        self.states, self.complete = states, complete
 
     def __len__(self) -> int:
         return len(self.states)
@@ -355,20 +350,20 @@ def _is_assign_expr(t) -> bool:
 _LEAF_KINDS = ("const", "pre", "post", "preloc", "postloc")
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(Record):
     """``lhs op rhs`` over two leaf terms; ``op`` is ``<`` or ``=``."""
 
-    lhs: tuple
-    op: str
-    rhs: tuple
+    __slots__ = ("lhs", "op", "rhs")
 
-    def __post_init__(self):
-        if self.op not in ("<", "="):
-            raise ValueError(f"atom operator must be '<' or '=', not {self.op!r}")
-        for side in (self.lhs, self.rhs):
+    def __init__(self, lhs: tuple, op: str, rhs: tuple):
+        if op not in ("<", "="):
+            raise ValueError(f"atom operator must be '<' or '=', not {op!r}")
+        for side in (lhs, rhs):
             if side[0] not in _LEAF_KINDS:
                 raise ValueError(f"atom side {side!r} is not a leaf term")
+        _set(self, "lhs", lhs)
+        _set(self, "op", op)
+        _set(self, "rhs", rhs)
 
     def __str__(self) -> str:
         return f"{term_str(self.lhs)} {self.op} {term_str(self.rhs)}"
@@ -409,8 +404,7 @@ def parse_atom(text: str) -> Atom:
 FALSE_ATOM = Atom(const(0), "<", const(0))
 
 
-@dataclass(frozen=True)
-class ConstraintRelation:
+class ConstraintRelation(Record):
     """A ranked relation in serializable constraint form.
 
     Membership: the pre state's location lies in ``pre_locations`` (None
@@ -419,11 +413,10 @@ class ConstraintRelation:
     that it strictly decreases from pre to post on every member pair.
     """
 
-    name: str
-    atoms: tuple[Atom, ...]
-    rank: tuple
-    pre_locations: frozenset[int] | None = None
-    post_locations: frozenset[int] | None = None
+    __slots__ = ("name", "atoms", "rank", "pre_locations", "post_locations")
+
+    def __init__(self, name, atoms, rank, pre_locations=None, post_locations=None):
+        super().__init__(name, atoms, rank, pre_locations, post_locations)
 
     def compile_member(self, p: Program) -> Callable[[State, State], bool]:
         """Membership of one (pre, post) pair; ``check_invariant`` tests
@@ -451,15 +444,15 @@ class ConstraintRelation:
         return lambda s: f(s, s)
 
 
-@dataclass(frozen=True)
-class TransitionInvariant:
+class TransitionInvariant(Record):
     """A nonempty list of ranked relations; ``k`` is its length."""
 
-    relations: tuple[ConstraintRelation, ...]
+    __slots__ = ("relations",)
 
-    def __post_init__(self):
-        if not self.relations:
+    def __init__(self, relations: tuple[ConstraintRelation, ...]):
+        if not relations:
             raise ValueError("invariant needs at least one relation")
+        super().__init__(relations)
 
     @property
     def k(self) -> int:
@@ -469,23 +462,29 @@ class TransitionInvariant:
 # --- invariant checking ------------------------------------------------------
 
 
-@dataclass
 class InvariantReport:
     """Outcome of checking every ordered pair of a bounded trace.
 
     ``rank_tuples`` (not in ``to_doc``) holds each state's relation ranks.
     """
 
-    trace_length: int
-    reached_final: bool
-    pairs_checked: int
-    uncovered: list[tuple[int, int]] = field(default_factory=list)
-    rank_violations: list[tuple[int, int, str]] = field(default_factory=list)
-    uncovered_total: int = 0
-    rank_violation_total: int = 0
-    rank_tuples: list[tuple[int, ...]] = field(default_factory=list, repr=False)
-
+    __slots__ = (
+        "trace_length", "reached_final", "pairs_checked", "uncovered", "rank_violations",
+        "uncovered_total", "rank_violation_total", "rank_tuples",
+    )
     MAX_LISTED = 20
+    __eq__, __repr__, __hash__ = Record.__eq__, Record.__repr__, None
+
+    def __init__(
+        self, trace_length: int, reached_final: bool, pairs_checked: int, uncovered=None,
+        rank_violations=None, uncovered_total=0, rank_violation_total=0, rank_tuples=None,
+    ):
+        self.trace_length, self.reached_final = trace_length, reached_final
+        self.pairs_checked, self.uncovered_total = pairs_checked, uncovered_total
+        self.rank_violation_total = rank_violation_total
+        self.uncovered = [] if uncovered is None else uncovered
+        self.rank_violations = [] if rank_violations is None else rank_violations
+        self.rank_tuples = [] if rank_tuples is None else rank_tuples
 
     @property
     def ok(self) -> bool:
@@ -867,10 +866,9 @@ def _parse_assign(text: str) -> Assign:
     rhs = rhs.strip()
     if is_nat(rhs):
         return Assign(var, const(nat_value(rhs)))
-    if rhs.endswith("+ 1"):
-        return Assign(var, ("add", pre(rhs[:-3].strip()), const(1)))
-    if rhs.endswith("- 1"):
-        return Assign(var, ("monus", pre(rhs[:-3].strip()), const(1)))
+    operand = rhs[:-3].strip()
+    if rhs[-3:] in ("+ 1", "- 1") and operand.isidentifier():
+        return Assign(var, ("add" if rhs[-3] == "+" else "monus", pre(operand), const(1)))
     if rhs.isidentifier():
         return Assign(var, pre(rhs))
     raise ParseError(f"bad expression {rhs!r}")

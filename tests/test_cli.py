@@ -3,10 +3,13 @@ import gc
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 import time
 from functools import cmp_to_key
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -15,6 +18,8 @@ from oracles import f_star_vec
 from termbound.cli import MAX_PRINT_BITS, _digit_limit, eval_ordinal_expr, main
 from termbound.errors import ParseError
 from termbound.ordinals import MAX_NESTING, Ordinal, cmp, nat_sum
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture
@@ -257,6 +262,26 @@ class TestCommands:
 
     def test_missing_file_is_usage_error(self):
         assert main(["compile", "/nonexistent/term.pr"]) == 2
+
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    def test_closed_output_pipe_exits_quietly(self, add_term, unbuffered):
+        # The read end is closed before the child starts, so its first write
+        # or flush fails; with buffered output that happens only at the end.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join([SRC, env.get("PYTHONPATH", "")])
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "termbound.cli", "--format", "structured",
+                 "compile", add_term],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 TERMS = {

@@ -1,4 +1,5 @@
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -23,3 +24,17 @@ def test_package_imports_only_the_standard_library():
                 if name.partition(".")[0] not in sys.stdlib_module_names
             ]
     assert outside == []
+
+
+def test_cli_import_leaves_out_dataclasses_inspect_and_typing():
+    # A fresh interpreter without ``site``, which may import typing itself;
+    # this counts modules and times nothing.
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import termbound.cli; "
+        "print(' '.join(m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(PACKAGE.parent)],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.split() == []

@@ -465,8 +465,8 @@ class TestProgramText:
             ("x +1", ParseError, "bad expression 'x +1'"),
             ("x + y", ParseError, "bad expression 'x + y'"),
             ("x'", ParseError, "bad expression \"x'\""),
-            # "+ 1" is split off first, so "5" is read as a variable name.
-            ("5 + 1", ValueError, "undeclared variable '5'"),
+            ("5 + 1", ParseError, "bad expression '5 + 1'"),
+            ("+ 1", ParseError, "bad expression '+ 1'"),
             ("loc", ValueError, "undeclared variable 'loc'"),
         ],
     )
