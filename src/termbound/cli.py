@@ -231,8 +231,8 @@ def cmd_bound(args) -> int:
     if not isinstance(doc, dict) or not isinstance(doc.get("rows"), list):
         raise ParseError('sigma file must be a JSON object with a list "rows"')
     sigma = SequenceFn.from_rows(doc["rows"])
-    if doc.get("k") is not None and doc["k"] != sigma.k:
-        raise ParseError(f"file says k={doc['k']} but rows have {sigma.k} components")
+    if (k := doc.get("k")) is not None and (type(k) is not int or k != sigma.k):
+        raise ParseError(f'"k" must be null or {sigma.k}, the length of every row')
     bound = _printable(bound_g(sigma, args.n, max_value=args.max_bound))
     witness = find_nondescent(sigma, args.n, bound)
     at, after = sigma(witness), sigma(witness + 1)

@@ -3,7 +3,9 @@
 Points are k-tuples of naturals; the h-th relation holds between a later
 and an earlier point when coordinate h strictly decreases. A sequence is
 homogeneous when every later point is below every earlier one in some
-coordinate. Homogeneous sequences embed into k-ary trees of colored
+coordinate; ``is_homogeneous`` tests all pairs as the bitset join of
+``termlang.check_invariant``, one ``_Column`` per coordinate, within the
+same pair budget. Homogeneous sequences embed into k-ary trees of colored
 lists: each new point descends from the root, at every node following the
 child edge colored by the first decreasing coordinate, and becomes a new
 leaf. Along one branch, the elements followed by color-h edges therefore
@@ -33,12 +35,12 @@ in ``tests/oracles.py``) check the vector against.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
-from itertools import islice
-from operator import le, lt
+from itertools import accumulate
+from operator import lt, or_
 
-from .errors import LabelNotDecreasing, NoRelation, NotHomogeneous, Record
+from .errors import BudgetExceeded, LabelNotDecreasing, NoRelation, NotHomogeneous, Record
 from .ktree import LabelledTree, Node, height_tree
 from .ordinals import OMEGA, Ordinal, from_vector, int_power, nat_prod_nat, nat_sum, nat_sum_all
 
@@ -54,17 +56,71 @@ def _check_point(p: Sequence[int], k: int) -> Point:
     return p
 
 
+# Ordered pairs a pair-coverage join may cover: up to 14,142 items. Time and memory
+# grow with their square; 10,000 steps, the default run budget, give 50,005,000 pairs.
+MAX_CHECK_PAIRS = 100_000_000
+
+
+def pairs_in_budget(n: int, stage: str) -> int:
+    """The n(n-1)/2 ordered pairs of n items; BudgetExceeded past ``MAX_CHECK_PAIRS``."""
+    pairs = n * (n - 1) // 2
+    if pairs > MAX_CHECK_PAIRS:
+        raise BudgetExceeded(f"{stage}: {pairs} pairs exceed the pair budget of {MAX_CHECK_PAIRS}")
+    return pairs
+
+
+class _Column:
+    """One value per position (a trace state or a point), as bitsets over the positions.
+
+    ``masks(keys, op)`` gives, for each key, the states whose value is
+    equal to it (``=``), below it (``<``) or above it (``>``): one dict
+    lookup, or one bisect into the prefix ORs over the sorted values.
+    """
+
+    def __init__(self, values: Sequence[int], full: int):
+        self.eq: dict[int, int] = {}
+        for j, v in enumerate(values):
+            self.eq[v] = self.eq.get(v, 0) | 1 << j
+        self.sorted = sorted(self.eq)
+        # below[k]: the states valued under sorted[k]
+        self.below = list(accumulate((self.eq[v] for v in self.sorted), or_, initial=0))
+        self.full = full
+        self._above: list[int] | None = None
+
+    def masks(self, keys: Sequence[int], op: str) -> list[int]:
+        s = self.sorted
+        if op == "=":
+            return [self.eq.get(v, 0) for v in keys]
+        if op == "<":
+            return [self.below[bisect_left(s, v)] for v in keys]
+        if self._above is None:  # above[k]: the states valued at least sorted[k]
+            self._above = [self.full ^ b for b in self.below]
+        return [self._above[bisect_right(s, v)] for v in keys]
+
+
+def _first_uncovered(s: Sequence[Sequence[int]], k: int) -> tuple[int, int] | None:
+    """The least pair (i, j), i < j, with no h such that s[j][h] < s[i][h], or None.
+
+    Coordinate h is one ``_Column``; with k = 0 there is none and no pair is covered.
+    """
+    pts = [_check_point(p, k) for p in s]
+    pairs_in_budget(len(pts), "is_homogeneous")
+    full, covered = (1 << len(pts)) - 1, [0] * len(pts)
+    for col in zip(*pts):  # covered[i]: the points below point i in some coordinate
+        covered = list(map(or_, covered, _Column(col, full).masks(col, "<")))
+    for i in range(len(pts) - 1):
+        if uncovered := (full ^ ((2 << i) - 1)) & ~covered[i]:
+            return i, (uncovered & -uncovered).bit_length() - 1
+
+
 def is_homogeneous(s: Sequence[Sequence[int]], k: int) -> bool:
     """True when every later point descends below every earlier point.
 
     For all i < j some coordinate h has s[j][h] < s[i][h]; the empty and
-    singleton sequences are vacuously homogeneous. A pair fails when the
-    earlier point is coordinatewise <= the later one.
+    singleton sequences are vacuously homogeneous. The pairs are tested as
+    one bitset join, as in ``check_invariant``, within the same pair budget.
     """
-    pts = [_check_point(p, k) for p in s]
-    return not any(
-        all(map(le, e, l)) for j, l in enumerate(pts) for e in islice(pts, j)
-    )
+    return _first_uncovered(s, k) is None
 
 
 def color_of(y: Sequence[int], x: Sequence[int]) -> int:
@@ -228,8 +284,12 @@ def embed(s: Sequence[Sequence[int]], k: int) -> ErdosTree:
     so the embedding is a simulation of sequence extension by one-node
     tree extension.
     """
-    if not is_homogeneous(s, k):
-        raise NotHomogeneous(f"{[tuple(p) for p in s]} is not homogeneous")
+    if pair := _first_uncovered(s, k):
+        i, j = pair
+        raise NotHomogeneous(
+            f"not homogeneous: no coordinate falls from {tuple(s[i])} (point {i}) to "
+            f"{tuple(s[j])} (point {j})"
+        )
     t = ErdosTree(k)
     for y in s:
         t.insert(y)

@@ -33,13 +33,11 @@ order; the ranked certificate decreases from earlier to later.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Mapping, Sequence
-from itertools import accumulate
-from operator import eq, lt, or_
+from operator import eq, lt
 
 from .bounds import SequenceFn, bound_g
-from .erdos import ErdosTree
+from .erdos import MAX_CHECK_PAIRS, ErdosTree, _Column, pairs_in_budget
 from .errors import BudgetExceeded, NotHomogeneous, ParseError, Record
 from .ordinals import MAX_NESTING, is_nat, nat_value
 
@@ -503,11 +501,6 @@ class InvariantReport:
         }
 
 
-# Ordered pairs a check may cover. Time and memory grow with the square of
-# the trace length; the default run budget of 10,000 steps gives 50,005,000
-# pairs, and this admits traces of up to 14,142 states.
-MAX_CHECK_PAIRS = 100_000_000
-
 _OPS = {"<": lt, "=": eq}
 
 
@@ -524,35 +517,6 @@ def _low_bits(mask: int, limit: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
-
-
-class _Column:
-    """One value per trace state, as bitsets over the state positions.
-
-    ``masks(keys, op)`` gives, for each key, the states whose value is
-    equal to it (``=``), below it (``<``) or above it (``>``): one dict
-    lookup, or one bisect into the prefix ORs over the sorted values.
-    """
-
-    def __init__(self, values: Sequence[int], full: int):
-        self.eq: dict[int, int] = {}
-        for j, v in enumerate(values):
-            self.eq[v] = self.eq.get(v, 0) | 1 << j
-        self.sorted = sorted(self.eq)
-        # below[k]: the states valued under sorted[k]
-        self.below = list(accumulate((self.eq[v] for v in self.sorted), or_, initial=0))
-        self.full = full
-        self._above: list[int] | None = None
-
-    def masks(self, keys: Sequence[int], op: str) -> list[int]:
-        s = self.sorted
-        if op == "=":
-            return [self.eq.get(v, 0) for v in keys]
-        if op == "<":
-            return [self.below[bisect_left(s, v)] for v in keys]
-        if self._above is None:  # above[k]: the states valued at least sorted[k]
-            self._above = [self.full ^ b for b in self.below]
-        return [self._above[bisect_right(s, v)] for v in keys]
 
 
 class _TraceColumns:
@@ -642,12 +606,7 @@ def check_invariant(
     """
     states = trace.states
     n = len(states)
-    pairs = n * (n - 1) // 2
-    if pairs > MAX_CHECK_PAIRS:
-        raise BudgetExceeded(
-            f"check_invariant: {pairs} pairs exceed the pair budget of "
-            f"{MAX_CHECK_PAIRS}"
-        )
+    pairs = pairs_in_budget(n, "check_invariant")
     ranks = [r.compile_rank(p) for r in inv.relations]
     values = [[rank(s) for s in states] for rank in ranks]
     report = InvariantReport(

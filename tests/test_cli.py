@@ -113,6 +113,10 @@ class TestCommands:
 
     def test_embed_rejects_non_homogeneous(self, capsys):
         assert main(["embed", "1,1", "1,1"]) == 1
+        assert capsys.readouterr().err == (
+            "check failed: not homogeneous: no coordinate falls from (1, 1) (point 0) "
+            "to (1, 1) (point 1)\n"
+        )
 
     def test_bound(self, tmp_path, capsys):
         sigma = tmp_path / "sigma.json"
@@ -126,8 +130,26 @@ class TestCommands:
         sigma.write_text(json.dumps({"k": 3, "rows": [[10**6, 10**6, 10**6]]}))
         assert main(["bound", str(sigma)]) == 3
 
+    def test_bound_k_may_be_null_or_absent(self, tmp_path, capsys):
+        sigma = tmp_path / "sigma.json"
+        for doc in ({"k": None}, {}):
+            sigma.write_text(json.dumps({**doc, "rows": [[1, 1], [1, 0], [0, 5], [0, 4]]}))
+            assert main(["bound", str(sigma)]) == 0
+            assert capsys.readouterr().out.startswith("bound g(0) = ")
+
     @pytest.mark.parametrize(
-        "doc", [{"k": 2}, {"rows": 5}, [[1, 0], [0, 0]], "rows"]
+        "doc",
+        [
+            {"k": 2},
+            {"rows": 5},
+            [[1, 0], [0, 0]],
+            "rows",
+            # "k" is null, absent or the row length as an int.
+            {"k": "2", "rows": [[1, 1], [0, 5]]},
+            {"k": 2.0, "rows": [[1, 1], [0, 5]]},
+            {"k": True, "rows": [[1], [0]]},
+            {"k": 3, "rows": [[1, 1], [0, 5]]},
+        ],
     )
     def test_bound_malformed_document(self, tmp_path, capsys, doc):
         sigma = tmp_path / "sigma.json"
@@ -586,6 +608,18 @@ class TestInputValidation:
         assert time.perf_counter() - start < 1
         assert code == 3
         assert err.startswith("budget exceeded: arity 100000000") and err.count("\n") == 1
+
+    def test_embed_has_the_pair_budget(self, capsys):
+        # 14,143 identical points: 100,005,153 pairs, refused before any bitset.
+        start = time.perf_counter()
+        assert main(["embed", *["0,0"] * 14_143]) == 3
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "budget exceeded: is_homogeneous: 100005153 pairs exceed the pair "
+            "budget of 100000000\n"
+        )
 
     def test_check_has_a_pair_budget(self, tmp_path, capsys):
         prog = tmp_path / "grow.prog"

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import WalkTree, f_star, f_star_vec, insert_branch
 from termbound.erdos import (
+    MAX_CHECK_PAIRS,
     ColoredList,
     ErdosTree,
     color_of,
@@ -77,6 +78,8 @@ class TestHomogeneous:
 
     def test_repeated_point(self):
         assert not is_homogeneous([(1, 1), (1, 1)], 2)
+        # With no coordinates nothing descends, so every pair is uncovered.
+        assert not is_homogeneous([(), ()], 0)
 
     def test_pairwise_not_just_adjacent(self):
         # Every adjacent pair descends, but (2,5) does not descend
@@ -84,15 +87,32 @@ class TestHomogeneous:
         assert not is_homogeneous([(2, 0), (1, 9), (2, 5)], 2)
 
     @settings(max_examples=300, deadline=None)
-    @given(st.data(), st.integers(1, 4))
-    def test_matches_definition(self, data, k):
-        s = data.draw(st.lists(st.tuples(*[st.integers(0, 3)] * k), max_size=6))
+    @given(st.data(), st.integers(0, 4), st.integers(0, 140))
+    def test_matches_definition(self, data, k, n):
+        # Past 64 points the bitsets span several machine words; the
+        # pairwise-descending sequences make the join answer True too.
+        if data.draw(st.booleans()):
+            s = data.draw(st.lists(st.tuples(*[st.integers(0, 3)] * k), min_size=n, max_size=n))
+        else:
+            rng = random.Random(data.draw(st.integers(0, 2**32)))
+            s = random_homogeneous(rng, k, max_coord=n + 3, max_len=n + 1)
         literal = all(
             any(s[j][h] < s[i][h] for h in range(k))
             for j in range(len(s))
             for i in range(j)
         )
         assert is_homogeneous(s, k) == literal
+
+    def test_pair_budget(self):
+        # Identical points: every pair is uncovered at the first point.
+        points = [(0, 0)] * 14_143
+        assert len(points[:-1]) * (len(points) - 2) // 2 <= MAX_CHECK_PAIRS
+        with pytest.raises(
+            BudgetExceeded,
+            match="^is_homogeneous: 100005153 pairs exceed the pair budget of 100000000$",
+        ):
+            is_homogeneous(points, 2)
+        assert not is_homogeneous(points[:-1], 2)
 
 
 class TestColorOf:
@@ -159,6 +179,21 @@ class TestEmbed:
     def test_rejects_non_homogeneous(self):
         with pytest.raises(NotHomogeneous):
             embed([(1, 1), (1, 1)], 2)
+
+    def test_rejection_names_the_first_uncovered_pair(self):
+        # (1, 2) and (0, 3) fail; the earlier point is taken first.
+        s = [(3, 3), (1, 1), (1, 1), (5, 5), (0, 0)]
+        with pytest.raises(NotHomogeneous) as info:
+            embed(s, 2)
+        assert str(info.value) == (
+            "not homogeneous: no coordinate falls from (3, 3) (point 0) to (5, 5) (point 3)"
+        )
+        # The message names two points, however long the sequence is.
+        with pytest.raises(NotHomogeneous) as info:
+            embed([(y, 0) for y in range(1000, 0, -1)] + [(1, 0)], 2)
+        assert str(info.value) == (
+            "not homogeneous: no coordinate falls from (1, 0) (point 999) to (1, 0) (point 1000)"
+        )
 
     def test_simulation_one_leaf_per_point(self):
         rng = random.Random(5)
