@@ -70,72 +70,6 @@ class SequenceFn(Record):
         return cls(rows, len(rows[0]), len(rows) - 1)
 
 
-class _Budget:
-    __slots__ = ("max_value", "iterations")
-
-    def __init__(self, max_value: int | None):
-        self.max_value, self.iterations = max_value, 0
-
-    def spend(self) -> None:
-        self.iterations += 1
-        if self.iterations > DEFAULT_MAX_ITERATIONS:
-            raise BudgetExceeded(
-                f"bound evaluation exceeded {DEFAULT_MAX_ITERATIONS} iterations"
-            )
-
-    def check_value(self, x: int) -> int:
-        if self.max_value is not None and x > self.max_value:
-            raise BudgetExceeded(f"bound value exceeded ceiling {self.max_value}")
-        return x
-
-
-class _Evaluator:
-    __slots__ = ("sigma", "budget", "memo", "deltas")
-
-    def __init__(self, sigma: SequenceFn, budget: _Budget):
-        self.sigma, self.budget = sigma, budget
-        self.memo: dict[tuple[int, int], int] = {}
-        self.deltas: dict[int, int] = {}
-
-    def delta(self, depth: int) -> int:
-        """Increment of the depth-level bound above the freeze point.
-
-        g_1(x) = x + c_k + 1 there, and each further level applies the
-        previous one sigma-component + 2 times with a +1 between steps.
-        """
-        cached = self.deltas.get(depth)
-        if cached is not None:
-            return cached
-        c = self.sigma.rows[-1][self.sigma.k - depth]
-        d = c + 1 if depth == 1 else (c + 2) * (self.delta(depth - 1) + 1)
-        self.deltas[depth] = d
-        return d
-
-    def bound(self, depth: int, n: int) -> int:
-        """Bound for the last ``depth`` components, evaluated at n."""
-        freeze = self.sigma.eventually_constant_from
-        if n >= freeze:
-            return self.budget.check_value(n + self.delta(depth))
-        key = (depth, n)
-        cached = self.memo.get(key)
-        if cached is not None:
-            return cached
-        c = self.sigma(n)[self.sigma.k - depth]
-        if depth == 1:
-            result = self.budget.check_value(n + c + 1)
-        else:
-            x = n
-            for done in range(c + 2):
-                if x >= freeze:
-                    x += (c + 2 - done) * (self.delta(depth - 1) + 1)
-                    break
-                self.budget.spend()
-                x = self.bound(depth - 1, x + 1)
-            result = self.budget.check_value(x)
-        self.memo[key] = result
-        return result
-
-
 def bound_g(sigma: SequenceFn, n: int, max_value: int | None = None) -> int:
     """A point by which the lexicographic descent of sigma must pause.
 
@@ -146,8 +80,50 @@ def bound_g(sigma: SequenceFn, n: int, max_value: int | None = None) -> int:
         raise ValueError("sequence must have at least one component")
     if n < 0:
         raise ValueError("n must be a natural number")
-    evaluator = _Evaluator(sigma, _Budget(max_value))
-    return evaluator.bound(sigma.k, n)
+    k, freeze, last = sigma.k, sigma.eventually_constant_from, sigma.rows[-1]
+    # delta[d], d >= 1: at or past the freeze point the depth-d bound is x + delta[d].
+    # g_1(x) = x + c + 1 there, and each further level applies the one below
+    # c + 2 times with a +1 between steps (c: that level's component of the last row).
+    delta = [0, last[-1] + 1]
+    for d in range(2, k + 1):
+        delta.append((last[k - d] + 2) * (delta[d - 1] + 1))
+    memo: dict[tuple[int, int], int] = {}
+    iterations = 0
+
+    def bound(depth: int, m: int) -> int:
+        """Bound for the last ``depth`` components, evaluated at m."""
+        nonlocal iterations
+        x = memo.get((depth, m))
+        if x is not None:
+            return x
+        if m >= freeze:
+            x = m + delta[depth]
+        elif depth == 1:
+            x = m + sigma(m)[k - 1] + 1
+        else:
+            c = sigma(m)[k - depth]
+            x = m
+            for done in range(c + 2):
+                if x >= freeze:
+                    x += (c + 2 - done) * (delta[depth - 1] + 1)
+                    break
+                iterations += 1
+                if iterations > DEFAULT_MAX_ITERATIONS:
+                    raise BudgetExceeded(
+                        f"bound evaluation exceeded {DEFAULT_MAX_ITERATIONS} iterations"
+                    )
+                x = bound(depth - 1, x + 1)
+        if max_value is not None and x > max_value:
+            raise BudgetExceeded(f"bound value exceeded ceiling {max_value}")
+        memo[depth, m] = x
+        return x
+
+    try:
+        return bound(k, n)
+    finally:
+        # bound refers to itself; break that cycle, so that reference
+        # counting frees sigma and the memo here and the cyclic GC need not.
+        del bound
 
 
 def find_nondescent(sigma: SequenceFn, n: int, limit: int) -> int:

@@ -255,7 +255,12 @@ def cmd_compile(args) -> int:
     with open(args.term_file) as fh:
         term = parse_term(fh.read())
     unit = compile_term(term)
-    doc = _unit_doc(unit)
+    doc = {
+        "program": program_to_text(unit.program),
+        "invariant": invariant_to_doc(unit.invariant),
+        "result_var": unit.result_var,
+        "input_vars": list(unit.input_vars),
+    }
     _emit(
         args,
         doc,
@@ -269,15 +274,6 @@ def cmd_compile(args) -> int:
         ],
     )
     return 0
-
-
-def _unit_doc(unit) -> dict:
-    return {
-        "program": program_to_text(unit.program),
-        "invariant": invariant_to_doc(unit.invariant),
-        "result_var": unit.result_var,
-        "input_vars": list(unit.input_vars),
-    }
 
 
 def cmd_run(args) -> int:
@@ -460,7 +456,7 @@ def main(argv: list[str] | None = None) -> int:
         except BudgetExceeded as exc:
             print(f"budget exceeded: {exc}", file=sys.stderr)
             return 3
-        except (ParseError, json.JSONDecodeError, OSError, ValueError) as exc:
+        except (ParseError, OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         except TermboundError as exc:

@@ -226,12 +226,6 @@ class Trace:
     def __len__(self) -> int:
         return len(self.states)
 
-    def __iter__(self):
-        return iter(self.states)
-
-    def __getitem__(self, i):
-        return self.states[i]
-
     @property
     def steps(self) -> int:
         return len(self.states) - 1

@@ -1,3 +1,4 @@
+import gc
 from unittest import mock
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import example, given, strategies as st
 from oracles import bound_g_literal, find_nondescent_pointwise
 from termbound import bounds
 from termbound.bounds import SequenceFn, bound_g, find_nondescent
+from termbound.cli import _gc_paused
 from termbound.errors import BudgetExceeded, LemmaViolated
 
 
@@ -46,8 +48,33 @@ class TestBoundG:
 
     def test_value_ceiling(self):
         sigma = SequenceFn.constant((10**6, 10**6, 10**6))
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded, match="^bound value exceeded ceiling 1000000000$"):
             bound_g(sigma, 0, max_value=10**9)
+
+    # 18 rows, all of them below the freeze point but the last, so the
+    # evaluation takes recursive steps before the closed form finishes it.
+    ITERATED = SequenceFn.from_rows(
+        [(a, b, c) for a in (1, 0) for b in (2, 1, 0) for c in (2, 1, 0)]
+    )
+
+    def test_iteration_budget_is_inclusive(self):
+        with mock.patch.object(bounds, "DEFAULT_MAX_ITERATIONS", 8):
+            assert bound_g(self.ITERATED, 0) == 25
+
+    def test_iteration_budget(self):
+        with mock.patch.object(bounds, "DEFAULT_MAX_ITERATIONS", 7):
+            with pytest.raises(
+                BudgetExceeded, match="^bound evaluation exceeded 7 iterations$"
+            ):
+                bound_g(self.ITERATED, 0)
+
+    def test_leaves_no_garbage_cycle(self):
+        # The CLI pauses the cyclic GC, so a cycle holding sigma would keep
+        # its rows alive past the command and leave them for a later pass.
+        with _gc_paused():
+            gc.collect()
+            bound_g(self.ITERATED, 0)
+            assert gc.collect() == 0
 
     def test_closed_form_matches_iteration(self):
         # The closed form above the last row against every application.

@@ -130,6 +130,15 @@ class TestCommands:
         sigma.write_text(json.dumps({"k": 3, "rows": [[10**6, 10**6, 10**6]]}))
         assert main(["bound", str(sigma)]) == 3
 
+    def test_bound_max_bound_is_inclusive(self, tmp_path, capsys):
+        sigma = tmp_path / "sigma.json"
+        sigma.write_text(json.dumps({"rows": [[7]]}))
+        assert main(["bound", str(sigma), "--max-bound", "7"]) == 3
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "budget exceeded: bound value exceeded ceiling 7\n")
+        assert main(["bound", str(sigma), "--max-bound", "8"]) == 0
+        assert capsys.readouterr().out.startswith("bound g(0) = 8\n")
+
     def test_bound_k_may_be_null_or_absent(self, tmp_path, capsys):
         sigma = tmp_path / "sigma.json"
         for doc in ({"k": None}, {}):

@@ -195,7 +195,7 @@ class TestCompileComposite:
         unit = compile_term(MULT)
         # every state carries every variable
         s0 = initial_state(unit.program, {"y": 1, "x1": 1})
-        for s in run_trace(unit.program, s0):
+        for s in run_trace(unit.program, s0).states:
             assert len(s.env) == len(unit.program.variables)
 
     def test_relation_count_stays_small(self):
@@ -262,7 +262,7 @@ class TestStepFunctionShape:
 
         unit = compile_term(ADD)
         s0 = initial_state(unit.program, {"y": 2, "x1": 2})
-        for s in run_trace(unit.program, s0):
+        for s in run_trace(unit.program, s0).states:
             if not is_final(unit.program, s):
                 step(unit.program, s)  # never stuck
             else:
