@@ -130,7 +130,8 @@ def find_nondescent(sigma: SequenceFn, n: int, limit: int) -> int:
     """Least m in [n, limit] with sigma(m) <=_lex sigma(m+1).
 
     ``limit`` is normally ``bound_g(sigma, n)``, computed once by the
-    caller. Raises BudgetExceeded if the scan would pass
+    caller. The scan starts at n only below the last row; an n at or past
+    it is its own answer. Raises BudgetExceeded if the scan would pass
     ``DEFAULT_MAX_ITERATIONS`` points, and LemmaViolated if the whole
     interval strictly descends, which with that limit would refute the
     bound construction; tests treat that as failure.
@@ -138,8 +139,10 @@ def find_nondescent(sigma: SequenceFn, n: int, limit: int) -> int:
     end = min(limit, n + DEFAULT_MAX_ITERATIONS)
     rows, last = sigma.rows, sigma.eventually_constant_from
     # Compare rows below the last in one C-level pass; past it, sigma(m) == sigma(m + 1).
+    # islice takes no index past sys.maxsize, so an n past the last row is not passed on.
     stop = min(end + 1, last)
-    pairs = map(le, islice(rows, n, stop), islice(rows, n + 1, stop + 1))
+    start = min(n, stop)
+    pairs = map(le, islice(rows, start, stop), islice(rows, start + 1, stop + 1))
     m = next(compress(count(n), pairs), max(n, last))
     if m <= end:
         return m

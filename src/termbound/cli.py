@@ -25,6 +25,7 @@ from .ordinals import Ordinal, Scanner, add, exp_base_k, nat_prod_nat, nat_sum
 from .ordinals import from_vector, is_nat, nat_value, parse_ordinal, read_ordinal
 from .prcompile import compile_term, eval_pr, parse_term
 from .termlang import (
+    DEFAULT_MAX_STEPS,
     check_invariant,
     initial_state,
     invariant_from_doc,
@@ -420,21 +421,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run a program to its final state")
     p.add_argument("program_file")
     p.add_argument("--set", action="append", metavar="VAR=NAT")
-    p.add_argument("--max-steps", type=nat, default=10_000)
+    p.add_argument("--max-steps", type=nat, default=DEFAULT_MAX_STEPS)
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("check", help="check an invariant over a bounded trace")
     p.add_argument("program_file")
     p.add_argument("--invariant", required=True)
     p.add_argument("--set", action="append", metavar="VAR=NAT")
-    p.add_argument("--max-steps", type=nat, default=10_000)
+    p.add_argument("--max-steps", type=nat, default=DEFAULT_MAX_STEPS)
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("pipeline", help="compile, run, check and bound a term on inputs")
     p.add_argument("term_file")
     p.add_argument("inputs", nargs="*", type=nat)
     p.add_argument("--invariant", help="override the emitted invariant")
-    p.add_argument("--max-steps", type=nat, default=10_000)
+    p.add_argument("--max-steps", type=nat, default=DEFAULT_MAX_STEPS)
     p.set_defaults(fn=cmd_pipeline)
 
     return parser

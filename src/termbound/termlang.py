@@ -43,6 +43,8 @@ from .ordinals import MAX_NESTING, is_nat, nat_value
 
 _set = object.__setattr__  # a Record's own __setattr__ refuses
 
+DEFAULT_MAX_STEPS = 10_000  # run_trace's step budget, and the CLI's --max-steps
+
 # --- commands ----------------------------------------------------------------
 
 
@@ -67,26 +69,12 @@ class If(Record):
 Cmd = Assign | While | If
 
 
-def _count_points(cmds: Sequence[Cmd], sizes: dict[int, int]) -> int:
-    """Program points of ``cmds``, bottom up; each command's count goes to ``sizes[id(c)]``."""
-    total = 0
-    for c in cmds:
-        if isinstance(c, Assign):
-            size = 1
-        elif isinstance(c, While):
-            size = 1 + _count_points(c.body, sizes)
-        else:
-            size = 1 + _count_points(c.then_body, sizes) + _count_points(
-                c.else_body, sizes
-            )
-        sizes[id(c)] = size
-        total += size
-    return total
-
-
-# Flat instruction table entries; locations are preorder command indices.
-# ("assign", var_index, value, next_loc), value(s, s) the assigned value
-# ("branch", left_index, right_index, true_loc, false_loc)
+# Flat instruction table entries, one list per command; locations are
+# preorder command indices, so each entry is appended at its own location.
+# ["assign", var_index, value, next_loc], value(s, s) the assigned value
+# ["branch", left_index, right_index, true_loc, false_loc]
+# A jump that leaves its block is filled in once the lowering reaches the
+# location it lands on, in the same pass.
 
 
 class Program:
@@ -106,10 +94,11 @@ class Program:
             raise ValueError("'loc' names the location and cannot be declared")
         self.body: tuple[Cmd, ...] = tuple(body)
         self._index = {name: i for i, name in enumerate(self.variables)}
-        sizes: dict[int, int] = {}
-        self.n_points = _count_points(self.body, sizes)
-        self._table: list[tuple] = [None] * self.n_points
-        self._lower(self.body, 0, self.n_points, sizes)
+        self._table: list[list] = []
+        exits = self._lower(self.body)
+        self.n_points = len(self._table)
+        for entry, slot in exits:
+            entry[slot] = self.n_points
 
     def var_index(self, name: str) -> int:
         try:
@@ -117,17 +106,15 @@ class Program:
         except KeyError:
             raise ValueError(f"undeclared variable {name!r}") from None
 
-    def _lower(
-        self, cmds: Sequence[Cmd], start: int, exit_loc: int, sizes: dict[int, int]
-    ) -> None:
-        loc = start
-        starts = []
+    def _lower(self, cmds: Sequence[Cmd]) -> list[tuple[list, int]]:
+        """Append the entries of ``cmds`` in preorder; return the (entry, slot)
+        pairs whose jump leaves the block, for the caller to fill in."""
+        table = self._table
+        exits: list[tuple[list, int]] = []
         for c in cmds:
-            starts.append(loc)
-            loc += sizes[id(c)]
-        for pos, (c, begin) in enumerate(zip(cmds, starts)):
-            after = begin + sizes[id(c)]
-            cont = after if pos < len(cmds) - 1 else exit_loc
+            here = len(table)
+            for entry, slot in exits:
+                entry[slot] = here
             if isinstance(c, Assign):
                 if not _is_assign_expr(c.expr):
                     raise ValueError(
@@ -135,28 +122,24 @@ class Program:
                         "a copy, an increment or a decrement"
                     )
                 value = _compile(c.expr, self)
-                self._table[begin] = ("assign", self.var_index(c.var), value, cont)
-            elif isinstance(c, While):
-                self._table[begin] = (
-                    "branch",
-                    self.var_index(c.left),
-                    self.var_index(c.right),
-                    begin + 1 if c.body else begin,
-                    cont,
-                )
-                self._lower(c.body, begin + 1, begin, sizes)
+                entry = ["assign", self.var_index(c.var), value, None]
+                table.append(entry)
+                exits = [(entry, 3)]
+                continue
+            left, right = self.var_index(c.left), self.var_index(c.right)
+            entry = ["branch", left, right, here + 1, None]
+            table.append(entry)
+            if isinstance(c, While):
+                # The body returns to the test; an empty one loops on it.
+                for body_exit, slot in self._lower(c.body) or [(entry, 3)]:
+                    body_exit[slot] = here
+                exits = [(entry, 4)]
             else:
-                then_start = begin + 1
-                else_start = then_start + sum(sizes[id(b)] for b in c.then_body)
-                self._table[begin] = (
-                    "branch",
-                    self.var_index(c.left),
-                    self.var_index(c.right),
-                    then_start if c.then_body else cont,
-                    else_start if c.else_body else cont,
-                )
-                self._lower(c.then_body, then_start, cont, sizes)
-                self._lower(c.else_body, else_start, cont, sizes)
+                # An empty branch goes straight on to the continuation.
+                exits = self._lower(c.then_body) or [(entry, 3)]
+                entry[4] = len(table)
+                exits += self._lower(c.else_body) or [(entry, 4)]
+        return exits
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Program):
@@ -231,7 +214,7 @@ class Trace:
         return len(self.states) - 1
 
 
-def run_trace(p: Program, s0: State, max_steps: int = 10_000) -> Trace:
+def run_trace(p: Program, s0: State, max_steps: int = DEFAULT_MAX_STEPS) -> Trace:
     states = [s0]
     cur = s0
     for _ in range(max_steps):

@@ -5,7 +5,8 @@ exhausting the poset (``brute_force_height``), the colored-tree measure by
 rebuilding and re-labelling the whole tree (``f_star``, ``f_star_vec``),
 the new branch of an insertion by reading the descent path
 (``insert_branch``), the growing tree's measure node by node with ordinal
-labels (``WalkTree``), the invariant check one pair at a time
+labels (``WalkTree``), a program's run by walking its commands with no
+instruction table (``run_commands``), the invariant check one pair at a time
 (``check_invariant_pairwise``), the descent bound by its recursion with no
 closed form (``bound_g_literal``) and the non-descent scan one point at a
 time (``find_nondescent_pointwise``).
@@ -19,7 +20,17 @@ from termbound.erdos import ColoredList, ErdosTree, _label, color_of, embed, hei
 from termbound.errors import BudgetExceeded, LabelNotDecreasing, LemmaViolated
 from termbound.ktree import LabelledTree, Node, height_nil
 from termbound.ordinals import Ordinal, cmp, to_vector
-from termbound.termlang import InvariantReport, Program, Trace, TransitionInvariant
+from termbound.termlang import (
+    Assign,
+    Cmd,
+    If,
+    InvariantReport,
+    Program,
+    State,
+    Trace,
+    TransitionInvariant,
+    While,
+)
 
 # --- the exhaustive height oracle ---------------------------------------------
 #
@@ -247,6 +258,86 @@ def f_star(s: Sequence[Sequence[int]], k: int) -> Ordinal:
 def f_star_vec(s: Sequence[Sequence[int]], k: int) -> tuple[int, ...]:
     """The measure as a vector of k naturals, lexicographically ordered."""
     return to_vector(f_star(s, k), k)
+
+
+# --- the interpreter ----------------------------------------------------------
+
+
+def _points(cmds: Sequence[Cmd]) -> int:
+    """Commands in ``cmds``, nested ones included."""
+    total = 0
+    for c in cmds:
+        total += 1
+        if isinstance(c, While):
+            total += _points(c.body)
+        elif isinstance(c, If):
+            total += _points(c.then_body) + _points(c.else_body)
+    return total
+
+
+def _assigned(expr: tuple, env: dict[str, int]) -> int:
+    """The value of one of the four assignment forms over ``env``."""
+    if expr[0] == "const":
+        return expr[1]
+    if expr[0] == "pre":
+        return env[expr[1]]
+    x = env[expr[1][1]]
+    return x + 1 if expr[0] == "add" else max(0, x - 1)
+
+
+def run_commands(p: Program, s0: State, max_steps: int) -> list[State]:
+    """``run_trace(p, s0, max_steps).states`` by walking ``p.body`` itself.
+
+    No instruction table: a stack of ``[block, index, location]`` frames
+    points at the next command, its location being the command's preorder
+    number. A ``While`` whose test holds enters its body, or stays where it
+    is if the body is empty; an ``If`` enters the branch its test picks, or
+    goes on past itself if that branch is empty. A ``While`` body that runs
+    out returns to its ``While``; any other block that runs out goes on
+    past the command that holds it. Once the stack is empty the location
+    is one past the last command, and the run has ended.
+    """
+    env = dict(zip(p.variables, s0.env))
+    stack = [[p.body, 0, 0]] if p.body else []
+    end = _points(p.body)
+
+    def advance() -> None:
+        """Go on past the current command."""
+        while stack:
+            frame = stack[-1]
+            block, i, loc = frame
+            frame[1], frame[2] = i + 1, loc + _points(block[i : i + 1])
+            if i + 1 < len(block):
+                return
+            stack.pop()
+            if stack:
+                outer, j, _ = stack[-1]
+                if isinstance(outer[j], While):
+                    return  # back to the test
+
+    states = [s0]
+    while stack and len(states) <= max_steps:
+        block, i, loc = stack[-1]
+        c = block[i]
+        if isinstance(c, Assign):
+            env[c.var] = _assigned(c.expr, env)
+            advance()
+        elif isinstance(c, While):
+            if env[c.left] >= env[c.right]:
+                advance()
+            elif c.body:
+                stack.append([c.body, 0, loc + 1])
+        else:
+            holds = env[c.left] < env[c.right]
+            branch = c.then_body if holds else c.else_body
+            if branch:
+                start = loc + 1 if holds else loc + 1 + _points(c.then_body)
+                stack.append([branch, 0, start])
+            else:
+                advance()
+        location = stack[-1][2] if stack else end
+        states.append(State(location, tuple(env[v] for v in p.variables)))
+    return states
 
 
 # --- the per-pair invariant check ---------------------------------------------

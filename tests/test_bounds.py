@@ -151,6 +151,9 @@ class TestAgainstOracles:
     @example([(3,), (2,), (1,), (1,)], False, 0, 2, 100)  # witness at the limit
     @example([(3,), (2,), (1,), (0,)], False, 0, 5, 1)  # BudgetExceeded
     @example([(3,), (2,), (1,), (0,)], False, 6, 9, 100)  # n past the last row
+    # n past sys.maxsize, the largest index islice takes
+    @example([(7,)], False, 2**63, 2**63 + 8, bounds.DEFAULT_MAX_ITERATIONS)
+    @example([(3, 1), (2, 5), (2, 5)], False, 10**20, 10**20 + 5, 8)
     def test_find_nondescent(self, rows, descending, n, limit, max_iterations):
         if descending:
             rows = sorted(rows, reverse=True)

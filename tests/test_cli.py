@@ -139,6 +139,17 @@ class TestCommands:
         assert main(["bound", str(sigma), "--max-bound", "8"]) == 0
         assert capsys.readouterr().out.startswith("bound g(0) = 8\n")
 
+    def test_bound_n_past_sys_maxsize(self, tmp_path, capsys):
+        sigma = tmp_path / "sigma.json"
+        sigma.write_text(json.dumps({"rows": [[7]]}))
+        n = str(10**20)
+        assert main(["bound", str(sigma), "--n", n, "--max-bound", str(10**30)]) == 0
+        assert capsys.readouterr() == (
+            f"bound g({n}) = {10**20 + 8}\n"
+            f"first non-descent at m = {n}: (7,) <= (7,)\n",
+            "",
+        )
+
     def test_bound_k_may_be_null_or_absent(self, tmp_path, capsys):
         sigma = tmp_path / "sigma.json"
         for doc in ({"k": None}, {}):

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import check_invariant_pairwise, f_star_vec
+from oracles import check_invariant_pairwise, f_star_vec, run_commands
 
 from termbound.bounds import SequenceFn, bound_g
 from termbound.erdos import embed, height_of_tree, is_homogeneous
@@ -141,6 +141,43 @@ class TestRunTrace:
         t = run_trace(p, initial_state(p, {"y": 3}))
         assert t.complete
         assert t.states[-1].env_dict(p) == {"x": 3, "y": 3}
+
+
+NAMES = st.sampled_from(("x", "y", "z"))
+ASSIGNS = st.builds(
+    Assign,
+    NAMES,
+    st.one_of(
+        st.integers(0, 3).map(const), NAMES.map(pre), NAMES.map(inc), NAMES.map(dec)
+    ),
+)
+
+
+def command_blocks():
+    """Nested blocks of commands over x, y and z; any block may be empty."""
+    return st.recursive(
+        st.lists(ASSIGNS, max_size=3).map(tuple),
+        lambda blocks: st.lists(
+            st.one_of(
+                ASSIGNS,
+                st.builds(While, NAMES, NAMES, blocks),
+                st.builds(If, NAMES, NAMES, blocks, blocks),
+            ),
+            max_size=3,
+        ).map(tuple),
+        max_leaves=12,
+    )
+
+
+class TestRunTraceAgainstWalk:
+    """The lowered table against a walk of the command tree itself."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(command_blocks(), st.tuples(*[st.integers(0, 4)] * 3))
+    def test_same_states(self, body, values):
+        p = Program(("x", "y", "z"), body)
+        s0 = initial_state(p, dict(zip(p.variables, values)))
+        assert run_trace(p, s0, 60).states == run_commands(p, s0, 60)
 
 
 def line_relation(n):
