@@ -39,14 +39,16 @@ class SequenceFn(Record):
     """A sequence of k-tuples of naturals: ``rows``, then its last row forever.
 
     ``eventually_constant_from`` is the index of the last row; every read
-    at or past it returns that row. Build one with ``from_rows`` or
-    ``constant``, which check the rows once.
+    at or past it returns that row, as a tuple. Build one with
+    ``from_rows`` or ``constant``, which check the rows once and keep the
+    row objects they are given, all lists or all tuples, without copying
+    them.
     """
 
     __slots__ = ("rows", "k", "eventually_constant_from")
 
     def __call__(self, n: int) -> tuple[int, ...]:
-        return self.rows[min(n, self.eventually_constant_from)]
+        return tuple(self.rows[min(n, self.eventually_constant_from)])
 
     @classmethod
     def constant(cls, values: Sequence[int]) -> "SequenceFn":
@@ -54,14 +56,17 @@ class SequenceFn(Record):
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "SequenceFn":
-        """Raises ValueError unless the rows are non-empty, of one length,
-        and every coordinate is a natural (an ``int``, not a ``bool``)."""
+        """Raises ValueError unless the rows are non-empty, all lists or all
+        tuples (a list and a tuple do not compare), of one length, and every
+        coordinate is a natural (an ``int``, not a ``bool``)."""
         try:
-            rows = list(map(tuple, rows))
+            rows = list(rows)
         except TypeError:
             raise ValueError("every row must be a list of naturals") from None
         if not rows:
             raise ValueError("need at least one row")
+        if set(map(type, rows)) not in ({list}, {tuple}):
+            raise ValueError("every row must be a list of naturals")
         if len(set(map(len, rows))) != 1:
             raise ValueError("rows of unequal length")
         types = set(map(type, chain.from_iterable(rows)))

@@ -283,14 +283,18 @@ def cmd_run(args) -> int:
     s0 = initial_state(program, _parse_assignments(args.set or []))
     trace = run_trace(program, s0, args.max_steps)
     _printable(max((v for s in trace.states for v in s.env), default=0))  # largest printed
-    doc = {
-        "trace": trace_to_doc(program, trace),
-        "reached_final": trace.complete,
-        "steps": trace.steps,
-    }
-    lines = [
-        f"{s.location}: {s.env_dict(program)}" for s in trace.states
-    ] + [f"steps: {trace.steps} ({'final' if trace.complete else 'budget'})"]
+    if args.format == "structured":  # build only the output that is printed
+        doc = {
+            "trace": trace_to_doc(program, trace),
+            "reached_final": trace.complete,
+            "steps": trace.steps,
+        }
+        lines = []
+    else:
+        doc = {}
+        lines = [
+            f"{s.location}: {s.env_dict(program)}" for s in trace.states
+        ] + [f"steps: {trace.steps} ({'final' if trace.complete else 'budget'})"]
     _emit(args, doc, lines)
     return 0 if trace.complete else 3
 

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -174,3 +175,39 @@ class TestAgainstOracles:
     def test_bound_g(self, rows, n):
         sigma = SequenceFn.from_rows(rows)
         assert bound_g(sigma, n) == bound_g_literal(sigma, n)
+
+
+class TestFromRows:
+    """``from_rows`` keeps the row objects it is given, all lists or all tuples."""
+
+    @given(row_lists(10, 3), st.integers(0, 14), st.integers(0, 20))
+    def test_list_rows_as_tuple_rows(self, rows, n, limit):
+        as_tuples = SequenceFn.from_rows(rows)
+        as_lists = SequenceFn.from_rows([list(row) for row in rows])
+        for m in range(len(rows) + 3):  # past the last row too
+            assert type(as_lists(m)) is tuple
+            assert as_lists(m) == as_tuples(m)
+        assert bound_g(as_lists, n) == bound_g(as_tuples, n) == bound_g_literal(as_tuples, n)
+        expected = outcome(find_nondescent_pointwise, as_tuples, n, limit)
+        assert outcome(find_nondescent, as_lists, n, limit) == expected
+        assert outcome(find_nondescent, as_tuples, n, limit) == expected
+
+    def test_keeps_rows_uncopied(self):
+        rows = [[v // 1000, v % 1000] for v in range(99_999, -1, -1)]
+        tracemalloc.start()
+        try:
+            sigma = SequenceFn.from_rows(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(kept is row for kept, row in zip(sigma.rows, rows))
+        # The outer list is copied (8 bytes a row); a tuple per row would be 6 MB.
+        assert peak < 1_200_000
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[1, 0], (0, 0)], [(1, 0), [0, 0]], [range(2), range(2)], ["10", "00"], [1, 0], []],
+    )
+    def test_rejects_rows(self, rows):
+        with pytest.raises(ValueError):
+            SequenceFn.from_rows(rows)

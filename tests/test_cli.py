@@ -354,6 +354,8 @@ GOLDEN = {
     "check-pass": (0, "9b2653e4eea23e849a50ec93feff91a63e92472b5b1cafc3c2ede2767bbcfb38"),
     "check-fail": (1, "9f6c21b7941feab7c19e4564b782e20eae2cb3c7529a32f929dbc2ba12ebd0a1"),
     "check-budget": (3, "e08a7296521f5cad3117f31b6cf76ea86c794b8f4434abae0f4f12fde383367a"),
+    "run": (0, "7c12d93de0fbbd7c4b4f30087dd38dff881d2ff226e2a575222da16e892394a7"),
+    "run-budget": (3, "07fdaef76a5173bb535500a414a76c86cf67b9097130284b8e1d38ddb12c5adb"),
     "embed": (0, "a75f2691fba913465b5e7cc47fd32252fd74502e642bef5d3dbce9802bbd8b7d"),
     "bound": (0, "fa478fca22c5d11bfc57c0bc8c41ed7162cc0c641a0743e4f7b90864680a4898"),
     "bound-0": (0, "3aaa7505ef91c67d1d1fefa955b31158e09c80f3f57dac48fe5a261d413a2dde"),
@@ -418,6 +420,15 @@ class TestStructuredGolden:
                 capsys, "check", prog, "--invariant",
                 inv if rest == "pass" else tampered, "--set", "y=2", "--set", "x1=3",
             )
+        if command == "run":
+            if rest == "budget":
+                prog = tmp_path / "count.prog"
+                prog.write_text("vars x y\n0: while x < y\n1:   x := x + 1\n")
+                return self.structured(
+                    capsys, "run", str(prog), "--set", "y=50000", "--max-steps", "20"
+                )
+            _, prog, _, _ = self.unit_files(tmp_path, capsys, "add")
+            return self.structured(capsys, "run", prog, "--set", "y=2", "--set", "x1=3")
         if command == "embed":
             return self.structured(capsys, "embed", "3,4", "1,4", "0,9")
         sigma = tmp_path / "sigma.json"
