@@ -17,7 +17,7 @@ import os
 import sys
 from contextlib import contextmanager
 
-from .bounds import SequenceFn, bound_g, find_nondescent
+from .bounds import SequenceFn, bound_g, find_nondescent, text_proves_natural
 from .erdos import embed, erdos_to_doc
 from .errors import BudgetExceeded, ParseError, TermboundError
 from .ktree import height_nil
@@ -156,10 +156,11 @@ def _gc_paused():
 
 
 def _read_json(path: str):
-    """The JSON document in the file at ``path``."""
+    """The text of the file at ``path`` and the JSON document it holds."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            text = fh.read()
+        return text, json.loads(text)
     except (json.JSONDecodeError, UnicodeDecodeError):
         raise
     except ValueError:  # int() refused more digits than Python's limit
@@ -167,6 +168,20 @@ def _read_json(path: str):
         raise ParseError(f"{path}: a number of more than {digits} digits") from None
     except RecursionError:
         raise ParseError(f"{path}: JSON nested too deeply") from None
+
+
+def _read_sigma(path: str) -> SequenceFn:
+    """The sequence in the sigma file at ``path``: a JSON object with a list
+    ``"rows"`` of rows and an optional ``"k"``, their length."""
+    text, doc = _read_json(path)
+    if not isinstance(doc, dict) or not isinstance(doc.get("rows"), list):
+        raise ParseError('sigma file must be a JSON object with a list "rows"')
+    proven_natural = text_proves_natural(text, doc)
+    del text  # before from_rows copies the list of rows
+    sigma = SequenceFn.from_rows(doc["rows"], proven_natural=proven_natural)
+    if (k := doc.get("k")) is not None and (type(k) is not int or k != sigma.k):
+        raise ParseError(f'"k" must be null or {sigma.k}, the length of every row')
+    return sigma
 
 
 def _emit(args, doc: dict, human_lines: list[str]) -> None:
@@ -228,12 +243,7 @@ def cmd_embed(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    doc = _read_json(args.sigma_file)
-    if not isinstance(doc, dict) or not isinstance(doc.get("rows"), list):
-        raise ParseError('sigma file must be a JSON object with a list "rows"')
-    sigma = SequenceFn.from_rows(doc["rows"])
-    if (k := doc.get("k")) is not None and (type(k) is not int or k != sigma.k):
-        raise ParseError(f'"k" must be null or {sigma.k}, the length of every row')
+    sigma = _read_sigma(args.sigma_file)
     bound = _printable(bound_g(sigma, args.n, max_value=args.max_bound))
     witness = find_nondescent(sigma, args.n, bound)
     at, after = sigma(witness), sigma(witness + 1)
@@ -302,7 +312,7 @@ def cmd_run(args) -> int:
 def cmd_check(args) -> int:
     with open(args.program_file) as fh:
         program = program_from_text(fh.read())
-    invariant = invariant_from_doc(_read_json(args.invariant))
+    invariant = invariant_from_doc(_read_json(args.invariant)[1])
     s0 = initial_state(program, _parse_assignments(args.set or []))
     trace = run_trace(program, s0, args.max_steps)
     report = check_invariant(program, trace, invariant)
@@ -332,7 +342,7 @@ def cmd_pipeline(args) -> int:
         raise ParseError(f"term takes {len(unit.input_vars)} inputs, got {len(args.inputs)}")
     invariant = unit.invariant
     if args.invariant:
-        invariant = invariant_from_doc(_read_json(args.invariant))
+        invariant = invariant_from_doc(_read_json(args.invariant)[1])
 
     s0 = initial_state(unit.program, dict(zip(unit.input_vars, args.inputs)))
     trace = run_trace(unit.program, s0, args.max_steps)

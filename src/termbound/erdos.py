@@ -98,12 +98,13 @@ class _Column:
         return [self._above[bisect_right(s, v)] for v in keys]
 
 
-def _first_uncovered(s: Sequence[Sequence[int]], k: int) -> tuple[int, int] | None:
-    """The least pair (i, j), i < j, with no h such that s[j][h] < s[i][h], or None.
+def _first_uncovered(pts: list[Point]) -> tuple[int, int] | None:
+    """The least pair (i, j), i < j, with no h such that pts[j][h] < pts[i][h], or None.
 
-    Coordinate h is one ``_Column``; with k = 0 there is none and no pair is covered.
+    The points are checked ones, all of one length k (``_check_point``).
+    Coordinate h is one ``_Column``; with k = 0 there is none and no pair is
+    covered.
     """
-    pts = [_check_point(p, k) for p in s]
     pairs_in_budget(len(pts), "is_homogeneous")
     full, covered = (1 << len(pts)) - 1, [0] * len(pts)
     for col in zip(*pts):  # covered[i]: the points below point i in some coordinate
@@ -120,7 +121,7 @@ def is_homogeneous(s: Sequence[Sequence[int]], k: int) -> bool:
     singleton sequences are vacuously homogeneous. The pairs are tested as
     one bitset join, as in ``check_invariant``, within the same pair budget.
     """
-    return _first_uncovered(s, k) is None
+    return _first_uncovered([_check_point(p, k) for p in s]) is None
 
 
 def color_of(y: Sequence[int], x: Sequence[int]) -> int:
@@ -230,7 +231,10 @@ class ErdosTree:
         path, and LabelNotDecreasing, like ``to_labelled_tree``, if the new
         label is not below its parent's; the tree is then unchanged.
         """
-        y = _check_point(y, self.k)
+        return self._insert(_check_point(y, self.k))
+
+    def _insert(self, y: Point) -> tuple[int, ...]:
+        """``insert`` of a point ``_check_point`` has already checked."""
         k, nodes, memo = self.k, self.nodes, self._height_vec
         nearest: dict[int, Point] = {}
         parent, color = -1, 0
@@ -284,15 +288,16 @@ def embed(s: Sequence[Sequence[int]], k: int) -> ErdosTree:
     so the embedding is a simulation of sequence extension by one-node
     tree extension.
     """
-    if pair := _first_uncovered(s, k):
+    pts = [_check_point(p, k) for p in s]  # checked once, for the join and the inserts
+    if pair := _first_uncovered(pts):
         i, j = pair
         raise NotHomogeneous(
-            f"not homogeneous: no coordinate falls from {tuple(s[i])} (point {i}) to "
-            f"{tuple(s[j])} (point {j})"
+            f"not homogeneous: no coordinate falls from {pts[i]} (point {i}) to "
+            f"{pts[j]} (point {j})"
         )
     t = ErdosTree(k)
-    for y in s:
-        t.insert(y)
+    for y in pts:
+        t._insert(y)
     return t
 
 

@@ -8,16 +8,19 @@ the new branch of an insertion by reading the descent path
 labels (``WalkTree``), a program's run by walking its commands with no
 instruction table (``run_commands``), the invariant check one pair at a time
 (``check_invariant_pairwise``), the descent bound by its recursion with no
-closed form (``bound_g_literal``) and the non-descent scan one point at a
-time (``find_nondescent_pointwise``).
+closed form (``bound_g_literal``), the non-descent scan one point at a
+time (``find_nondescent_pointwise``) and a sigma file read with every
+coordinate checked, never proved natural from its text
+(``read_sigma_checked_in_full``).
 """
 
+import json
 from typing import Sequence
 
 from termbound import bounds
 from termbound.bounds import SequenceFn
 from termbound.erdos import ColoredList, ErdosTree, _label, color_of, embed, height_of_tree
-from termbound.errors import BudgetExceeded, LabelNotDecreasing, LemmaViolated
+from termbound.errors import BudgetExceeded, LabelNotDecreasing, LemmaViolated, ParseError
 from termbound.ktree import LabelledTree, Node, height_nil
 from termbound.ordinals import Ordinal, cmp, to_vector
 from termbound.termlang import (
@@ -413,3 +416,19 @@ def find_nondescent_pointwise(sigma: SequenceFn, n: int, limit: int) -> int:
     if end < limit:
         raise BudgetExceeded("non-descent scan exceeded its budget")
     raise LemmaViolated(f"strict lexicographic descent throughout [{n}, {limit}]")
+
+
+def read_sigma_checked_in_full(path: str) -> SequenceFn:
+    """``cli._read_sigma`` with both passes of ``from_rows`` over every coordinate.
+
+    The document is decoded by ``json.loads`` alone, and no condition on its
+    text is tried, so ``from_rows`` checks every coordinate's type and sign.
+    """
+    with open(path) as fh:
+        doc = json.loads(fh.read())
+    if not isinstance(doc, dict) or not isinstance(doc.get("rows"), list):
+        raise ParseError('sigma file must be a JSON object with a list "rows"')
+    sigma = SequenceFn.from_rows(doc["rows"])
+    if (k := doc.get("k")) is not None and (type(k) is not int or k != sigma.k):
+        raise ParseError(f'"k" must be null or {sigma.k}, the length of every row')
+    return sigma

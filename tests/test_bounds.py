@@ -1,4 +1,6 @@
 import gc
+import json
+import re
 import tracemalloc
 from unittest import mock
 
@@ -7,7 +9,7 @@ from hypothesis import example, given, strategies as st
 
 from oracles import bound_g_literal, find_nondescent_pointwise
 from termbound import bounds
-from termbound.bounds import SequenceFn, bound_g, find_nondescent
+from termbound.bounds import SequenceFn, bound_g, find_nondescent, text_proves_natural
 from termbound.cli import _gc_paused
 from termbound.errors import BudgetExceeded, LemmaViolated
 
@@ -211,3 +213,81 @@ class TestFromRows:
     def test_rejects_rows(self, rows):
         with pytest.raises(ValueError):
             SequenceFn.from_rows(rows)
+
+    @pytest.mark.parametrize(
+        "rows", [[[1, 0], (0, 0)], [[1, 0], [0]], []], ids=["mixed", "unequal", "empty"]
+    )
+    def test_proven_natural_keeps_the_shape_checks(self, rows):
+        with pytest.raises(ValueError) as full:
+            SequenceFn.from_rows(rows)
+        with pytest.raises(ValueError) as proven:
+            SequenceFn.from_rows(rows, proven_natural=True)
+        assert str(proven.value) == str(full.value)
+
+    def test_proven_natural_skips_only_the_coordinate_passes(self):
+        rows = [[3, 1], [2, 5], [2, 5]]
+        assert SequenceFn.from_rows(rows, proven_natural=True) == SequenceFn.from_rows(rows)
+
+
+def conditions(text: str) -> tuple[bool, bool, bool, bool]:
+    """The four conditions of ``text_proves_natural``, each on its own."""
+    doc = json.loads(text)
+    return (
+        re.fullmatch(r'[0-9 \t\n\r\[\],{}:"krows]*', text) is not None,
+        text.count("[") == len(doc["rows"]) + 1,
+        text.count("{") == 1,
+        text.count('"') == 2 * len(doc),
+    )
+
+
+class TestTextProvesNatural:
+    """Each condition on documents where it alone fails; rows are lists of lists."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"k": 2, "rows": [[1, 0], [0, 0]]}',
+            '{\n\t"rows" : [ [10,\r\n 0] ,[0,0]],"k":2}',
+            '{"rows": [[7]]}',
+            '{"rows": [[]], "k": 0}',
+        ],
+    )
+    def test_proves_digit_rows(self, text):
+        assert conditions(text) == (True, True, True, True)
+        assert text_proves_natural(text, json.loads(text))
+
+    @pytest.mark.parametrize(
+        "text,natural",
+        [
+            # 1: a character outside digits, JSON whitespace, []{},:" and k, r, o, w, s
+            ('{"rows": [[-1, 0], [0, 0]]}', False),
+            ('{"rows": [[1.5, 0], [0, 0]]}', False),
+            ('{"rows": [[1e2, 0], [0, 0]]}', False),
+            ('{"rows": [[true, 0], [0, 0]]}', False),
+            ('{"rows": [[NaN, 0], [0, 0]]}', False),
+            ('{"rows": [[1, 0]], "k": null}', True),
+            # 2: a list below a row, or a "[" in a key
+            ('{"rows": [[1, [2]], [0, 0]]}', False),
+            ('{"rows": [[1, []], [0, 0]]}', False),
+            ('{"[": 0, "rows": [[1, 0], [0, 0]]}', True),
+            # 3: an object below a row, or a "{" in a key
+            ('{"rows": [[1, {}], [0, 0]]}', False),
+            ('{"{": 0, "rows": [[1, 0], [0, 0]]}', True),
+            # 4: a string that is not a key, or a key twice
+            ('{"rows": [["rows", 1], [0, 0]]}', False),
+            ('{"rows": [["", 1], [0, 0]]}', False),
+            ('{"k": 2, "rows": [[1, 0]], "k": 2}', True),
+            ('{"rows": 5, "rows": [[1, 0]]}', True),
+        ],
+    )
+    def test_refuses_when_one_condition_fails(self, text, natural):
+        assert sum(conditions(text)) == 3
+        doc = json.loads(text)
+        assert not text_proves_natural(text, doc)
+        # The fallback, both passes over the coordinates, decides.
+        try:
+            SequenceFn.from_rows(doc["rows"])
+        except ValueError as exc:
+            assert not natural and str(exc) == "every coordinate must be a natural number"
+        else:
+            assert natural

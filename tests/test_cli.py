@@ -8,14 +8,17 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from functools import cmp_to_key
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from oracles import f_star_vec
-from termbound.cli import MAX_PRINT_BITS, _digit_limit, eval_ordinal_expr, main
+from oracles import f_star_vec, read_sigma_checked_in_full
+from termbound import cli
+from termbound.cli import MAX_PRINT_BITS, _digit_limit, _read_sigma, eval_ordinal_expr, main
 from termbound.errors import ParseError
 from termbound.ordinals import MAX_NESTING, Ordinal, cmp, nat_sum
 
@@ -938,3 +941,82 @@ class TestFuzzMain:
         sigma = tmp_path / "sigma.json"
         sigma.write_text(json.dumps(doc))
         assert_clean_exit(*run_main("bound", str(sigma), "--n", str(n)))
+
+
+# Sigma text mostly in the alphabet of ``bounds.text_proves_natural``: digit
+# coordinates, then every way a document in that alphabet can still hold a
+# coordinate that is not a natural, or a key that breaks a count.
+ODD_COORDINATES = ["[2]", "[]", "[1, [0]]", "{}", '{"k": 1}', "-1", "-0", "1.5", "1e2",
+                   "2E0", "true", "false", "null", "NaN", "Infinity", '"\\u0031"']
+json_space = st.sampled_from(["", " ", "\n", "\t", "\r\n  "])
+
+
+@st.composite
+def sigma_text(draw):
+    odd = draw(st.sampled_from([0, 0, 1, 3]))  # in ten coordinates
+
+    def coordinate():
+        pick = draw(st.integers(0, 9))
+        if pick >= odd:
+            return str(draw(st.integers(0, 12)))
+        if pick == 0:  # a string of the alphabet's letters
+            return json.dumps(draw(st.text("krows", max_size=4)))
+        return draw(st.sampled_from(ODD_COORDINATES))
+
+    k = draw(st.integers(1, 3))
+    rows = [
+        "[" + ", ".join(coordinate() for _ in range(k if draw(st.integers(0, 19)) else k + 1)) + "]"
+        for _ in range(draw(st.integers(1, 5)))
+    ]
+    rows_text = "[" + draw(json_space) + ",".join(rows) + "]"
+    members = [("rows", rows_text if draw(st.integers(0, 9)) else draw(st.sampled_from(["5", "[]"])))]
+    if draw(st.booleans()):
+        members.append(("k", draw(st.sampled_from(
+            [str(k), str(k), str(k + 1), "null", f"[{k}]", f'"{k}"', f"{k}.0", "true"]
+        ))))
+    # keys holding "[", "{" or ",", and repeated "rows" or "k" keys
+    for key in draw(st.lists(st.sampled_from(["[", "{", ",", "rows", "k", "k,rows", "s"]), max_size=2)):
+        members.append((key, draw(st.sampled_from(["0", "7", rows_text]))))
+    members = draw(st.permutations(members))
+    sep = draw(json_space)
+    return "{" + ("," + sep).join(f'"{key}"{sep}:{sep}{value}' for key, value in members) + "}"
+
+
+def main_output(*argv):
+    """Exit code, stdout and stderr of ``main``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestSigmaTextProof:
+    """``bound`` proves coordinates natural from the file's text, or checks them all."""
+
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(sigma_text(), st.integers(0, 3), st.sampled_from(["human", "structured"]))
+    def test_bound_matches_the_full_check(self, tmp_path, text, n, fmt):
+        sigma = tmp_path / "sigma.json"
+        sigma.write_text(text)
+        argv = ("--format", fmt, "bound", str(sigma), "--n", str(n))
+        with mock.patch.object(cli, "_read_sigma", read_sigma_checked_in_full):
+            expected = main_output(*argv)
+        assert main_output(*argv) == expected
+
+    def test_reads_without_a_second_copy_of_the_text(self, tmp_path):
+        rows = [[v // 1000, v % 1000] for v in range(99_999, -1, -1)]
+        text = json.dumps({"k": 2, "rows": rows})
+        sigma = tmp_path / "sigma.json"
+        sigma.write_text(text)
+        del rows
+        tracemalloc.start()
+        try:
+            read = _read_sigma(str(sigma))
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(read.rows) == 100_000
+        # What the reader keeps is the decoded rows. On top of them the text
+        # is held once while it is decoded and dropped before from_rows
+        # copies the outer list; a second copy would add its size again.
+        assert peak - kept < sys.getsizeof(text) * 1.25

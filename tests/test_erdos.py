@@ -2,11 +2,13 @@ import json
 import random
 from functools import lru_cache
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import WalkTree, f_star, f_star_vec, insert_branch
+from termbound import erdos
 from termbound.erdos import (
     MAX_CHECK_PAIRS,
     ColoredList,
@@ -194,6 +196,21 @@ class TestEmbed:
         assert str(info.value) == (
             "not homogeneous: no coordinate falls from (1, 0) (point 999) to (1, 0) (point 1000)"
         )
+
+    def test_checks_each_point_once(self):
+        # The homogeneity join and the inserts share the checked points, and
+        # a bad point is still refused before either runs.
+        s = [(y, 0) for y in range(50, 0, -1)]
+        with mock.patch.object(erdos, "_check_point", wraps=erdos._check_point) as check:
+            t = embed(s, 2)
+        assert check.call_count == len(s)
+        assert [n.point for n in t.nodes] == s
+        with pytest.raises(ValueError, match="non-natural coordinates"):
+            embed([(3, 4), (1, True)], 2)
+        # The public insert still checks its argument.
+        with mock.patch.object(erdos, "_check_point", wraps=erdos._check_point) as check:
+            t.insert([0, 1])
+        assert check.call_count == 1 and t.nodes[-1].point == (0, 1)
 
     def test_simulation_one_leaf_per_point(self):
         rng = random.Random(5)
