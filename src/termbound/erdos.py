@@ -37,8 +37,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
-from itertools import accumulate
-from operator import lt, or_
+from itertools import accumulate, compress, count, repeat
+from operator import add, getitem, lt, mul, or_, sub, xor
 
 from .errors import BudgetExceeded, LabelNotDecreasing, NoRelation, NotHomogeneous, Record
 from .ktree import LabelledTree, Node, height_tree
@@ -74,7 +74,8 @@ class _Column:
 
     ``masks(keys, op)`` gives, for each key, the states whose value is
     equal to it (``=``), below it (``<``) or above it (``>``): one dict
-    lookup, or one bisect into the prefix ORs over the sorted values.
+    lookup per key, or one bisect per distinct key into the prefix ORs
+    over the sorted values.
     """
 
     def __init__(self, values: Sequence[int], full: int):
@@ -88,14 +89,17 @@ class _Column:
         self._above: list[int] | None = None
 
     def masks(self, keys: Sequence[int], op: str) -> list[int]:
-        s = self.sorted
         if op == "=":
-            return [self.eq.get(v, 0) for v in keys]
+            return list(map(self.eq.get, keys, repeat(0)))
         if op == "<":
-            return [self.below[bisect_left(s, v)] for v in keys]
-        if self._above is None:  # above[k]: the states valued at least sorted[k]
-            self._above = [self.full ^ b for b in self.below]
-        return [self._above[bisect_right(s, v)] for v in keys]
+            find, prefix = bisect_left, self.below
+        else:
+            if self._above is None:  # above[k]: the states valued at least sorted[k]
+                self._above = list(map(xor, repeat(self.full), self.below))
+            find, prefix = bisect_right, self._above
+        distinct = list(set(keys))  # keys repeat along a trace: one bisect per value
+        at = dict(zip(distinct, map(prefix.__getitem__, map(find, repeat(self.sorted), distinct))))
+        return list(map(at.__getitem__, keys))
 
 
 def _first_uncovered(pts: list[Point]) -> tuple[int, int] | None:
@@ -157,7 +161,11 @@ class _Node:
         self.parent = parent  # index in ErdosTree.nodes; -1 for the root
         self.color = color  # color of the edge from the parent; 0 for the root
         self.children = children  # index of the child per color; -1 for none
-        self.run = run  # nodes entered by this node's maximal run of color-``color`` edges
+        # The maximal run of color-``color`` edges that enters this node (None
+        # for the root), as columns over the nodes it enters, in path order:
+        # their indices, their negated coordinate ``color`` and one list per
+        # earlier coordinate. Every column only grows at its tail.
+        self.run = run
 
 
 def height_vector(k: int, m: int, n: int) -> tuple[int, ...]:
@@ -180,8 +188,9 @@ class ErdosTree:
     branch is addressed by its color sequence. The tree grows in place:
     ``nodes`` holds one node per inserted point, in insertion order, so the
     root is ``nodes[0]`` and every parent comes before its children. A
-    node shares with the nodes above it by edges of its own color the list
-    of that run of edges, which only grows at its tail.
+    node shares with the nodes above it by edges of its own color the
+    columns of that run of edges: the nodes' indices, their negated
+    coordinate of that color, and each coordinate before it.
 
     The measure is the height of the labelled tree: the natural sum, over
     its empty slots, of ``h_k`` at the slot owner's label, and below
@@ -224,9 +233,13 @@ class ErdosTree:
         by the first coordinate in which it descends below that node's
         point. Along a run of color-c edges coordinate c strictly falls and
         every coordinate before it only rises, so ``y`` takes color c on a
-        prefix of the run: a bisect finds its end, and ``color_of`` runs in
-        full only at the node after it. Only the descent path is compared
-        with ``y``: the caller guarantees homogeneity, as ``embed`` does.
+        prefix of the run, which ends at the first node whose coordinate c
+        is not above ``y``'s or whose coordinate h < c is above ``y``'s.
+        Each of those c conditions is one bisect into a column the run
+        keeps (coordinate c negated, so that it rises too), and the prefix
+        ends at the least of them; a node's color is computed only at the
+        node after that end. Only the descent path is compared with ``y``:
+        the caller guarantees homogeneity, as ``embed`` does.
         Raises NoRelation when ``y`` does not descend below a node on the
         path, and LabelNotDecreasing, like ``to_labelled_tree``, if the new
         label is not below its parent's; the tree is then unchanged.
@@ -236,33 +249,31 @@ class ErdosTree:
     def _insert(self, y: Point) -> tuple[int, ...]:
         """``insert`` of a point ``_check_point`` has already checked."""
         k, nodes, memo = self.k, self.nodes, self._height_vec
-        nearest: dict[int, Point] = {}
+        nearest: dict[int, Point] = {}  # coordinate h: the nearest color-(h+1) ancestor
         parent, color = -1, 0
-
-        def leaves_run(i: int) -> bool:
-            p = nodes[i].point
-            return y[color - 1] >= p[color - 1] or any(map(lt, y[: color - 1], p))
-
         cur = 0 if nodes else -1
         while cur >= 0:
             n = nodes[cur]
-            color = color_of(y, n.point)
-            nearest[color] = n.point
+            # The first coordinate in which y is below, or color_of's NoRelation.
+            color = next(compress(count(1), map(lt, y, n.point)), 0) or color_of(y, n.point)
+            nearest[color - 1] = n.point
             parent, cur = cur, n.children[color - 1]
             if cur >= 0:
                 # n's own edge is not colored ``color``, so cur heads its run.
-                run = nodes[cur].run
-                end = bisect_left(run, True, key=leaves_run)
+                indices, neg, prior = nodes[cur].run
+                end = bisect_left(neg, -y[color - 1])
+                if prior:
+                    end = min(end, *map(bisect_right, prior, y))
                 if end:
-                    parent = run[end - 1]
-                    nearest[color] = nodes[parent].point
-                cur = run[end] if end < len(run) else -1
+                    parent = indices[end - 1]
+                    nearest[color - 1] = nodes[parent].point
+                cur = indices[end] if end < len(indices) else -1
         if parent < 0:
-            label, run = (k - 1, max(y) + 1), []
+            label, run = (k - 1, max(y) + 1), None
             gained = memo[label] = height_vector(k, *label)
             self.vector = tuple(k * g for g in gained)
         else:
-            label = (k - len(nearest), sum(p[h - 1] for h, p in nearest.items()))
+            label = (k - len(nearest), sum(map(getitem, nearest.values(), nearest)))
             gained = memo.get(label) or memo.setdefault(label, height_vector(k, *label))
             owner = nodes[parent]
             if label >= owner.label:
@@ -272,11 +283,12 @@ class ErdosTree:
                 )
             lost = memo[owner.label]
             owner.children[color - 1] = len(nodes)
-            self.vector = tuple(
-                v + k * g - l for v, g, l in zip(self.vector, gained, lost)
-            )
-            run = owner.run if owner.color == color else []
-        run.append(len(nodes))
+            self.vector = tuple(map(sub, map(add, self.vector, map(mul, repeat(k), gained)), lost))
+            run = owner.run if owner.color == color else ([], [], [[] for _ in range(color - 1)])
+            run[0].append(len(nodes))
+            run[1].append(-y[color - 1])
+            for column, value in zip(run[2], y):
+                column.append(value)
         nodes.append(_Node(y, label, parent, color, [-1] * k, run))
         return self.vector
 

@@ -33,8 +33,9 @@ order; the ranked certificate decreases from earlier to later.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping, Sequence
-from operator import eq, lt
+from collections.abc import Callable, Iterable, Mapping, Sequence
+from itertools import repeat
+from operator import add, and_, contains, eq, lt, sub
 
 from .bounds import SequenceFn, bound_g
 from .erdos import MAX_CHECK_PAIRS, ErdosTree, _Column, pairs_in_budget
@@ -483,7 +484,7 @@ _OPS = {"<": lt, "=": eq}
 
 def _bitset(flags: Sequence[bool]) -> int:
     """The int whose bit j is ``flags[j]``."""
-    return int("".join("1" if f else "0" for f in reversed(flags)) or "0", 2)
+    return int(bytes(reversed(flags)).translate(bytes.maketrans(b"\0\1", b"01")) or b"0", 2)
 
 
 def _low_bits(mask: int, limit: int) -> list[int]:
@@ -525,6 +526,20 @@ class _TraceColumns:
     def _key(self, leaf: tuple):
         return "loc" if leaf[0] in ("preloc", "postloc") else self.p.var_index(leaf[1])
 
+    def term_values(self, t: tuple) -> Iterable[int]:
+        """The values of a one-state term (a rank) on every state, in order.
+
+        ``compile_rank`` on each state, as C-level passes over the leaf
+        columns; a term that is not a leaf is ``add`` or ``monus``, as in
+        ``_compile``.
+        """
+        if t[0] in _LEAF_KINDS:
+            return self.values(t)
+        left, right = self.term_values(t[1]), self.term_values(t[2])
+        if t[0] == "add":
+            return map(add, left, right)
+        return map(max, repeat(0), map(sub, left, right))
+
 
 def _relation_sets(
     rel: ConstraintRelation, cols: _TraceColumns, ranks: list[int]
@@ -538,16 +553,16 @@ def _relation_sets(
     n = len(cols.states)
     pre_ok, post_ok, mixed = [True] * n, [True] * n, []
     if rel.pre_locations is not None:
-        pre_ok = [loc in rel.pre_locations for loc in cols.values(PRE_LOC)]
+        pre_ok = list(map(contains, repeat(rel.pre_locations), cols.values(PRE_LOC)))
     if rel.post_locations is not None:
-        post_ok = [loc in rel.post_locations for loc in cols.values(POST_LOC)]
+        post_ok = list(map(contains, repeat(rel.post_locations), cols.values(POST_LOC)))
     for a in rel.atoms:
         lpost, rpost = a.lhs[0] in ("post", "postloc"), a.rhs[0] in ("post", "postloc")
         lpre, rpre = a.lhs[0] in ("pre", "preloc"), a.rhs[0] in ("pre", "preloc")
         if lpost or rpost:
             if not (lpre or rpre):
                 holds = map(_OPS[a.op], cols.values(a.lhs), cols.values(a.rhs))
-                post_ok = [ok and h for ok, h in zip(post_ok, holds)]
+                post_ok = list(map(and_, post_ok, holds))
             elif lpre:  # x < y': the later value lies above state i's
                 op = ">" if a.op == "<" else "="
                 mixed.append(cols.column(a.rhs).masks(cols.values(a.lhs), op))
@@ -555,7 +570,7 @@ def _relation_sets(
                 mixed.append(cols.column(a.lhs).masks(cols.values(a.rhs), a.op))
         else:
             holds = map(_OPS[a.op], cols.values(a.lhs), cols.values(a.rhs))
-            pre_ok = [ok and h for ok, h in zip(pre_ok, holds)]
+            pre_ok = list(map(and_, pre_ok, holds))
     below = _Column(ranks, cols.full).masks(ranks, "<")
     return pre_ok, _bitset(post_ok), mixed, below
 
@@ -584,15 +599,14 @@ def check_invariant(
     states = trace.states
     n = len(states)
     pairs = pairs_in_budget(n, "check_invariant")
-    ranks = [r.compile_rank(p) for r in inv.relations]
-    values = [[rank(s) for s in states] for rank in ranks]
+    cols = _TraceColumns(p, states)
+    values = [list(cols.term_values(r.rank)) for r in inv.relations]
     report = InvariantReport(
         trace_length=n,
         reached_final=trace.complete,
         pairs_checked=pairs,
         rank_tuples=list(zip(*values)),
     )
-    cols = _TraceColumns(p, states)
     plans = [
         (r.name, *_relation_sets(r, cols, rank_values))
         for r, rank_values in zip(inv.relations, values)
@@ -613,10 +627,10 @@ def check_invariant(
             if m != hit:
                 report.rank_violation_total += (m ^ hit).bit_count()
                 bad.append((m ^ hit, name))
-        uncovered = after ^ covered
-        report.uncovered_total += uncovered.bit_count()
-        room = limit - len(report.uncovered)
-        report.uncovered.extend((i, j) for j in _low_bits(uncovered, room))
+        if uncovered := after ^ covered:
+            report.uncovered_total += uncovered.bit_count()
+            room = limit - len(report.uncovered)
+            report.uncovered.extend((i, j) for j in _low_bits(uncovered, room))
         room = limit - len(report.rank_violations)
         if bad and room > 0:
             union = 0

@@ -2,6 +2,7 @@ import json
 import random
 from functools import lru_cache
 from itertools import product
+from operator import eq, gt, lt
 from unittest import mock
 
 import pytest
@@ -115,6 +116,26 @@ class TestHomogeneous:
         ):
             is_homogeneous(points, 2)
         assert not is_homogeneous(points[:-1], 2)
+
+
+class TestColumnMasks:
+    """``_Column.masks`` against the per-position definition of each operator."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(0, 12), max_size=150),
+        st.lists(st.integers(-2, 15), max_size=40),
+        st.sampled_from(["=", "<", ">"]),
+    )
+    def test_matches_definition(self, values, keys, op):
+        # Keys from -2 to 15 fall inside the column, between its values and
+        # beyond both ends; the column's own values are keys too.
+        keys = keys + values
+        holds = {"=": eq, "<": lt, ">": gt}[op]
+        literal = [sum(1 << j for j, v in enumerate(values) if holds(v, key)) for key in keys]
+        column = erdos._Column(values, (1 << len(values)) - 1)
+        assert column.masks(keys, op) == literal
+        assert column.masks(keys, op) == literal  # ``>`` again, from its kept prefix masks
 
 
 class TestColorOf:
@@ -541,6 +562,54 @@ class TestInsertAgainstWalk:
     @pytest.mark.parametrize("name,args", SMALL_TRACES)
     def test_compiled_traces(self, name, args):
         assert_insert_matches_oracles(*trace_rank_tuples(name, args))
+
+
+class TestRunBoundaries:
+    """A point that ties a run member on one coordinate, at the run's bisects.
+
+    The root is (0, 10, 9) and nodes 1-3 are one run of color-2 edges:
+    coordinate 2 falls 8, 5, 2 and coordinate 1 rises 1, 2, 3. A tie on
+    coordinate 1 (h < c) keeps a point in the run; a tie on coordinate 2
+    (c itself) ends the run there.
+    """
+
+    RUN = [(0, 10, 9), (1, 8, 9), (2, 5, 9), (3, 2, 9)]
+    STAYS = (2, 4, 0)  # ties (2, 5, 9) at coordinate 1: color 2 there, color 1 at (3, 2, 9)
+    LEAVES = (2, 5, 0)  # ties (2, 5, 9) at coordinate 2: color 3 there
+    UNRELATED = (2, 5, 9)  # equal to node 2: NoRelation there
+
+    @pytest.mark.parametrize("raise_first", [False, True])
+    def test_ties(self, raise_first):
+        tree = ErdosTree(3)
+        for y in self.RUN:
+            tree.insert(y)
+        assert [n.color for n in tree.nodes] == [0, 2, 2, 2]
+        before = [(n.point, n.label, n.parent, n.color, list(n.children)) for n in tree.nodes]
+        if raise_first:
+            message = r"^\(2, 5, 9\) does not descend below \(2, 5, 9\)$"
+            with pytest.raises(NoRelation, match=message):
+                tree.insert(self.UNRELATED)
+            after = [(n.point, n.label, n.parent, n.color, n.children) for n in tree.nodes]
+            assert after == before
+        tree.insert(self.STAYS)
+        assert (tree.nodes[-1].parent, tree.nodes[-1].color) == (3, 1)
+        tree.insert(self.LEAVES)
+        assert (tree.nodes[-1].parent, tree.nodes[-1].color) == (2, 3)
+        points = self.RUN + [self.UNRELATED] * raise_first + [self.STAYS, self.LEAVES]
+        assert_insert_matches_oracles(3, points)
+
+    def test_ties_on_two_earlier_coordinates(self):
+        # A color-3 run: coordinates 1 and 2 rise, coordinate 3 falls. The
+        # new point ties node 2 on both earlier coordinates and stays in the
+        # run there; node 3 rises past it on coordinate 2 only.
+        run = [(0, 0, 9, 5), (1, 1, 7, 5), (1, 2, 5, 5), (1, 3, 3, 5)]
+        tree = ErdosTree(4)
+        for y in run:
+            tree.insert(y)
+        assert [n.color for n in tree.nodes] == [0, 3, 3, 3]
+        tree.insert((1, 2, 4, 0))
+        assert (tree.nodes[-1].parent, tree.nodes[-1].color) == (3, 2)
+        assert_insert_matches_oracles(4, run + [(1, 2, 4, 0), (1, 2, 5, 0), (1, 2, 5, 5)])
 
 
 class TestBranchProjection:

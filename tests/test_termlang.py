@@ -42,6 +42,8 @@ from termbound.termlang import (
     trace_to_doc,
     PRE_LOC,
     POST_LOC,
+    _bitset,
+    _TraceColumns,
 )
 
 
@@ -395,6 +397,38 @@ class TestCheckAgainstOracle:
         assert report.uncovered == pairs[: report.MAX_LISTED]
         assert report.to_doc() == check_invariant_pairwise(p, trace, inv).to_doc()
 
+    @pytest.mark.parametrize(
+        "name,args,change,relation",
+        [
+            ("sub", (7, 8), "drop", "cross_round"),
+            ("mult", (5, 1), "loc", "line"),
+            *[("add", (20, 3), "drop", r) for r in ("line", "cross_round", "c1_phase")],
+        ],
+    )
+    def test_same_report_across_machine_words(self, name, args, change, relation):
+        # Traces of 281-306 states: every bitset spans several 64-bit words.
+        # All but add without c1_phase (whose pairs ``line`` also covers)
+        # fail, so uncovered pairs or rank violations are listed.
+        unit = compile_term({"add": ADD, "sub": SUB, "mult": MULT}[name])
+        relations = list(unit.invariant.relations)
+        assert relation in [r.name for r in relations]
+        if change == "drop":
+            relations = [r for r in relations if r.name != relation]
+        else:  # the rank ``loc`` rises on every pair of a location-progress relation
+            relations = [
+                ConstraintRelation(r.name, r.atoms, PRE_LOC, r.pre_locations, r.post_locations)
+                if r.name == relation else r
+                for r in relations
+            ]
+        inv = TransitionInvariant(tuple(relations))
+        s0 = initial_state(unit.program, dict(zip(unit.input_vars, args)))
+        trace = run_trace(unit.program, s0)
+        assert len(trace) > 4 * 64
+        fast = check_invariant(unit.program, trace, inv)
+        slow = check_invariant_pairwise(unit.program, trace, inv)
+        assert fast.to_doc() == slow.to_doc()
+        assert fast.rank_tuples == slow.rank_tuples
+
     def test_pair_budget(self):
         p = counting_program()
         states = [State(0, (0, 0))] * 14_143
@@ -404,6 +438,60 @@ class TestCheckAgainstOracle:
             check_invariant(p, Trace(states, False), inv)
         report = check_invariant(p, Trace(states[:-1], False), inv)
         assert report.pairs_checked <= MAX_CHECK_PAIRS
+
+
+@st.composite
+def ranked_traces(draw):
+    """A compiled add/sub/mult trace and a rank term over its variables.
+
+    The rank is an ``add``/``monus`` tree of variables, ``loc`` and
+    constants up to 60, above most values of the trace, so ``monus``
+    truncates at 0 on some states and not on others.
+    """
+    name = draw(st.sampled_from(["add", "sub", "mult"]))
+    unit = compile_term({"add": ADD, "sub": SUB, "mult": MULT}[name])
+    args = draw(st.tuples(*[st.integers(0, 3)] * len(unit.input_vars)))
+    leaves = st.sampled_from([pre(v) for v in unit.program.variables] + [PRE_LOC]) | st.builds(
+        const, st.integers(0, 60)
+    )
+    rank = draw(
+        st.recursive(
+            leaves, lambda t: st.tuples(st.sampled_from(["add", "monus"]), t, t), max_leaves=8
+        )
+    )
+    s0 = initial_state(unit.program, dict(zip(unit.input_vars, args)))
+    return unit.program, run_trace(unit.program, s0), rank
+
+
+class TestColumnHelpers:
+    """The check's C-level passes against their per-element definitions."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.booleans(), max_size=300))
+    def test_bitset(self, flags):
+        assert _bitset(flags) == sum(1 << j for j, f in enumerate(flags) if f)
+
+    def test_bitset_of_nothing(self):
+        assert _bitset([]) == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(ranked_traces())
+    def test_rank_columns_are_compile_rank(self, case):
+        p, trace, rank = case
+        per_state = list(map(ConstraintRelation("r", (), rank).compile_rank(p), trace.states))
+        assert list(_TraceColumns(p, trace.states).term_values(rank)) == per_state
+        inv = TransitionInvariant((ConstraintRelation("r", (), rank),))
+        assert check_invariant(p, trace, inv).rank_tuples == [(v,) for v in per_state]
+
+    def test_monus_truncates_before_the_next_term(self):
+        p = counting_program()
+        trace = run_trace(p, initial_state(p, {"y": 2}))
+        cols = _TraceColumns(p, trace.states)
+        # x - 40 truncates to 0 before 3 is added: 3 - y = 1, not x - 39.
+        assert list(cols.term_values(parse_rank("x - 40 + 3 - y"))) == [1] * len(trace)
+        assert list(cols.term_values(parse_rank("40 - x - 38"))) == [
+            2 - s.env[0] for s in trace.states
+        ]
 
 
 class TestAtomSides:
