@@ -152,6 +152,22 @@ class TestColorOf:
         with pytest.raises(NoRelation):
             color_of((3, 4), (1, 4))
 
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=6))
+    def test_matches_definition(self, pairs):
+        # The first h with y[h] < x[h], or NoRelation naming both points.
+        y, x = zip(*pairs)
+        below = [h for h in range(1, len(y) + 1) if y[h - 1] < x[h - 1]]
+        if below:
+            assert color_of(y, x) == below[0]
+        else:
+            with pytest.raises(NoRelation) as raised:
+                color_of(list(y), list(x))
+            assert str(raised.value) == f"{y} does not descend below {x}"
+
+    def test_different_dimensions(self):
+        with pytest.raises(ValueError, match="points of different dimensions"):
+            color_of((0, 1), (1,))
+
 
 class TestInsertBranch:
     def test_into_empty(self):
