@@ -37,8 +37,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
-from itertools import accumulate, compress, count, repeat
-from operator import add, getitem, lt, mul, or_, sub, xor
+from itertools import accumulate, chain, compress, count, repeat
+from operator import add, getitem, lt, mul, ne, or_, sub, xor
 
 from .errors import BudgetExceeded, LabelNotDecreasing, NoRelation, NotHomogeneous, Record
 from .ktree import LabelledTree, Node, height_tree
@@ -72,6 +72,10 @@ def pairs_in_budget(n: int, stage: str) -> int:
 class _Column:
     """One value per position (a trace state or a point), as bitsets over the positions.
 
+    A value often holds over a run of positions, so each maximal run of
+    equal values, positions a to b - 1, is ORed into its value's bitset as
+    one block of b - a set bits; bit j stays position j.
+
     ``masks(keys, op)`` gives, for each key, the states whose value is
     equal to it (``=``), below it (``<``) or above it (``>``): one dict
     lookup per key, or one bisect per distinct key into the prefix ORs
@@ -79,9 +83,13 @@ class _Column:
     """
 
     def __init__(self, values: Sequence[int], full: int):
-        self.eq: dict[int, int] = {}
-        for j, v in enumerate(values):
-            self.eq[v] = self.eq.get(v, 0) | 1 << j
+        eq: dict[int, int] = {}
+        n = len(values)
+        starts = list(compress(range(n), chain((True,), map(ne, values[1:], values))))
+        for a, b in zip(starts, starts[1:] + [n]):
+            v = values[a]
+            eq[v] = eq.get(v, 0) | ((1 << (b - a)) - 1) << a
+        self.eq = eq
         self.sorted = sorted(self.eq)
         # below[k]: the states valued under sorted[k]
         self.below = list(accumulate((self.eq[v] for v in self.sorted), or_, initial=0))

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from itertools import repeat
-from operator import add, and_, contains, eq, lt, sub
+from operator import add, and_, attrgetter, contains, eq, itemgetter, lt, sub
 
 from .bounds import SequenceFn, bound_g
 from .erdos import MAX_CHECK_PAIRS, ErdosTree, _Column, pairs_in_budget
@@ -184,15 +184,7 @@ def is_final(p: Program, s: State) -> bool:
 
 def step(p: Program, s: State) -> State:
     """One small step; final states repeat themselves."""
-    if is_final(p, s):
-        return s
-    instr = p._table[s.location]
-    if instr[0] == "assign":
-        _, vidx, value, nxt = instr
-        env = s.env[:vidx] + (value(s, s),) + s.env[vidx + 1 :]
-        return State(nxt, env)
-    _, li, ri, t, f = instr
-    return State(t if s.env[li] < s.env[ri] else f, s.env)
+    return run_trace(p, s, 1).states[-1]
 
 
 class Trace:
@@ -216,14 +208,31 @@ class Trace:
 
 
 def run_trace(p: Program, s0: State, max_steps: int = DEFAULT_MAX_STEPS) -> Trace:
+    """The trace from ``s0``, cut off after ``max_steps`` steps.
+
+    Every jump in the table lands on a command or on the final point
+    ``p.n_points``, so once ``s0`` is not final only that point ends the run.
+    """
     states = [s0]
-    cur = s0
+    if is_final(p, s0):
+        return Trace(states, True)
+    table, final = p._table, p.n_points
+    cur, append = s0, states.append
     for _ in range(max_steps):
-        if is_final(p, cur):
+        instr = table[cur.location]
+        if instr[0] == "assign":
+            _, vidx, value, nxt = instr
+            env = list(cur.env)
+            env[vidx] = value(cur, cur)
+            cur = State(nxt, tuple(env))
+        else:
+            _, li, ri, t, f = instr
+            env = cur.env
+            cur = State(t if env[li] < env[ri] else f, env)
+        append(cur)
+        if cur.location == final:
             return Trace(states, True)
-        cur = step(p, cur)
-        states.append(cur)
-    return Trace(states, is_final(p, cur))
+    return Trace(states, False)
 
 
 # --- ranked relations --------------------------------------------------------
@@ -503,6 +512,7 @@ class _TraceColumns:
     def __init__(self, p: Program, states: Sequence[State]):
         self.p, self.states = p, states
         self.full = (1 << len(states)) - 1
+        self._envs = list(map(attrgetter("env"), states))
         self._values: dict = {}
         self._columns: dict = {}
 
@@ -512,9 +522,9 @@ class _TraceColumns:
         key = self._key(leaf)
         if key not in self._values:
             if key == "loc":
-                self._values[key] = [s.location for s in self.states]
+                self._values[key] = list(map(attrgetter("location"), self.states))
             else:
-                self._values[key] = [s.env[key] for s in self.states]
+                self._values[key] = list(map(itemgetter(key), self._envs))
         return self._values[key]
 
     def column(self, leaf: tuple) -> _Column:
@@ -630,7 +640,8 @@ def check_invariant(
         if uncovered := after ^ covered:
             report.uncovered_total += uncovered.bit_count()
             room = limit - len(report.uncovered)
-            report.uncovered.extend((i, j) for j in _low_bits(uncovered, room))
+            if room > 0:
+                report.uncovered.extend((i, j) for j in _low_bits(uncovered, room))
         room = limit - len(report.rank_violations)
         if bad and room > 0:
             union = 0

@@ -6,7 +6,7 @@ from operator import eq, gt, lt
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import WalkTree, f_star, f_star_vec, insert_branch
 from termbound import erdos
@@ -136,6 +136,39 @@ class TestColumnMasks:
         column = erdos._Column(values, (1 << len(values)) - 1)
         assert column.masks(keys, op) == literal
         assert column.masks(keys, op) == literal  # ``>`` again, from its kept prefix masks
+
+
+def run_columns():
+    """Columns drawn as (value, run length) pairs, so that most runs are long."""
+    return st.lists(st.tuples(st.integers(0, 6), st.integers(1, 90)), max_size=10).map(
+        lambda runs: [v for v, length in runs for _ in range(length)]
+    )
+
+
+class TestColumnRuns:
+    """``_Column`` built from runs of equal values, against each position's own bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(run_columns(), st.booleans())
+    @example([3] * 200, False)  # all equal
+    @example([0, 1] * 100, False)  # strictly alternating
+    @example([4], False)
+    @example([], False)
+    @example([3] * 130, True)
+    @example([1, 0] * 65, True)
+    @example([], True)
+    def test_matches_definition(self, values, as_tuple):
+        # A tuple is what ``is_homogeneous`` passes, from ``zip(*pts)``.
+        if as_tuple:
+            values = tuple(values)
+        column = erdos._Column(values, (1 << len(values)) - 1)
+        assert column.eq == {
+            v: sum(1 << j for j, x in enumerate(values) if x == v) for v in set(values)
+        }
+        keys = list(range(-1, 8))
+        for op, holds in (("=", eq), ("<", lt), (">", gt)):
+            literal = [sum(1 << j for j, v in enumerate(values) if holds(v, key)) for key in keys]
+            assert column.masks(keys, op) == literal
 
 
 class TestColorOf:

@@ -1,10 +1,12 @@
 import json
 from itertools import product
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from oracles import check_invariant_pairwise, f_star_vec, run_commands
 
+from termbound import termlang
 from termbound.bounds import SequenceFn, bound_g
 from termbound.erdos import embed, height_of_tree, is_homogeneous
 from termbound.errors import BudgetExceeded, NotHomogeneous, ParseError
@@ -175,11 +177,32 @@ class TestRunTraceAgainstWalk:
     """The lowered table against a walk of the command tree itself."""
 
     @settings(max_examples=300, deadline=None)
-    @given(command_blocks(), st.tuples(*[st.integers(0, 4)] * 3))
-    def test_same_states(self, body, values):
+    @given(command_blocks(), st.tuples(*[st.integers(0, 4)] * 3), st.integers(0, 60))
+    @example((), (3, 0, 0), 0)  # an empty body: the initial state is final
+    @example((While("x", "y", ()),), (0, 1, 0), 5)  # cut off in a loop with an empty body
+    def test_same_states(self, body, values, budget):
+        # Budgets of 0-60 steps cut many runs short; a run is complete when
+        # one more step of budget gives the walk no further state.
         p = Program(("x", "y", "z"), body)
         s0 = initial_state(p, dict(zip(p.variables, values)))
-        assert run_trace(p, s0, 60).states == run_commands(p, s0, 60)
+        trace = run_trace(p, s0, budget)
+        walked = run_commands(p, s0, budget)
+        assert trace.states == walked
+        assert trace.complete == (len(run_commands(p, s0, budget + 1)) == len(walked))
+        for s, s2 in zip(trace.states, trace.states[1:]):
+            assert step(p, s) == s2
+        if trace.complete:
+            assert step(p, trace.states[-1]) == trace.states[-1]
+
+    @pytest.mark.parametrize("location", [-1, 2, 3, 50])
+    def test_initial_state_already_final(self, location):
+        # Location 2 is the final point; any location outside the table is final too.
+        p = Program(("x",), (Assign("x", inc("x")), Assign("x", inc("x"))))
+        s0 = State(location, (7,))
+        for budget in (0, 1, 10):
+            trace = run_trace(p, s0, budget)
+            assert trace.states == [s0] and trace.complete
+        assert step(p, s0) == s0
 
 
 def line_relation(n):
@@ -397,6 +420,18 @@ class TestCheckAgainstOracle:
         assert report.uncovered == pairs[: report.MAX_LISTED]
         assert report.to_doc() == check_invariant_pairwise(p, trace, inv).to_doc()
 
+    def test_no_listing_work_once_the_list_is_full(self):
+        # Nothing is covered, so the first state alone fills the listing.
+        p = counting_program()
+        trace = run_trace(p, initial_state(p, {"y": 20}))
+        n = len(trace)
+        never = ConstraintRelation("never", (Atom(const(0), "<", const(0)),), const(0))
+        with mock.patch.object(termlang, "_low_bits", wraps=termlang._low_bits) as low_bits:
+            report = check_invariant(p, trace, TransitionInvariant((never,)))
+        assert low_bits.call_count == 1
+        assert report.uncovered == [(0, j) for j in range(1, report.MAX_LISTED + 1)]
+        assert report.uncovered_total == n * (n - 1) // 2
+
     @pytest.mark.parametrize(
         "name,args,change,relation",
         [
@@ -473,6 +508,17 @@ class TestColumnHelpers:
 
     def test_bitset_of_nothing(self):
         assert _bitset([]) == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(command_blocks(), st.tuples(*[st.integers(0, 4)] * 3), st.integers(0, 40))
+    def test_leaf_columns_are_the_states_values(self, body, values, budget):
+        p = Program(("x", "y", "z"), body)
+        states = run_trace(p, initial_state(p, dict(zip(p.variables, values))), budget).states
+        cols = _TraceColumns(p, states)
+        for i, name in enumerate(p.variables):
+            assert cols.values(pre(name)) == [s.env[i] for s in states]
+            assert cols.values(post(name)) == [s.env[i] for s in states]
+        assert cols.values(PRE_LOC) == cols.values(POST_LOC) == [s.location for s in states]
 
     @settings(max_examples=200, deadline=None)
     @given(ranked_traces())
