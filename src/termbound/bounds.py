@@ -120,6 +120,10 @@ def bound_g(sigma: SequenceFn, n: int, max_value: int | None = None) -> int:
 
     Raises BudgetExceeded when the value passes ``max_value`` or the
     evaluation needs more than ``DEFAULT_MAX_ITERATIONS`` iteration steps.
+
+    It keeps no table of values: every evaluation returns more than its
+    argument, so within one call the points evaluated at each depth
+    strictly increase, and no (depth, point) is evaluated twice.
     """
     if sigma.k < 1:
         raise ValueError("sequence must have at least one component")
@@ -132,15 +136,11 @@ def bound_g(sigma: SequenceFn, n: int, max_value: int | None = None) -> int:
     delta = [0, last[-1] + 1]
     for d in range(2, k + 1):
         delta.append((last[k - d] + 2) * (delta[d - 1] + 1))
-    memo: dict[tuple[int, int], int] = {}
     iterations = 0
 
     def bound(depth: int, m: int) -> int:
         """Bound for the last ``depth`` components, evaluated at m."""
         nonlocal iterations
-        x = memo.get((depth, m))
-        if x is not None:
-            return x
         if m >= freeze:
             x = m + delta[depth]
         elif depth == 1:
@@ -160,14 +160,13 @@ def bound_g(sigma: SequenceFn, n: int, max_value: int | None = None) -> int:
                 x = bound(depth - 1, x + 1)
         if max_value is not None and x > max_value:
             raise BudgetExceeded(f"bound value exceeded ceiling {max_value}")
-        memo[depth, m] = x
         return x
 
     try:
         return bound(k, n)
     finally:
         # bound refers to itself; break that cycle, so that reference
-        # counting frees sigma and the memo here and the cyclic GC need not.
+        # counting frees sigma here and the cyclic GC need not.
         del bound
 
 

@@ -33,7 +33,7 @@ class Ordinal:
         for exp, coeff in terms:
             if not isinstance(exp, Ordinal):
                 raise TypeError(f"exponent must be an Ordinal, got {exp!r}")
-            if not isinstance(coeff, int) or coeff < 1:
+            if type(coeff) is not int or coeff < 1:
                 raise ValueError(f"coefficient must be a positive integer, got {coeff!r}")
         for (e1, _), (e2, _) in zip(terms, terms[1:]):
             if cmp(e1, e2) <= 0:
@@ -51,7 +51,7 @@ class Ordinal:
 
     @classmethod
     def from_int(cls, n: int) -> "Ordinal":
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:
             raise ValueError(f"expected a natural number, got {n!r}")
         if n == 0:
             return ZERO
@@ -60,10 +60,10 @@ class Ordinal:
     @classmethod
     def omega_pow(cls, exponent: OrdinalLike, coeff: int = 1) -> "Ordinal":
         """The ordinal ``w^exponent * coeff``."""
+        if type(coeff) is not int or coeff < 0:
+            raise ValueError(f"coefficient must be a natural number, got {coeff!r}")
         if coeff == 0:
             return ZERO
-        if coeff < 0:
-            raise ValueError("coefficient must be non-negative")
         return cls._make(((_coerce(exponent), coeff),))
 
     @classmethod
@@ -167,7 +167,7 @@ OMEGA = Ordinal._make(((ONE, 1),))
 def _coerce(value: OrdinalLike) -> Ordinal:
     if isinstance(value, Ordinal):
         return value
-    if isinstance(value, int):
+    if type(value) is int:
         return Ordinal.from_int(value)
     raise TypeError(f"expected Ordinal or int, got {value!r}")
 
@@ -247,7 +247,7 @@ def nat_sum_all(values: Iterable[OrdinalLike]) -> Ordinal:
 
 def nat_prod_nat(a: OrdinalLike, k: int) -> Ordinal:
     """k-fold natural sum of a with itself; every coefficient times k."""
-    if not isinstance(k, int) or k < 0:
+    if type(k) is not int or k < 0:
         raise ValueError(f"expected a natural number, got {k!r}")
     a = _coerce(a)
     if k == 0 or a.is_zero:
@@ -297,7 +297,7 @@ def to_vector(a: OrdinalLike, k: int) -> tuple[int, ...]:
     Lexicographic order on the vectors coincides with the ordinal order.
     Raises DomainTooLarge when a >= w^k.
     """
-    if not isinstance(k, int) or k < 0:
+    if type(k) is not int or k < 0:
         raise ValueError(f"expected a natural number, got {k!r}")
     a = _coerce(a)
     vec = [0] * k

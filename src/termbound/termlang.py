@@ -530,7 +530,7 @@ class _TraceColumns:
     def column(self, leaf: tuple) -> _Column:
         key = self._key(leaf)
         if key not in self._columns:
-            self._columns[key] = _Column(self.values(leaf), self.full)
+            self._columns[key] = _Column(self.values(leaf))
         return self._columns[key]
 
     def _key(self, leaf: tuple):
@@ -581,7 +581,7 @@ def _relation_sets(
         else:
             holds = map(_OPS[a.op], cols.values(a.lhs), cols.values(a.rhs))
             pre_ok = list(map(and_, pre_ok, holds))
-    below = _Column(ranks, cols.full).masks(ranks, "<")
+    below = _Column(ranks).masks(ranks, "<")
     return pre_ok, _bitset(post_ok), mixed, below
 
 

@@ -79,6 +79,18 @@ class TestBoundG:
             bound_g(self.ITERATED, 0)
             assert gc.collect() == 0
 
+    def test_keeps_no_table(self):
+        # 23,104 recursive steps below the freeze point, each at a point no
+        # other step reaches; a table of every evaluation would take MBs.
+        sigma = SequenceFn.from_rows([[150, 150, 0]] * 60_000)
+        tracemalloc.start()
+        try:
+            assert bound_g(sigma, 0) == 46360
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64_000
+
     def test_closed_form_matches_iteration(self):
         # The closed form above the last row against every application.
         sigma = SequenceFn.from_rows([(3, 1), (2, 4), (2, 2), (1, 1)])

@@ -133,7 +133,7 @@ class TestColumnMasks:
         keys = keys + values
         holds = {"=": eq, "<": lt, ">": gt}[op]
         literal = [sum(1 << j for j, v in enumerate(values) if holds(v, key)) for key in keys]
-        column = erdos._Column(values, (1 << len(values)) - 1)
+        column = erdos._Column(values)
         assert column.masks(keys, op) == literal
         assert column.masks(keys, op) == literal  # ``>`` again, from its kept prefix masks
 
@@ -161,7 +161,7 @@ class TestColumnRuns:
         # A tuple is what ``is_homogeneous`` passes, from ``zip(*pts)``.
         if as_tuple:
             values = tuple(values)
-        column = erdos._Column(values, (1 << len(values)) - 1)
+        column = erdos._Column(values)
         assert column.eq == {
             v: sum(1 << j for j, x in enumerate(values) if x == v) for v in set(values)
         }

@@ -52,6 +52,30 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Ordinal(((ZERO, 0),))
 
+    # A bool is not a natural, nor is a float: each entry point refuses both.
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            pytest.param(lambda: Ordinal(((ZERO, True),)), ValueError, id="Ordinal-coeff-True"),
+            pytest.param(lambda: Ordinal(((ONE, 2.0),)), ValueError, id="Ordinal-coeff-2.0"),
+            pytest.param(lambda: Ordinal.from_int(True), ValueError, id="from_int-True"),
+            pytest.param(lambda: Ordinal.from_int(3.0), ValueError, id="from_int-3.0"),
+            pytest.param(lambda: Ordinal.omega_pow(1, 2.5), ValueError, id="omega_pow-2.5"),
+            pytest.param(lambda: Ordinal.omega_pow(1, True), ValueError, id="omega_pow-True"),
+            pytest.param(lambda: Ordinal.omega_pow(1, False), ValueError, id="omega_pow-False"),
+            pytest.param(lambda: Ordinal.omega_pow(True), TypeError, id="omega_pow-exponent-True"),
+            pytest.param(lambda: nat_prod_nat(w, True), ValueError, id="nat_prod_nat-True"),
+            pytest.param(lambda: nat_prod_nat(w, 2.0), ValueError, id="nat_prod_nat-2.0"),
+            pytest.param(lambda: to_vector(ONE, True), ValueError, id="to_vector-True"),
+            pytest.param(lambda: to_vector(ONE, 2.0), ValueError, id="to_vector-2.0"),
+            pytest.param(lambda: cmp(True, 0), TypeError, id="coerce-True"),
+            pytest.param(lambda: nat_sum(w, 1.5), TypeError, id="coerce-1.5"),
+        ],
+    )
+    def test_rejects_bool_and_float_naturals(self, call, error):
+        with pytest.raises(error):
+            call()
+
     def test_canonical_rejects_nondecreasing_exponents(self):
         with pytest.raises(ValueError):
             Ordinal(((ZERO, 1), (ONE, 1)))
