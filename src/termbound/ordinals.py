@@ -26,7 +26,7 @@ from .errors import BudgetExceeded, DomainTooLarge, ParseError
 class Ordinal:
     """An ordinal below epsilon_0 in hereditary Cantor normal form."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: Iterable[tuple["Ordinal", int]] = ()):
         terms = tuple(terms)
@@ -39,14 +39,12 @@ class Ordinal:
             if cmp(e1, e2) <= 0:
                 raise ValueError("exponents must be strictly decreasing")
         self._terms = terms
-        self._hash: int | None = None
 
     @staticmethod
     def _make(terms: tuple[tuple["Ordinal", int], ...]) -> "Ordinal":
         # Internal fast path: terms are already known to be canonical.
         o = object.__new__(Ordinal)
         o._terms = terms
-        o._hash = None
         return o
 
     @classmethod
@@ -113,9 +111,7 @@ class Ordinal:
 
     def __hash__(self) -> int:
         # Finite ordinals compare equal to ints, so they must hash alike.
-        if self._hash is None:
-            self._hash = hash(self.to_int()) if self.is_finite else hash(self._terms)
-        return self._hash
+        return hash(self.to_int()) if self.is_finite else hash(self._terms)
 
     def __lt__(self, other: OrdinalLike) -> bool:
         return cmp(self, other) < 0
@@ -322,8 +318,9 @@ def from_vector(vec: Sequence[int]) -> Ordinal:
 #   term    := "w" ("^" "(" ordinal ")" | "^" nat)? ("*" nat)? | nat
 #
 # Printing always produces the canonical spelling ("w" not "w^1", no "*1").
-# Parsing accepts any spelling of a canonical value but rejects term lists
-# that are not in normal form (non-decreasing exponents, zero coefficients).
+# Parsing accepts any spelling of a canonical value. ``Ordinal`` rejects a
+# term list not in normal form (non-decreasing exponents, zero coefficients);
+# the reader only names the text in its message.
 # A literal has no inner whitespace, and it continues across "+" only when
 # a term follows at once, so "w+ 1" is the literal "w" and then a "+".
 #
@@ -412,13 +409,10 @@ def read_ordinal(sc: Scanner) -> Ordinal:
         terms.append(_read_term(sc))
     if len(terms) == 1 and terms[0] == (ZERO, 0):
         return ZERO
-    for _, coeff in terms:
-        if coeff == 0:
-            raise ParseError(f"zero term inside a sum in {sc.text!r}")
-    for (e1, _), (e2, _) in zip(terms, terms[1:]):
-        if cmp(e1, e2) <= 0:
-            raise ParseError(f"exponents not strictly decreasing in {sc.text!r}")
-    return Ordinal._make(tuple(terms))
+    try:
+        return Ordinal(terms)
+    except ValueError as exc:
+        raise ParseError(f"{exc} in {sc.text!r}") from None
 
 
 def _read_term(sc: Scanner) -> tuple[Ordinal, int]:
@@ -438,7 +432,7 @@ def _read_term(sc: Scanner) -> tuple[Ordinal, int]:
         if sc.peek() == "*":
             sc.take()
             coeff = sc.nat()
-        if coeff == 0:
+        if coeff == 0:  # else "w^0*0" would read as the term (0, 0), the literal 0
             raise ParseError(f"zero coefficient in {sc.text!r}")
         return (exp, coeff)
     return (ZERO, sc.nat())

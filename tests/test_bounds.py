@@ -49,6 +49,10 @@ class TestBoundG:
         # H(2, 0) with the tail bound g1(x) = x + 1.
         assert bound_g(sigma, 0) == 4
 
+    def test_rejects_negative_n(self):
+        with pytest.raises(ValueError, match="^n must be a natural number$"):
+            bound_g(SequenceFn.from_rows([[1]]), -1)
+
     def test_value_ceiling(self):
         sigma = SequenceFn.constant((10**6, 10**6, 10**6))
         with pytest.raises(BudgetExceeded, match="^bound value exceeded ceiling 1000000000$"):
@@ -225,6 +229,10 @@ class TestFromRows:
     def test_rejects_rows(self, rows):
         with pytest.raises(ValueError):
             SequenceFn.from_rows(rows)
+
+    def test_rejects_rows_that_are_not_iterable(self):
+        with pytest.raises(ValueError, match="^every row must be a list of naturals$"):
+            SequenceFn.from_rows(5)
 
     @pytest.mark.parametrize(
         "rows", [[[1, 0], (0, 0)], [[1, 0], [0]], []], ids=["mixed", "unequal", "empty"]

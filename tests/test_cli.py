@@ -23,12 +23,13 @@ from termbound.errors import ParseError
 from termbound.ordinals import MAX_NESTING, Ordinal, cmp, nat_sum
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+TERM_ADD = "(rec (p 1 1) (comp s (p 2 3)))"
 
 
 @pytest.fixture
 def add_term(tmp_path):
     path = tmp_path / "add.pr"
-    path.write_text("(rec (p 1 1) (comp s (p 2 3)))")
+    path.write_text(TERM_ADD)
     return str(path)
 
 
@@ -308,6 +309,37 @@ class TestCommands:
     def test_missing_file_is_usage_error(self):
         assert main(["compile", "/nonexistent/term.pr"]) == 2
 
+    # Each case writes its input file (if any) to the working directory,
+    # then expects one exit code and one stderr line.
+    @pytest.mark.parametrize(
+        "files, argv, code, line",
+        [
+            ({"add.pr": TERM_ADD}, ["pipeline", "add.pr", "2"], 2,
+             "error: term takes 2 inputs, got 1"),
+            ({"add.pr": TERM_ADD}, ["pipeline", "add.pr", "50", "3", "--max-steps", "10"], 3,
+             "budget exceeded: no final state within 10 steps"),
+            ({}, ["embed", "--k", "3", "1,2"], 2,
+             "error: point '1,2' does not have 3 coordinates"),
+            ({"dup.prog": "vars x x\n"}, ["run", "dup.prog"], 2,
+             "error: duplicate variable declaration"),
+            ({"bad.prog": "vars x\n0: x = 1\n"}, ["run", "bad.prog"], 2,
+             "error: bad command 'x = 1'"),
+            ({"arity.pr": "(comp (p 1 2) s (z 2))"}, ["compile", "arity.pr"], 2,
+             "error: inner functions disagree on arity: [1, 2]"),
+            ({"open.pr": "(p 1 2 3)"}, ["compile", "open.pr"], 2,
+             "error: missing closing parenthesis"),
+            ({}, ["tree-height", "--k", "0", "w"], 2, "error: arity must be at least 1"),
+        ],
+        ids=["pipeline-inputs", "pipeline-budget", "embed-coordinates", "run-duplicate-var",
+             "run-bad-command", "compile-arity", "compile-unclosed", "tree-height-k-0"],
+    )
+    def test_error_exit_code_and_message(self, tmp_path, monkeypatch, capsys, files, argv, code, line):
+        monkeypatch.chdir(tmp_path)
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        assert main(argv) == code
+        assert capsys.readouterr().err == line + "\n"
+
     @pytest.mark.parametrize("unbuffered", [True, False])
     def test_closed_output_pipe_exits_quietly(self, add_term, unbuffered):
         # The read end is closed before the child starts, so its first write
@@ -330,7 +362,7 @@ class TestCommands:
 
 
 TERMS = {
-    "add": "(rec (p 1 1) (comp s (p 2 3)))",
+    "add": TERM_ADD,
     "sub": "(rec (p 1 1) (comp (rec (z 0) (p 1 2)) (p 2 3)))",
     "mult": "(rec z (comp (rec (p 1 1) (comp s (p 2 3))) (p 2 3) (p 3 3)))",
     "zero": "z",

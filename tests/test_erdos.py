@@ -421,6 +421,11 @@ class TestInsertMeasure:
             t.insert((3, 4))
         assert t.branch_count() == 1
 
+    def test_rejects_point_of_wrong_dimension(self):
+        with pytest.raises(ValueError) as info:
+            ErdosTree(2).insert((1, 2, 3))
+        assert str(info.value) == "point (1, 2, 3) does not have 2 coordinates"
+
     @pytest.mark.parametrize(
         "point", [(True, 0), (2.5, 0), (-1, 0), ("3", 0)], ids=["bool", "float", "neg", "str"]
     )

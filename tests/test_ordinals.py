@@ -88,6 +88,13 @@ class TestConstruction:
         assert Ordinal.from_int(7) == 7
         assert w != 7
 
+    def test_finite_hashes_as_its_int(self):
+        assert hash(Ordinal.from_int(7)) == hash(7)
+        assert len({Ordinal.from_int(7), 7}) == 1
+
+    def test_omega_pow_zero_coefficient(self):
+        assert Ordinal.omega_pow(1, 0) == ZERO
+
 
 class TestCmp:
     def test_zero_zero(self):
@@ -207,10 +214,13 @@ class TestGrammar:
     def test_redundant_spellings_accepted(self, text):
         parse_ordinal(text)
 
-    @pytest.mark.parametrize("text", ["w+w", "1+w", "3+5", "w*0", "w+0", "", "w^", "x"])
+    @pytest.mark.parametrize(
+        "text", ["w+w", "1+w", "3+5", "w*0", "w+0", "w^0*0", "0+1", "w^(1+w)", "", "w^", "x"]
+    )
     def test_non_canonical_rejected(self, text):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as info:
             parse_ordinal(text)
+        assert str(info.value).endswith(f" in {text!r}")
 
     def test_nesting_cap(self):
         def tower(depth):
@@ -246,6 +256,12 @@ class TestAlgebraicLaws:
     def test_transitivity(self, a, b, c):
         if cmp(a, b) <= 0 and cmp(b, c) <= 0:
             assert cmp(a, c) <= 0
+
+    @given(small_ordinals(), small_ordinals(), st.integers(0, 20))
+    def test_operators_agree_with_cmp_and_add(self, a, b, n):
+        c = cmp(a, b)
+        assert (a < b, a <= b, a > b, a >= b) == (c < 0, c <= 0, c > 0, c >= 0)
+        assert n + a == add(n, a)
 
     @given(st.integers(0, 50), st.integers(0, 50))
     def test_finite_agreement(self, m, n):
