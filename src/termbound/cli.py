@@ -229,9 +229,9 @@ def cmd_tree_height(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    first = _parse_point(args.points[0], None)
-    k = args.k if args.k is not None else len(first)
-    points = [_parse_point(p, k) for p in args.points]
+    first = _parse_point(args.points[0], args.k)
+    k = len(first)
+    points = [first] + [_parse_point(p, k) for p in args.points[1:]]
     tree = embed(points, k)
     vec = tree.vector
     measure = _printable(from_vector(vec))
@@ -395,6 +395,88 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+def _arg(*flags: str, **kwargs) -> tuple:
+    """One ``add_argument`` call, held until a command's parser is built."""
+    return flags, kwargs
+
+
+_SET = _arg("--set", action="append", metavar="VAR=NAT")
+_MAX_STEPS = _arg("--max-steps", type=nat, default=DEFAULT_MAX_STEPS)
+
+# Each command: its handler, its line in the top-level help, its arguments.
+COMMANDS = {
+    "ord": (cmd_ord, "evaluate an ordinal expression", [_arg("expr")]),
+    "tree-height": (
+        cmd_tree_height,
+        "height of the empty k-tree below alpha",
+        [_arg("--k", type=nat, required=True), _arg("alpha")],
+    ),
+    "embed": (
+        cmd_embed,
+        "embed a homogeneous sequence of points",
+        [
+            _arg("--k", type=nat, default=None),
+            _arg("points", nargs="+", metavar="P", help="points like 3,4"),
+        ],
+    ),
+    "bound": (
+        cmd_bound,
+        "descent bound and non-descent witness",
+        [
+            _arg("sigma_file"),
+            _arg("--n", type=nat, default=0),
+            _arg("--max-bound", type=nat, default=10**9),
+        ],
+    ),
+    "compile": (cmd_compile, "compile a primitive recursive term", [_arg("term_file")]),
+    "run": (
+        cmd_run,
+        "run a program to its final state",
+        [_arg("program_file"), _SET, _MAX_STEPS],
+    ),
+    "check": (
+        cmd_check,
+        "check an invariant over a bounded trace",
+        [_arg("program_file"), _arg("--invariant", required=True), _SET, _MAX_STEPS],
+    ),
+    "pipeline": (
+        cmd_pipeline,
+        "compile, run, check and bound a term on inputs",
+        [
+            _arg("term_file"),
+            _arg("inputs", nargs="*", type=nat),
+            _arg("--invariant", help="override the emitted invariant"),
+            _MAX_STEPS,
+        ],
+    ),
+}
+
+
+def _add_arguments(parser: argparse.ArgumentParser, fn, arguments) -> None:
+    for flags, kwargs in arguments:
+        parser.add_argument(*flags, **kwargs)
+    parser.set_defaults(fn=fn)
+
+
+class _CommandParser:
+    """A command's parser, registered with ``add_subparsers(parser_class=...)``
+    and built only when argparse parses that command's arguments with it.
+
+    ``parse_known_args`` is the one method that argparse's subparsers action
+    calls on a command's parser (Python 3.10 to 3.13), so a call builds the
+    parser of the command it names and none of the others.
+    """
+
+    def __init__(self, *, command: tuple, **kwargs):
+        self.command = command  # (handler, arguments)
+        self.kwargs = kwargs  # prog, as add_parser computed it
+
+    def parse_known_args(self, args=None, namespace=None):
+        parser = _Parser(**self.kwargs)
+        _add_arguments(parser, *self.command)
+        return parser.parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="termbound",
@@ -406,52 +488,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="human",
         help="human-readable lines or a single JSON document",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ord", help="evaluate an ordinal expression")
-    p.add_argument("expr")
-    p.set_defaults(fn=cmd_ord)
-
-    p = sub.add_parser("tree-height", help="height of the empty k-tree below alpha")
-    p.add_argument("--k", type=nat, required=True)
-    p.add_argument("alpha")
-    p.set_defaults(fn=cmd_tree_height)
-
-    p = sub.add_parser("embed", help="embed a homogeneous sequence of points")
-    p.add_argument("--k", type=nat, default=None)
-    p.add_argument("points", nargs="+", metavar="P", help="points like 3,4")
-    p.set_defaults(fn=cmd_embed)
-
-    p = sub.add_parser("bound", help="descent bound and non-descent witness")
-    p.add_argument("sigma_file")
-    p.add_argument("--n", type=nat, default=0)
-    p.add_argument("--max-bound", type=nat, default=10**9)
-    p.set_defaults(fn=cmd_bound)
-
-    p = sub.add_parser("compile", help="compile a primitive recursive term")
-    p.add_argument("term_file")
-    p.set_defaults(fn=cmd_compile)
-
-    p = sub.add_parser("run", help="run a program to its final state")
-    p.add_argument("program_file")
-    p.add_argument("--set", action="append", metavar="VAR=NAT")
-    p.add_argument("--max-steps", type=nat, default=DEFAULT_MAX_STEPS)
-    p.set_defaults(fn=cmd_run)
-
-    p = sub.add_parser("check", help="check an invariant over a bounded trace")
-    p.add_argument("program_file")
-    p.add_argument("--invariant", required=True)
-    p.add_argument("--set", action="append", metavar="VAR=NAT")
-    p.add_argument("--max-steps", type=nat, default=DEFAULT_MAX_STEPS)
-    p.set_defaults(fn=cmd_check)
-
-    p = sub.add_parser("pipeline", help="compile, run, check and bound a term on inputs")
-    p.add_argument("term_file")
-    p.add_argument("inputs", nargs="*", type=nat)
-    p.add_argument("--invariant", help="override the emitted invariant")
-    p.add_argument("--max-steps", type=nat, default=DEFAULT_MAX_STEPS)
-    p.set_defaults(fn=cmd_pipeline)
-
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    for name, (fn, summary, arguments) in COMMANDS.items():
+        sub.add_parser(name, help=summary, command=(fn, arguments))
     return parser
 
 

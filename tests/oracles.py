@@ -9,15 +9,18 @@ labels (``WalkTree``), a program's run by walking its commands with no
 instruction table (``run_commands``), the invariant check one pair at a time
 (``check_invariant_pairwise``), the descent bound by its recursion with no
 closed form (``bound_g_literal``), the non-descent scan one point at a
-time (``find_nondescent_pointwise``) and a sigma file read with every
+time (``find_nondescent_pointwise``), a sigma file read with every
 coordinate checked, never proved natural from its text
-(``read_sigma_checked_in_full``).
+(``read_sigma_checked_in_full``), and the command line parsed with every
+command's parser built up front (``eager_parser``).
 """
 
+import argparse
 import json
 from typing import Sequence
+from unittest import mock
 
-from termbound import bounds
+from termbound import bounds, cli
 from termbound.bounds import SequenceFn
 from termbound.erdos import ColoredList, ErdosTree, _label, color_of, embed, height_of_tree
 from termbound.errors import BudgetExceeded, LabelNotDecreasing, LemmaViolated, ParseError
@@ -432,3 +435,22 @@ def read_sigma_checked_in_full(path: str) -> SequenceFn:
     if (k := doc.get("k")) is not None and (type(k) is not int or k != sigma.k):
         raise ParseError(f'"k" must be null or {sigma.k}, the length of every row')
     return sigma
+
+
+class _EagerCommandParser(cli._Parser):
+    """A command's parser with its arguments added when it is registered."""
+
+    def __init__(self, *, command: tuple, **kwargs):
+        super().__init__(**kwargs)
+        cli._add_arguments(self, *command)
+
+
+_build_parser = cli.build_parser  # the module's own, even where a test patches it
+
+
+def eager_parser() -> argparse.ArgumentParser:
+    """``cli.build_parser`` from the same command table, but with all eight
+    command parsers built at registration, as argparse builds subparsers by
+    default."""
+    with mock.patch.object(cli, "_CommandParser", _EagerCommandParser):
+        return _build_parser()

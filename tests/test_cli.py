@@ -16,11 +16,13 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from oracles import f_star_vec, read_sigma_checked_in_full
+from oracles import eager_parser, f_star_vec, read_sigma_checked_in_full
 from termbound import cli
 from termbound.cli import MAX_PRINT_BITS, _digit_limit, _read_sigma, eval_ordinal_expr, main
 from termbound.errors import ParseError
 from termbound.ordinals import MAX_NESTING, Ordinal, cmp, nat_sum
+from termbound.prcompile import compile_term, parse_term
+from termbound.termlang import invariant_to_doc, program_to_text
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 TERM_ADD = "(rec (p 1 1) (comp s (p 2 3)))"
@@ -121,6 +123,14 @@ class TestCommands:
             "check failed: not homogeneous: no coordinate falls from (1, 1) (point 0) "
             "to (1, 1) (point 1)\n"
         )
+
+    @pytest.mark.parametrize("argv", [["3,4", "1,4"], ["--k", "2", "3,4", "1,4"]])
+    def test_embed_parses_each_point_once(self, monkeypatch, capsys, argv):
+        parsed = []
+        parse = cli._parse_point
+        monkeypatch.setattr(cli, "_parse_point", lambda text, k: parsed.append(text) or parse(text, k))
+        assert main(["embed", *argv]) == 0
+        assert parsed == ["3,4", "1,4"]
 
     def test_bound(self, tmp_path, capsys):
         sigma = tmp_path / "sigma.json"
@@ -508,6 +518,73 @@ def counting_check(tmp_path, invariant):
         "check", str(prog), "--invariant", str(inv),
         "--set", "y=50000", "--max-steps", "20",
     )
+
+
+class TestParser:
+    # One command line per command, each run to exit 0 in a directory that
+    # holds the files of ``command_files``.
+    COMMAND_LINES = {
+        "ord": ["ord", "w # 1"],
+        "tree-height": ["tree-height", "--k", "2", "w+1"],
+        "embed": ["embed", "3,4", "1,4"],
+        "bound": ["bound", "sigma.json"],
+        "compile": ["compile", "add.pr"],
+        "run": ["run", "add.prog", "--set", "y=2", "--set", "x1=3"],
+        "check": ["check", "add.prog", "--invariant", "add.inv.json", "--set", "y=2"],
+        "pipeline": ["pipeline", "add.pr", "2", "3"],
+    }
+
+    @pytest.fixture
+    def command_files(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+        unit = compile_term(parse_term(TERM_ADD))
+        (tmp_path / "add.pr").write_text(TERM_ADD)
+        (tmp_path / "add.prog").write_text(program_to_text(unit.program))
+        (tmp_path / "add.inv.json").write_text(json.dumps(invariant_to_doc(unit.invariant)))
+        (tmp_path / "sigma.json").write_text(json.dumps({"rows": [[1, 0], [0, 0]]}))
+
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_builds_the_top_level_and_the_invoked_commands_parser(
+        self, command_files, monkeypatch, command
+    ):
+        progs = []
+        init = cli._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            progs.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        code, out, err = main_output(*self.COMMAND_LINES[command])
+        assert (code, err) == (0, "")
+        assert progs == ["termbound", f"termbound {command}"]
+
+    # Help, then one command line per way a command line can be refused, then
+    # one that runs. The texts are compared, not pinned: argparse words its
+    # help differently across Python versions.
+    @pytest.mark.parametrize(
+        "argv",
+        [["-h"], *([command, "-h"] for command in cli.COMMANDS)]
+        + [
+            ["nope"],
+            [],
+            ["bound"],
+            ["ord", "--no-such-flag", "1"],
+            ["--no-such-flag", "ord", "1"],
+            ["--format", "xml", "ord", "1"],
+            ["ord", "--format", "structured", "1"],
+            ["tree-height", "--k", "٢", "w"],
+            ["bound", "sigma.json", "--n", "-1"],
+            ["--format", "structured", "pipeline", "add.pr", "2", "3"],
+        ],
+        ids=lambda argv: " ".join(argv) or "no-arguments",
+    )
+    def test_matches_the_eager_parser(self, command_files, monkeypatch, argv):
+        lazy = main_output(*argv)
+        monkeypatch.setattr(cli, "build_parser", eager_parser)
+        assert main_output(*argv) == lazy
+        assert lazy[0] in (0, 2)
 
 
 class TestInputValidation:
@@ -1015,10 +1092,13 @@ def sigma_text(draw):
 
 
 def main_output(*argv):
-    """Exit code, stdout and stderr of ``main``."""
+    """Exit code, stdout and stderr of ``main``; help exits through SystemExit."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
