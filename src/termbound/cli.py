@@ -292,19 +292,16 @@ def cmd_run(args) -> int:
         program = program_from_text(fh.read())
     s0 = initial_state(program, _parse_assignments(args.set or []))
     trace = run_trace(program, s0, args.max_steps)
-    _printable(max((v for s in trace.states for v in s.env), default=0))  # largest printed
+    _printable(max((v for env in trace.envs for v in env), default=0))  # largest printed
+    states = trace_to_doc(program, trace)
     if args.format == "structured":  # build only the output that is printed
-        doc = {
-            "trace": trace_to_doc(program, trace),
-            "reached_final": trace.complete,
-            "steps": trace.steps,
-        }
+        doc = {"trace": states, "reached_final": trace.complete, "steps": trace.steps}
         lines = []
     else:
         doc = {}
-        lines = [
-            f"{s.location}: {s.env_dict(program)}" for s in trace.states
-        ] + [f"steps: {trace.steps} ({'final' if trace.complete else 'budget'})"]
+        lines = [f"{s['location']}: {s['env']}" for s in states] + [
+            f"steps: {trace.steps} ({'final' if trace.complete else 'budget'})"
+        ]
     _emit(args, doc, lines)
     return 0 if trace.complete else 3
 
@@ -348,7 +345,7 @@ def cmd_pipeline(args) -> int:
     trace = run_trace(unit.program, s0, args.max_steps)
     if not trace.complete:
         raise BudgetExceeded(f"no final state within {args.max_steps} steps")
-    result = _printable(trace.states[-1].env_dict(unit.program)[unit.result_var])
+    result = _printable(trace.envs[-1][unit.program.var_index(unit.result_var)])
     oracle = _printable(eval_pr(term, args.inputs))
     report = check_invariant(unit.program, trace, invariant)
 

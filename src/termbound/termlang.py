@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from itertools import repeat
-from operator import add, and_, attrgetter, contains, eq, itemgetter, lt, sub
+from operator import add, and_, contains, eq, itemgetter, lt, sub
 
 from .bounds import SequenceFn, bound_g
 from .erdos import MAX_CHECK_PAIRS, ErdosTree, _Column, pairs_in_budget
@@ -72,7 +72,7 @@ Cmd = Assign | While | If
 
 # Flat instruction table entries, one list per command; locations are
 # preorder command indices, so each entry is appended at its own location.
-# ["assign", var_index, value, next_loc], value(s, s) the assigned value
+# ["assign", var_index, value, next_loc], value(loc, env, loc, env) the assigned value
 # ["branch", left_index, right_index, true_loc, false_loc]
 # A jump that leaves its block is filled in once the lowering reaches the
 # location it lands on, in the same pass.
@@ -160,9 +160,6 @@ class State(Record):
         _set(self, "location", location)
         _set(self, "env", env)
 
-    def env_dict(self, p: Program) -> dict[str, int]:
-        return dict(zip(p.variables, self.env))
-
 
 def initial_state(p: Program, assignments: Mapping[str, int] | None = None) -> State:
     """State at location 0; unassigned variables start at 0.
@@ -184,55 +181,64 @@ def is_final(p: Program, s: State) -> bool:
 
 def step(p: Program, s: State) -> State:
     """One small step; final states repeat themselves."""
-    return run_trace(p, s, 1).states[-1]
+    trace = run_trace(p, s, 1)
+    return State(trace.locations[-1], trace.envs[-1])
 
 
 class Trace:
-    """States from an initial one up to the first final state, inclusive.
+    """States from an initial one up to the first final state, inclusive,
+    as two lists: state j is at ``locations[j]`` with env tuple ``envs[j]``.
 
+    No ``State`` is kept per step; ``states`` builds the list when asked.
     ``complete`` is False when the step budget ran out first; that is a
     reported condition, not an error.
     """
 
-    __slots__ = ("states", "complete")
+    __slots__ = ("locations", "envs", "complete")
 
-    def __init__(self, states: list[State], complete: bool):
-        self.states, self.complete = states, complete
+    def __init__(self, locations: list[int], envs: list[tuple[int, ...]], complete: bool):
+        self.locations, self.envs, self.complete = locations, envs, complete
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.locations)
 
     @property
     def steps(self) -> int:
-        return len(self.states) - 1
+        return len(self.locations) - 1
+
+    @property
+    def states(self) -> list[State]:
+        return list(map(State, self.locations, self.envs))
 
 
 def run_trace(p: Program, s0: State, max_steps: int = DEFAULT_MAX_STEPS) -> Trace:
     """The trace from ``s0``, cut off after ``max_steps`` steps.
 
+    Each step appends a location and an env tuple, and builds no ``State``.
     Every jump in the table lands on a command or on the final point
     ``p.n_points``, so once ``s0`` is not final only that point ends the run.
     """
-    states = [s0]
+    loc, env = s0.location, s0.env
+    locations, envs = [loc], [env]
     if is_final(p, s0):
-        return Trace(states, True)
+        return Trace(locations, envs, True)
     table, final = p._table, p.n_points
-    cur, append = s0, states.append
+    append_loc, append_env = locations.append, envs.append
     for _ in range(max_steps):
-        instr = table[cur.location]
+        instr = table[loc]
         if instr[0] == "assign":
             _, vidx, value, nxt = instr
-            env = list(cur.env)
-            env[vidx] = value(cur, cur)
-            cur = State(nxt, tuple(env))
+            new = list(env)
+            new[vidx] = value(loc, env, loc, env)
+            loc, env = nxt, tuple(new)
         else:
             _, li, ri, t, f = instr
-            env = cur.env
-            cur = State(t if env[li] < env[ri] else f, env)
-        append(cur)
-        if cur.location == final:
-            return Trace(states, True)
-    return Trace(states, False)
+            loc = t if env[li] < env[ri] else f
+        append_loc(loc)
+        append_env(env)
+        if loc == final:
+            return Trace(locations, envs, True)
+    return Trace(locations, envs, False)
 
 
 # --- ranked relations --------------------------------------------------------
@@ -294,26 +300,27 @@ def _parse_leaf(tok: str) -> tuple:
     raise ParseError(f"bad term {tok!r}")
 
 
-def _compile(t: tuple, p: Program) -> Callable[[State, State], int]:
-    """The value of ``t`` on a (pre, post) pair of states of ``p``."""
+def _compile(t: tuple, p: Program) -> Callable[[int, tuple, int, tuple], int]:
+    """The value of ``t`` on a (pre, post) pair of states of ``p``, given as
+    the pre location and env tuple, then the post location and env tuple."""
     kind = t[0]
     if kind == "const":
         v = t[1]
-        return lambda s, s2: v
+        return lambda loc, env, loc2, env2: v
     if kind == "pre":
         i = p.var_index(t[1])
-        return lambda s, s2: s.env[i]
+        return lambda loc, env, loc2, env2: env[i]
     if kind == "post":
         i = p.var_index(t[1])
-        return lambda s, s2: s2.env[i]
+        return lambda loc, env, loc2, env2: env2[i]
     if kind == "preloc":
-        return lambda s, s2: s.location
+        return lambda loc, env, loc2, env2: loc
     if kind == "postloc":
-        return lambda s, s2: s2.location
+        return lambda loc, env, loc2, env2: loc2
     lf, rf = _compile(t[1], p), _compile(t[2], p)
     if kind == "add":
-        return lambda s, s2: lf(s, s2) + rf(s, s2)
-    return lambda s, s2: max(0, lf(s, s2) - rf(s, s2))
+        return lambda *pair: lf(*pair) + rf(*pair)
+    return lambda *pair: max(0, lf(*pair) - rf(*pair))
 
 
 def _is_assign_expr(t) -> bool:
@@ -406,13 +413,7 @@ class ConstraintRelation(Record):
     def compile_member(self, p: Program) -> Callable[[State, State], bool]:
         """Membership of one (pre, post) pair; ``check_invariant`` tests
         whole sets of pairs at once instead."""
-        checks = []
-        for a in self.atoms:
-            lf, rf = _compile(a.lhs, p), _compile(a.rhs, p)
-            if a.op == "<":
-                checks.append(lambda s, s2, lf=lf, rf=rf: lf(s, s2) < rf(s, s2))
-            else:
-                checks.append(lambda s, s2, lf=lf, rf=rf: lf(s, s2) == rf(s, s2))
+        checks = [(_OPS[a.op], _compile(a.lhs, p), _compile(a.rhs, p)) for a in self.atoms]
         pre_locs, post_locs = self.pre_locations, self.post_locations
 
         def member(s: State, s2: State) -> bool:
@@ -420,13 +421,14 @@ class ConstraintRelation(Record):
                 return False
             if post_locs is not None and s2.location not in post_locs:
                 return False
-            return all(c(s, s2) for c in checks)
+            pair = s.location, s.env, s2.location, s2.env
+            return all(op(lf(*pair), rf(*pair)) for op, lf, rf in checks)
 
         return member
 
     def compile_rank(self, p: Program) -> Callable[[State], int]:
         f = _compile(self.rank, p)
-        return lambda s: f(s, s)
+        return lambda s: f(s.location, s.env, s.location, s.env)
 
 
 class TransitionInvariant(Record):
@@ -507,24 +509,21 @@ def _low_bits(mask: int, limit: int) -> list[int]:
 
 
 class _TraceColumns:
-    """The leaf values of every trace state, one pass per column."""
+    """The leaf values of every trace state: the trace's own ``locations``,
+    and one pass over its ``envs`` per variable."""
 
-    def __init__(self, p: Program, states: Sequence[State]):
-        self.p, self.states = p, states
-        self.full = (1 << len(states)) - 1
-        self._envs = list(map(attrgetter("env"), states))
-        self._values: dict = {}
+    def __init__(self, p: Program, trace: Trace):
+        self.p, self.envs, self.n = p, trace.envs, len(trace)
+        self.full = (1 << self.n) - 1
+        self._values: dict = {"loc": trace.locations}
         self._columns: dict = {}
 
     def values(self, leaf: tuple) -> list[int]:
         if leaf[0] == "const":
-            return [leaf[1]] * len(self.states)
+            return [leaf[1]] * self.n
         key = self._key(leaf)
         if key not in self._values:
-            if key == "loc":
-                self._values[key] = list(map(attrgetter("location"), self.states))
-            else:
-                self._values[key] = list(map(itemgetter(key), self._envs))
+            self._values[key] = list(map(itemgetter(key), self.envs))
         return self._values[key]
 
     def column(self, leaf: tuple) -> _Column:
@@ -560,7 +559,7 @@ def _relation_sets(
     of later states passing the post-only tests; per mixed atom, per i, the
     mask of later states it admits; and per i the states ranked below i.
     """
-    n = len(cols.states)
+    n = cols.n
     pre_ok, post_ok, mixed = [True] * n, [True] * n, []
     if rel.pre_locations is not None:
         pre_ok = list(map(contains, repeat(rel.pre_locations), cols.values(PRE_LOC)))
@@ -606,10 +605,9 @@ def check_invariant(
     is built. The per-pair check, one ``compile_member`` call per pair and
     relation, is kept in the tests as the oracle of this one.
     """
-    states = trace.states
-    n = len(states)
+    n = len(trace)
     pairs = pairs_in_budget(n, "check_invariant")
-    cols = _TraceColumns(p, states)
+    cols = _TraceColumns(p, trace)
     values = [list(cols.term_values(r.rank)) for r in inv.relations]
     report = InvariantReport(
         trace_length=n,
@@ -894,5 +892,6 @@ def _locations_from_doc(entry: Mapping, key: str, i: int) -> frozenset[int] | No
 
 def trace_to_doc(p: Program, trace: Trace) -> list[dict]:
     return [
-        {"location": s.location, "env": s.env_dict(p)} for s in trace.states
+        {"location": loc, "env": dict(zip(p.variables, env))}
+        for loc, env in zip(trace.locations, trace.envs)
     ]

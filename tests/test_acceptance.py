@@ -246,7 +246,7 @@ def test_criterion_6_compiler_matches_evaluator():
         unit = compile_term(term)
         for args in product(range(6), repeat=term.arity):
             _, trace = _unit_states(unit, args)
-            result = trace.states[-1].env_dict(unit.program)[unit.result_var]
+            result = trace.envs[-1][unit.program.var_index(unit.result_var)]
             assert result == eval_pr(term, args), (name, args)
             checked += 1
     elapsed = time.time() - started

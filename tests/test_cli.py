@@ -22,7 +22,7 @@ from termbound.cli import MAX_PRINT_BITS, _digit_limit, _read_sigma, eval_ordina
 from termbound.errors import ParseError
 from termbound.ordinals import MAX_NESTING, Ordinal, cmp, nat_sum
 from termbound.prcompile import compile_term, parse_term
-from termbound.termlang import invariant_to_doc, program_to_text
+from termbound.termlang import State, invariant_to_doc, program_to_text
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 TERM_ADD = "(rec (p 1 1) (comp s (p 2 3)))"
@@ -854,6 +854,35 @@ class TestGcPause:
                 assert gc.isenabled() is enabled
         finally:
             gc.enable()
+
+
+class TestTraceStates:
+    """A trace is a list of locations and a list of env tuples, so a
+    command builds a ``State`` only for the initial state it runs from."""
+
+    def test_pipeline_and_check_build_only_the_initial_state(
+        self, add_term, tmp_path, capsys, monkeypatch
+    ):
+        assert main(["--format", "structured", "compile", add_term]) == 0
+        unit = json.loads(capsys.readouterr().out)
+        prog = tmp_path / "add.prog"
+        prog.write_text(unit["program"])
+        inv = tmp_path / "add.inv.json"
+        inv.write_text(json.dumps(unit["invariant"]))
+        sets = [f"--set={name}={v}" for name, v in zip(unit["input_vars"], ("13", "1"))]
+        built = []
+        init = State.__init__
+
+        def counted_init(self, location, env):
+            built.append(location)
+            init(self, location, env)
+
+        monkeypatch.setattr(State, "__init__", counted_init)
+        assert main(["pipeline", add_term, "13", "1"]) == 0
+        assert built == [0]
+        built.clear()
+        assert main(["check", str(prog), "--invariant", str(inv), *sets]) == 0
+        assert built == [0]
 
 
 # --- parsers: round trips, the shared nesting cap, and fuzzing of main ---------

@@ -38,7 +38,7 @@ def run_unit(unit: CompiledUnit, args, max_steps=100_000):
     s0 = initial_state(unit.program, dict(zip(unit.input_vars, args)))
     trace = run_trace(unit.program, s0, max_steps)
     assert trace.complete
-    return trace.states[-1].env_dict(unit.program)[unit.result_var]
+    return trace.envs[-1][unit.program.var_index(unit.result_var)]
 
 
 class TestEvalPr:
@@ -308,7 +308,7 @@ class TestRandomTerms:
             trace = run_trace(unit.program, s0, 2_000)
             if not trace.complete:  # too slow to check here, not wrong
                 continue
-            result = trace.states[-1].env_dict(unit.program)[unit.result_var]
+            result = trace.envs[-1][unit.program.var_index(unit.result_var)]
             assert result == eval_pr(term, args)
             report = check_invariant(unit.program, trace, unit.invariant)
             assert report.ok, (term_to_text(term), args)

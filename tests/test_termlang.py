@@ -106,9 +106,9 @@ class TestStep:
             ),
         )
         t = run_trace(p, initial_state(p, {"x": 0, "y": 5}))
-        assert t.states[-1].env_dict(p)["r"] == 1
+        assert t.envs[-1] == (0, 5, 1)
         t = run_trace(p, initial_state(p, {"x": 5, "y": 0}))
-        assert t.states[-1].env_dict(p)["r"] == 2
+        assert t.envs[-1] == (5, 0, 2)
 
     def test_undeclared_variable_rejected(self):
         with pytest.raises(ValueError):
@@ -144,7 +144,7 @@ class TestRunTrace:
         p = counting_program()
         t = run_trace(p, initial_state(p, {"y": 3}))
         assert t.complete
-        assert t.states[-1].env_dict(p) == {"x": 3, "y": 3}
+        assert t.envs[-1] == (3, 3)
 
 
 NAMES = st.sampled_from(("x", "y", "z"))
@@ -188,6 +188,9 @@ class TestRunTraceAgainstWalk:
         trace = run_trace(p, s0, budget)
         walked = run_commands(p, s0, budget)
         assert trace.states == walked
+        assert (trace.locations, trace.envs) == (
+            [s.location for s in walked], [s.env for s in walked]
+        )
         assert trace.complete == (len(run_commands(p, s0, budget + 1)) == len(walked))
         for s, s2 in zip(trace.states, trace.states[1:]):
             assert step(p, s) == s2
@@ -466,12 +469,12 @@ class TestCheckAgainstOracle:
 
     def test_pair_budget(self):
         p = counting_program()
-        states = [State(0, (0, 0))] * 14_143
-        assert len(states) * (len(states) - 1) // 2 > MAX_CHECK_PAIRS
+        n = 14_143
+        assert n * (n - 1) // 2 > MAX_CHECK_PAIRS
         inv = TransitionInvariant((line_relation(2),))
         with pytest.raises(BudgetExceeded, match="100005153 pairs"):
-            check_invariant(p, Trace(states, False), inv)
-        report = check_invariant(p, Trace(states[:-1], False), inv)
+            check_invariant(p, Trace([0] * n, [(0, 0)] * n, False), inv)
+        report = check_invariant(p, Trace([0] * (n - 1), [(0, 0)] * (n - 1), False), inv)
         assert report.pairs_checked <= MAX_CHECK_PAIRS
 
 
@@ -513,8 +516,9 @@ class TestColumnHelpers:
     @given(command_blocks(), st.tuples(*[st.integers(0, 4)] * 3), st.integers(0, 40))
     def test_leaf_columns_are_the_states_values(self, body, values, budget):
         p = Program(("x", "y", "z"), body)
-        states = run_trace(p, initial_state(p, dict(zip(p.variables, values))), budget).states
-        cols = _TraceColumns(p, states)
+        trace = run_trace(p, initial_state(p, dict(zip(p.variables, values))), budget)
+        states = trace.states
+        cols = _TraceColumns(p, trace)
         for i, name in enumerate(p.variables):
             assert cols.values(pre(name)) == [s.env[i] for s in states]
             assert cols.values(post(name)) == [s.env[i] for s in states]
@@ -525,14 +529,14 @@ class TestColumnHelpers:
     def test_rank_columns_are_compile_rank(self, case):
         p, trace, rank = case
         per_state = list(map(ConstraintRelation("r", (), rank).compile_rank(p), trace.states))
-        assert list(_TraceColumns(p, trace.states).term_values(rank)) == per_state
+        assert list(_TraceColumns(p, trace).term_values(rank)) == per_state
         inv = TransitionInvariant((ConstraintRelation("r", (), rank),))
         assert check_invariant(p, trace, inv).rank_tuples == [(v,) for v in per_state]
 
     def test_monus_truncates_before_the_next_term(self):
         p = counting_program()
         trace = run_trace(p, initial_state(p, {"y": 2}))
-        cols = _TraceColumns(p, trace.states)
+        cols = _TraceColumns(p, trace)
         # x - 40 truncates to 0 before 3 is added: 3 - y = 1, not x - 39.
         assert list(cols.term_values(parse_rank("x - 40 + 3 - y"))) == [1] * len(trace)
         assert list(cols.term_values(parse_rank("40 - x - 38"))) == [
