@@ -40,10 +40,10 @@ class SequenceFn(Record):
     """A sequence of k-tuples of naturals: ``rows``, then its last row forever.
 
     ``eventually_constant_from`` is the index of the last row; every read
-    at or past it returns that row, as a tuple. Build one with
-    ``from_rows`` or ``constant``, which check the rows once and keep the
-    row objects they are given, all lists or all tuples, without copying
-    them.
+    at or past it returns that row, as a tuple. ``from_rows`` and
+    ``constant`` check the rows once and keep the row objects they are
+    given, all lists or all tuples, uncopied; ``PhiSequence.sequence``
+    builds one from tree heights, which are naturals by construction.
     """
 
     __slots__ = ("rows", "k", "eventually_constant_from")
@@ -63,7 +63,7 @@ class SequenceFn(Record):
         tuples (a list and a tuple do not compare), of one length, and every
         coordinate is a natural (an ``int``, not a ``bool``).
 
-        The coordinates are checked in two passes over all of them, which
+        The coordinates are checked by ``all_natural``, which
         ``proven_natural`` skips: pass it only with a proof that rows of the
         right shape hold naturals alone, such as ``text_proves_natural``.
         The shape checks run either way, so errors come in the same order.
@@ -78,11 +78,15 @@ class SequenceFn(Record):
             raise ValueError("every row must be a list of naturals")
         if len(set(map(len, rows))) != 1:
             raise ValueError("rows of unequal length")
-        if not proven_natural:
-            types = set(map(type, chain.from_iterable(rows)))
-            if types - {int} or min(chain.from_iterable(rows), default=0) < 0:
-                raise ValueError("every coordinate must be a natural number")
+        if not (proven_natural or all_natural(rows)):
+            raise ValueError("every coordinate must be a natural number")
         return cls(rows, len(rows[0]), len(rows) - 1)
+
+
+def all_natural(rows: Sequence[Sequence[int]]) -> bool:
+    """Whether every coordinate is an ``int`` >= 0, not a ``bool``: two C-level passes."""
+    types = set(map(type, chain.from_iterable(rows)))
+    return not types - {int} and min(chain.from_iterable(rows), default=0) >= 0
 
 
 def text_proves_natural(text: str, doc: dict) -> bool:

@@ -19,6 +19,10 @@ along edges, so the labelled image lives in the bounded-tree poset of
 measure, ``f_star``, is the bridge from homogeneous sequences to integer
 vectors ordered lexicographically.
 
+A point is checked once, where it enters: by ``_check_point`` in ``embed``
+and ``is_homogeneous``, by ``bounds.all_natural`` in ``termlang.PhiSequence``.
+``ErdosTree.insert`` takes checked points as they are.
+
 ``ErdosTree`` is the one tree: it grows in place, labels each new leaf as
 it is added and keeps the measure vector up to date. Its nodes sit in one
 list in insertion order, each with its parent's index and edge color, so
@@ -236,7 +240,7 @@ class ErdosTree:
         out.sort(key=lambda b: b.colors)
         return out
 
-    def insert(self, y: Sequence[int]) -> tuple[int, ...]:
+    def insert(self, y: Point) -> tuple[int, ...]:
         """Add ``y`` as a new leaf on its descent path; the new measure vector.
 
         From the root, ``y`` follows at every node the child edge colored
@@ -248,16 +252,13 @@ class ErdosTree:
         Each of those c conditions is one bisect into a column the run
         keeps (coordinate c negated, so that it rises too), and the prefix
         ends at the least of them; a node's color is computed only at the
-        node after that end. Only the descent path is compared with ``y``:
-        the caller guarantees homogeneity, as ``embed`` does.
+        node after that end. The caller hands ``y`` checked and guarantees
+        homogeneity, as ``embed`` and ``PhiSequence`` do, so only the
+        descent path is compared with ``y``.
         Raises NoRelation when ``y`` does not descend below a node on the
         path, and LabelNotDecreasing, like ``to_labelled_tree``, if the new
         label is not below its parent's; the tree is then unchanged.
         """
-        return self._insert(_check_point(y, self.k))
-
-    def _insert(self, y: Point) -> tuple[int, ...]:
-        """``insert`` of a point ``_check_point`` has already checked."""
         k, nodes, memo = self.k, self.nodes, self._height_vec
         nearest: dict[int, Point] = {}  # coordinate h: the nearest color-(h+1) ancestor
         parent, color = -1, 0
@@ -318,7 +319,7 @@ def embed(s: Sequence[Sequence[int]], k: int) -> ErdosTree:
         )
     t = ErdosTree(k)
     for y in pts:
-        t._insert(y)
+        t.insert(y)
     return t
 
 

@@ -37,7 +37,7 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 from itertools import repeat
 from operator import add, and_, contains, eq, itemgetter, lt, sub
 
-from .bounds import SequenceFn, bound_g
+from .bounds import SequenceFn, all_natural, bound_g
 from .erdos import MAX_CHECK_PAIRS, ErdosTree, _Column, pairs_in_budget
 from .errors import BudgetExceeded, NotHomogeneous, ParseError, Record
 from .ordinals import MAX_NESTING, is_nat, nat_value
@@ -323,20 +323,25 @@ def _compile(t: tuple, p: Program) -> Callable[[int, tuple, int, tuple], int]:
     return lambda *pair: max(0, lf(*pair) - rf(*pair))
 
 
+def _is_rank_term(t) -> bool:
+    """Whether ``t`` is a natural-valued term of the pre state: a leaf ``const``
+    of a natural, ``pre`` or ``preloc``, or ``add``/``monus`` of two such terms."""
+    if type(t) is not tuple or not t:
+        return False
+    if t[0] in ("add", "monus"):
+        return len(t) == 3 and _is_rank_term(t[1]) and _is_rank_term(t[2])
+    if t[0] == "const":
+        return len(t) == 2 and type(t[1]) is int and t[1] >= 0
+    return t == PRE_LOC or (len(t) == 2 and t[0] == "pre" and type(t[1]) is str)
+
+
 def _is_assign_expr(t) -> bool:
     """Whether ``t`` is one of the four right sides of an assignment: a
     natural ``const``, a ``pre`` copy, or ``add``/``monus`` of a ``pre``
     and ``const(1)``."""
-    if type(t) is tuple and len(t) == 3 and t[0] in ("add", "monus"):
-        x, one = t[1], t[2]
-        return (
-            _is_assign_expr(x) and x[0] == "pre" and one == const(1) and type(one[1]) is int
-        )
-    if type(t) is not tuple or len(t) != 2:
+    if not _is_rank_term(t) or t == PRE_LOC:
         return False
-    if t[0] == "const":
-        return type(t[1]) is int and t[1] >= 0
-    return t[0] == "pre" and type(t[1]) is str
+    return len(t) == 2 or (t[1][0] == "pre" and t[2] == const(1))
 
 
 _LEAF_KINDS = ("const", "pre", "post", "preloc", "postloc")
@@ -403,11 +408,14 @@ class ConstraintRelation(Record):
     means unrestricted), likewise the post state, and every atom holds.
     The rank evaluates on a single state; the certificate obligation is
     that it strictly decreases from pre to post on every member pair.
+    A rank that is not a natural-valued term of the pre state raises ValueError.
     """
 
     __slots__ = ("name", "atoms", "rank", "pre_locations", "post_locations")
 
     def __init__(self, name, atoms, rank, pre_locations=None, post_locations=None):
+        if not _is_rank_term(rank):
+            raise ValueError(f"rank {rank!r} is not a natural-valued term of the pre state")
         super().__init__(name, atoms, rank, pre_locations, post_locations)
 
     def compile_member(self, p: Program) -> Callable[[State, State], bool]:
@@ -670,7 +678,8 @@ class PhiSequence:
     per state; rebuilding the labelled tree of every prefix
     (``f_star_vec`` in ``tests/oracles.py``) gives the same vectors and is
     kept as the test oracle. The passing check is what makes the bound
-    sound.
+    sound. The rank tuples are checked natural here, a ValueError before
+    any insert, and go to ``ErdosTree.insert`` as they are.
     """
 
     def __init__(self, report: InvariantReport):
@@ -682,12 +691,13 @@ class PhiSequence:
                 "tuples is unproven"
             )
         self.points = report.rank_tuples
+        if not all_natural(self.points):
+            raise ValueError("the rank tuples are not all naturals")
         self.k = len(self.points[0])
-        tree = ErdosTree(self.k)
-        self.vectors = [tree.insert(pt) for pt in self.points]
+        self.vectors = list(map(ErdosTree(self.k).insert, self.points))
 
     def sequence(self) -> SequenceFn:
-        return SequenceFn.from_rows(self.vectors)
+        return SequenceFn(self.vectors, self.k, len(self.vectors) - 1)
 
 
 def step_bound(report: InvariantReport) -> int:

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from oracles import eager_parser, f_star_vec, read_sigma_checked_in_full
-from termbound import cli
+from termbound import cli, erdos
 from termbound.cli import MAX_PRINT_BITS, _digit_limit, _read_sigma, eval_ordinal_expr, main
 from termbound.errors import ParseError
 from termbound.ordinals import MAX_NESTING, Ordinal, cmp, nat_sum
@@ -283,6 +283,17 @@ class TestCommands:
         assert doc["result"] == 5 and doc["oracle"] == 5
         assert doc["invariant_ok"] and doc["bound_holds"] and doc["ok"]
         assert doc["steps"] <= doc["step_bound"]
+
+    def test_pipeline_checks_rank_tuples_once(self, add_term, capsys):
+        # PhiSequence checks the whole list of rank tuples, then inserts each as it is.
+        insert = erdos.ErdosTree.insert
+        with (
+            mock.patch.object(erdos, "_check_point", wraps=erdos._check_point) as check,
+            mock.patch.object(erdos.ErdosTree, "insert", autospec=True, side_effect=insert) as ins,
+        ):
+            assert main(["pipeline", add_term, "13", "1"]) == 0
+        assert "steps: 200" in capsys.readouterr().out
+        assert (check.call_count, ins.call_count) == (0, 201)
 
     def test_pipeline_tampered_invariant(self, add_term, tmp_path, capsys):
         assert main(["--format", "structured", "compile", add_term]) == 0

@@ -277,10 +277,10 @@ class TestEmbed:
         assert [n.point for n in t.nodes] == s
         with pytest.raises(ValueError, match="non-natural coordinates"):
             embed([(3, 4), (1, True)], 2)
-        # The public insert still checks its argument.
+        # ErdosTree.insert takes checked points; embed checks what it is given.
         with mock.patch.object(erdos, "_check_point", wraps=erdos._check_point) as check:
-            t.insert([0, 1])
-        assert check.call_count == 1 and t.nodes[-1].point == (0, 1)
+            t = embed([[3, 4], [0, 1]], 2)
+        assert check.call_count == 2 and t.nodes[-1].point == (0, 1)
 
     def test_simulation_one_leaf_per_point(self):
         rng = random.Random(5)
@@ -422,19 +422,18 @@ class TestInsertMeasure:
         assert t.branch_count() == 1
 
     def test_rejects_point_of_wrong_dimension(self):
+        # insert takes checked points; embed, the entry of outside points, checks them.
         with pytest.raises(ValueError) as info:
-            ErdosTree(2).insert((1, 2, 3))
+            embed([(3, 4), (1, 2, 3)], 2)
         assert str(info.value) == "point (1, 2, 3) does not have 2 coordinates"
 
     @pytest.mark.parametrize(
         "point", [(True, 0), (2.5, 0), (-1, 0), ("3", 0)], ids=["bool", "float", "neg", "str"]
     )
     def test_rejects_non_natural_coordinates(self, point):
-        t = ErdosTree(2)
-        t.insert((3, 4))
-        with pytest.raises(ValueError, match="non-natural coordinates"):
-            t.insert(point)
-        assert (t.branch_count(), t.vector) == (1, f_star_vec([(3, 4)], 2))
+        with pytest.raises(ValueError) as info:
+            embed([(3, 4), point], 2)
+        assert str(info.value) == f"point {point} has non-natural coordinates"
 
     def test_label_error_prints_ordinals(self):
         # The labelling makes every child's label fall, so only a label
@@ -706,7 +705,7 @@ class TestSerialization:
                 j = nodes[j]["parent"]
             assert j == 0 and nodes[0]["color"] is None
             assert insert_branch(back, entry["point"]).colors == tuple(reversed(colors))
-            back.insert(entry["point"])
+            back.insert(tuple(entry["point"]))
         assert erdos_to_doc(back) == doc
         assert back.vector == t.vector
 

@@ -1,4 +1,5 @@
 import json
+import re
 from itertools import product
 from unittest import mock
 
@@ -11,7 +12,7 @@ from termbound.bounds import SequenceFn, bound_g
 from termbound.erdos import embed, height_of_tree, is_homogeneous
 from termbound.errors import BudgetExceeded, NotHomogeneous, ParseError
 from termbound.ordinals import MAX_NESTING, to_vector
-from termbound.prcompile import ADD, MULT, SUB, compile_term
+from termbound.prcompile import ADD, MULT, PRED, SUB, compile_term, parse_term
 from termbound.termlang import (
     MAX_CHECK_PAIRS,
     Assign,
@@ -301,6 +302,25 @@ class TestPhi:
         with pytest.raises(BudgetExceeded):
             PhiSequence(checked(p, initial_state(p, {"y": 5}), inv, max_steps=50))
 
+    def test_rank_tuples_checked_before_any_insert(self):
+        # A hand-built trace may hold values no run reaches. The check passes
+        # on it, since x falls, but its rank tuples are not points.
+        p = Program(("x",), ())
+        trace = Trace([0, 0], [(-1,), (-2,)], True)
+        falls = ConstraintRelation("falls", (Atom(post("x"), "<", pre("x")),), pre("x"))
+        report = check_invariant(p, trace, TransitionInvariant((falls,)))
+        assert report.ok and report.rank_tuples == [(-1,), (-2,)]
+        with mock.patch.object(termlang.ErdosTree, "insert") as insert:
+            with pytest.raises(ValueError, match="^the rank tuples are not all naturals$"):
+                PhiSequence(report)
+        assert insert.call_count == 0
+
+
+# exp(y, x) = x^y
+EXP = parse_term(
+    "(rec (comp s (z 1)) (comp (rec z (comp (rec (p 1 1) (comp s (p 2 3))) (p 2 3) (p 3 3)))"
+    " (p 2 3) (p 3 3)))"
+)
 
 SMALL_COMPILED = (
     [("add", args) for args in product(range(4), range(3))]
@@ -377,6 +397,8 @@ class TestCheckIsTheDescentProof:
         ]
         if report.ok:
             assert is_homogeneous(report.rank_tuples, inv.k)
+            phi = PhiSequence(report)  # builds its SequenceFn without from_rows
+            assert phi.sequence() == SequenceFn.from_rows(phi.vectors)
 
 
 @st.composite
@@ -560,6 +582,43 @@ class TestAtomSides:
     def test_rejects_unknown_operator(self):
         with pytest.raises(ValueError, match="operator"):
             Atom(pre("x"), "<=", post("x"))
+
+
+class TestRankTerms:
+    """A relation's rank is a natural-valued term of the pre state."""
+
+    @pytest.mark.parametrize(
+        "rank",
+        [
+            const(-1), ("const", True), ("const", 1.0), post("x"), POST_LOC,
+            ("times", pre("x"), const(2)), ("add", pre("x")), ("add", pre("x"), const(-1000)),
+        ],
+        ids=["negative", "bool", "float", "post", "postloc", "unknown", "short", "nested"],
+    )
+    def test_refused(self, rank):
+        message = f"^rank {re.escape(repr(rank))} is not a natural-valued term of the pre state$"
+        with pytest.raises(ValueError, match=message):
+            ConstraintRelation("r", (), rank)
+
+    def test_negative_offset_on_compiled_add_refused(self):
+        # Such a rank would pass the check on add(3, 2) with tuples like
+        # (-981, 3, 3): a rank into the integers proves nothing.
+        line = compile_term(ADD).invariant.relations[0]
+        assert line.name == "line"
+        with pytest.raises(ValueError, match="not a natural-valued term"):
+            ConstraintRelation("line", line.atoms, ("add", line.rank, const(-1000)))
+
+    @pytest.mark.parametrize(
+        "term", [ADD, SUB, MULT, PRED, EXP], ids=["add", "sub", "mult", "pred", "exp"]
+    )
+    def test_compiled_ranks_accepted(self, term):
+        for r in compile_term(term).invariant.relations:
+            fields = r.name, r.atoms, r.rank, r.pre_locations, r.post_locations
+            assert ConstraintRelation(*fields) == r
+
+    @pytest.mark.parametrize("text", ["7", "x", "loc", "y - x", "y - x + y - x + 1 - loc", "0 - 5"])
+    def test_parsed_ranks_accepted(self, text):
+        assert ConstraintRelation("r", (), parse_rank(text)).rank == parse_rank(text)
 
 
 class TestStepBound:
