@@ -42,7 +42,9 @@ from .erdos import MAX_CHECK_PAIRS, ErdosTree, _Column, pairs_in_budget
 from .errors import BudgetExceeded, NotHomogeneous, ParseError, Record
 from .ordinals import MAX_NESTING, is_nat, nat_value
 
-_set = object.__setattr__  # a Record's own __setattr__ refuses
+# Atom's setter, as a Record's own __setattr__ refuses: through Record.__init__ an
+# atom took 1.5 us, not 0.77 (CPython 3.11, Xeon), and a compile builds tens of atoms.
+_set = object.__setattr__
 
 DEFAULT_MAX_STEPS = 10_000  # run_trace's step budget, and the CLI's --max-steps
 
@@ -156,10 +158,6 @@ class State(Record):
 
     __slots__ = ("location", "env")
 
-    def __init__(self, location: int, env: tuple[int, ...]):
-        _set(self, "location", location)
-        _set(self, "env", env)
-
 
 def initial_state(p: Program, assignments: Mapping[str, int] | None = None) -> State:
     """State at location 0; unassigned variables start at 0.
@@ -185,19 +183,22 @@ def step(p: Program, s: State) -> State:
     return State(trace.locations[-1], trace.envs[-1])
 
 
-class Trace:
+class Trace(Record):
     """States from an initial one up to the first final state, inclusive,
     as two lists: state j is at ``locations[j]`` with env tuple ``envs[j]``.
 
     No ``State`` is kept per step; ``states`` builds the list when asked.
     ``complete`` is False when the step budget ran out first; that is a
-    reported condition, not an error.
+    reported condition, not an error. Lists without a state, or of unequal
+    lengths, raise ValueError; the lists are kept, not copied.
     """
 
     __slots__ = ("locations", "envs", "complete")
 
     def __init__(self, locations: list[int], envs: list[tuple[int, ...]], complete: bool):
-        self.locations, self.envs, self.complete = locations, envs, complete
+        if not locations or len(envs) != len(locations):
+            raise ValueError("a trace needs at least one state, and one env per location")
+        super().__init__(locations, envs, complete)
 
     def __len__(self) -> int:
         return len(self.locations)
@@ -457,8 +458,10 @@ class TransitionInvariant(Record):
 # --- invariant checking ------------------------------------------------------
 
 
-class InvariantReport:
-    """Outcome of checking every ordered pair of a bounded trace.
+class InvariantReport(Record):
+    """Outcome of checking every ordered pair of a bounded trace, built once
+    by ``check_invariant``. ``uncovered`` and ``rank_violations`` list the
+    first ``MAX_LISTED`` failing pairs; the two totals count them all.
 
     ``rank_tuples`` (not in ``to_doc``) holds each state's relation ranks.
     """
@@ -468,18 +471,6 @@ class InvariantReport:
         "uncovered_total", "rank_violation_total", "rank_tuples",
     )
     MAX_LISTED = 20
-    __eq__, __repr__, __hash__ = Record.__eq__, Record.__repr__, None
-
-    def __init__(
-        self, trace_length: int, reached_final: bool, pairs_checked: int, uncovered=None,
-        rank_violations=None, uncovered_total=0, rank_violation_total=0, rank_tuples=None,
-    ):
-        self.trace_length, self.reached_final = trace_length, reached_final
-        self.pairs_checked, self.uncovered_total = pairs_checked, uncovered_total
-        self.rank_violation_total = rank_violation_total
-        self.uncovered = [] if uncovered is None else uncovered
-        self.rank_violations = [] if rank_violations is None else rank_violations
-        self.rank_tuples = [] if rank_tuples is None else rank_tuples
 
     @property
     def ok(self) -> bool:
@@ -617,17 +608,12 @@ def check_invariant(
     pairs = pairs_in_budget(n, "check_invariant")
     cols = _TraceColumns(p, trace)
     values = [list(cols.term_values(r.rank)) for r in inv.relations]
-    report = InvariantReport(
-        trace_length=n,
-        reached_final=trace.complete,
-        pairs_checked=pairs,
-        rank_tuples=list(zip(*values)),
-    )
     plans = [
         (r.name, *_relation_sets(r, cols, rank_values))
         for r, rank_values in zip(inv.relations, values)
     ]
-    limit = report.MAX_LISTED
+    limit = InvariantReport.MAX_LISTED
+    uncovered, violations, uncovered_total, violation_total = [], [], 0, 0
     for i in range(n - 1):
         after = cols.full ^ ((2 << i) - 1)
         covered = 0
@@ -641,24 +627,25 @@ def check_invariant(
             hit = m & below[i]
             covered |= hit
             if m != hit:
-                report.rank_violation_total += (m ^ hit).bit_count()
+                violation_total += (m ^ hit).bit_count()
                 bad.append((m ^ hit, name))
-        if uncovered := after ^ covered:
-            report.uncovered_total += uncovered.bit_count()
-            room = limit - len(report.uncovered)
+        if missed := after ^ covered:
+            uncovered_total += missed.bit_count()
+            room = limit - len(uncovered)
             if room > 0:
-                report.uncovered.extend((i, j) for j in _low_bits(uncovered, room))
-        room = limit - len(report.rank_violations)
+                uncovered.extend((i, j) for j in _low_bits(missed, room))
+        room = limit - len(violations)
         if bad and room > 0:
             union = 0
             for v, _ in bad:
                 union |= v
             for j in _low_bits(union, room):
-                report.rank_violations.extend(
-                    (i, j, name) for v, name in bad if v >> j & 1
-                )
-            del report.rank_violations[limit:]
-    return report
+                violations.extend((i, j, name) for v, name in bad if v >> j & 1)
+            del violations[limit:]
+    return InvariantReport(
+        n, trace.complete, pairs, uncovered, violations, uncovered_total, violation_total,
+        list(zip(*values)),
+    )
 
 
 # --- the measure sequence and the step bound ---------------------------------

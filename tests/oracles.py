@@ -354,18 +354,15 @@ def check_invariant_pairwise(
 ) -> InvariantReport:
     """``check_invariant`` one pair at a time: a member call per pair and relation."""
     states = trace.states
+    n = len(states)
     members = [r.compile_member(p) for r in inv.relations]
     ranks = [r.compile_rank(p) for r in inv.relations]
     values = [[rank(s) for s in states] for rank in ranks]
-    report = InvariantReport(
-        trace_length=len(states),
-        reached_final=trace.complete,
-        pairs_checked=len(states) * (len(states) - 1) // 2,
-        rank_tuples=list(zip(*values)),
-    )
-    for i in range(len(states)):
+    limit = InvariantReport.MAX_LISTED
+    uncovered, violations, uncovered_total, violation_total = [], [], 0, 0
+    for i in range(n):
         si = states[i]
-        for j in range(i + 1, len(states)):
+        for j in range(i + 1, n):
             sj = states[j]
             covered = False
             for r, member in enumerate(members):
@@ -373,16 +370,17 @@ def check_invariant_pairwise(
                     if values[r][j] < values[r][i]:
                         covered = True
                     else:
-                        report.rank_violation_total += 1
-                        if len(report.rank_violations) < report.MAX_LISTED:
-                            report.rank_violations.append(
-                                (i, j, inv.relations[r].name)
-                            )
+                        violation_total += 1
+                        if len(violations) < limit:
+                            violations.append((i, j, inv.relations[r].name))
             if not covered:
-                report.uncovered_total += 1
-                if len(report.uncovered) < report.MAX_LISTED:
-                    report.uncovered.append((i, j))
-    return report
+                uncovered_total += 1
+                if len(uncovered) < limit:
+                    uncovered.append((i, j))
+    return InvariantReport(
+        n, trace.complete, n * (n - 1) // 2, uncovered, violations, uncovered_total,
+        violation_total, list(zip(*values)),
+    )
 
 
 # --- the descent bound and its witness ----------------------------------------

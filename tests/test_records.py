@@ -24,6 +24,7 @@ from termbound.termlang import (
     If,
     InvariantReport,
     State,
+    Trace,
     TransitionInvariant,
     While,
     const,
@@ -59,6 +60,16 @@ VALUES = {
         "post_locations=None),)), result_var='r', input_vars=('x1',))",
     ),
     "State": (lambda: State(0, (1, 2)), "State(location=0, env=(1, 2))"),
+    "Trace": (
+        lambda: Trace([0, 1], [(1, 2), (2, 2)], True),
+        "Trace(locations=[0, 1], envs=[(1, 2), (2, 2)], complete=True)",
+    ),
+    "InvariantReport": (
+        lambda: InvariantReport(2, True, 1, [(0, 1)], [], 1, 0, [(2,), (0,)]),
+        "InvariantReport(trace_length=2, reached_final=True, pairs_checked=1, "
+        "uncovered=[(0, 1)], rank_violations=[], uncovered_total=1, "
+        "rank_violation_total=0, rank_tuples=[(2,), (0,)])",
+    ),
     "Assign": (lambda: Assign("x", ("add", pre("x"), const(1))), INC),
     "While": (
         lambda: While("x", "y", (Assign("x", ("add", pre("x"), const(1))),)),
@@ -116,7 +127,8 @@ class TestRecordContract:
         build = VALUES[name][0]
         a, b = build(), build()
         assert a == b and not a != b
-        if name in ("SequenceFn", "CompiledUnit"):  # hold a list, a Program: unhashable
+        # They hold lists or a Program: unhashable.
+        if name in ("SequenceFn", "CompiledUnit", "Trace", "InvariantReport"):
             with pytest.raises(TypeError):
                 hash(a)
         else:
@@ -164,6 +176,8 @@ def test_construction_errors():
         Assign("x")
     with pytest.raises(TypeError):
         State(0)
+    with pytest.raises(TypeError):  # a report takes all eight fields
+        InvariantReport(3, True, 3)
     with pytest.raises(ValueError, match="arity must be a natural"):
         Zero(-1)
     with pytest.raises(ValueError, match="projection index"):
@@ -177,19 +191,3 @@ def test_construction_errors():
     assert ConstraintRelation(name="r", atoms=(), rank=const(0)) == ConstraintRelation(
         "r", (), const(0), None, None
     )
-
-
-class TestInvariantReport:
-    """Reports are filled in place, so they are mutable and unhashable, but
-    they still compare by field and take keyword arguments."""
-
-    def test_keywords_defaults_and_equality(self):
-        a = InvariantReport(trace_length=3, reached_final=True, pairs_checked=3)
-        b = InvariantReport(3, True, 3)
-        assert a == b and a.uncovered == [] and a.rank_tuples == []
-        assert a.uncovered is not b.uncovered  # a fresh list per report
-        a.uncovered_total += 1
-        assert a != b
-        with pytest.raises(TypeError):
-            hash(b)
-        assert repr(b).startswith("InvariantReport(trace_length=3, reached_final=True,")

@@ -147,6 +147,17 @@ class TestRunTrace:
         assert t.complete
         assert t.envs[-1] == (3, 3)
 
+    @pytest.mark.parametrize("locations, envs", [([0, 1, 2], [(0, 0)]), ([0], [(0, 0)] * 2)])
+    def test_trace_needs_one_env_per_location(self, locations, envs):
+        # Refused when built, not an IndexError in check_invariant's pair loop.
+        with pytest.raises(ValueError, match="one env per location"):
+            Trace(locations, envs, True)
+
+    def test_trace_needs_a_state(self):
+        # Refused when built, not an IndexError in PhiSequence's first point.
+        with pytest.raises(ValueError, match="at least one state"):
+            Trace([], [], True)
+
 
 NAMES = st.sampled_from(("x", "y", "z"))
 ASSIGNS = st.builds(
