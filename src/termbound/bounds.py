@@ -39,17 +39,23 @@ DEFAULT_MAX_ITERATIONS = 2_000_000
 class SequenceFn(Record):
     """A sequence of k-tuples of naturals: ``rows``, then its last row forever.
 
-    ``eventually_constant_from`` is the index of the last row; every read
-    at or past it returns that row, as a tuple. ``from_rows`` and
-    ``constant`` check the rows once and keep the row objects they are
-    given, all lists or all tuples, uncopied; ``PhiSequence.sequence``
-    builds one from tree heights, which are naturals by construction.
+    The last row is the freeze point: every read at or past its index
+    returns that row, as a tuple. ``from_rows`` and ``constant`` check the
+    rows once and keep the row objects they are given, all lists or all
+    tuples, uncopied; ``PhiSequence.sequence`` builds one from tree
+    heights, which are naturals by construction.
     """
 
-    __slots__ = ("rows", "k", "eventually_constant_from")
+    __slots__ = ("rows",)
 
     def __call__(self, n: int) -> tuple[int, ...]:
-        return tuple(self.rows[min(n, self.eventually_constant_from)])
+        rows = self.rows
+        return tuple(rows[n] if n < len(rows) else rows[-1])
+
+    @property
+    def k(self) -> int:
+        """The length of every row; 0 for no rows."""
+        return len(self.rows[0]) if self.rows else 0
 
     @classmethod
     def constant(cls, values: Sequence[int]) -> "SequenceFn":
@@ -80,7 +86,7 @@ class SequenceFn(Record):
             raise ValueError("rows of unequal length")
         if not (proven_natural or all_natural(rows)):
             raise ValueError("every coordinate must be a natural number")
-        return cls(rows, len(rows[0]), len(rows) - 1)
+        return cls(rows)
 
 
 def all_natural(rows: Sequence[Sequence[int]]) -> bool:
@@ -133,7 +139,7 @@ def bound_g(sigma: SequenceFn, n: int, max_value: int | None = None) -> int:
         raise ValueError("sequence must have at least one component")
     if n < 0:
         raise ValueError("n must be a natural number")
-    k, freeze, last = sigma.k, sigma.eventually_constant_from, sigma.rows[-1]
+    k, freeze, last = sigma.k, len(sigma.rows) - 1, sigma.rows[-1]
     # delta[d], d >= 1: at or past the freeze point the depth-d bound is x + delta[d].
     # g_1(x) = x + c + 1 there, and each further level applies the one below
     # c + 2 times with a +1 between steps (c: that level's component of the last row).
@@ -182,10 +188,15 @@ def find_nondescent(sigma: SequenceFn, n: int, limit: int) -> int:
     it is its own answer. Raises BudgetExceeded if the scan would pass
     ``DEFAULT_MAX_ITERATIONS`` points, and LemmaViolated if the whole
     interval strictly descends, which with that limit would refute the
-    bound construction; tests treat that as failure.
+    bound construction; tests treat that as failure. Raises ValueError for
+    a negative n or a limit below n, an empty interval.
     """
+    if n < 0:
+        raise ValueError("n must be a natural number")
+    if limit < n:
+        raise ValueError(f"limit {limit} is below n = {n}")
     end = min(limit, n + DEFAULT_MAX_ITERATIONS)
-    rows, last = sigma.rows, sigma.eventually_constant_from
+    rows, last = sigma.rows, len(sigma.rows) - 1
     # Compare rows below the last in one C-level pass; past it, sigma(m) == sigma(m + 1).
     # islice takes no index past sys.maxsize, so an n past the last row is not passed on.
     stop = min(end + 1, last)

@@ -3,13 +3,14 @@
 Points are k-tuples of naturals; the h-th relation holds between a later
 and an earlier point when coordinate h strictly decreases. A sequence is
 homogeneous when every later point is below every earlier one in some
-coordinate; ``is_homogeneous`` tests all pairs as the bitset join of
-``termlang.check_invariant``, one ``_Column`` per coordinate, within the
-same pair budget. Homogeneous sequences embed into k-ary trees of colored
-lists: each new point descends from the root, at every node following the
-child edge colored by the first decreasing coordinate, and becomes a new
-leaf. Along one branch, the elements followed by color-h edges therefore
-build one strictly h-decreasing list per color simultaneously.
+coordinate; ``is_homogeneous`` tests all pairs with ``cover_pairs``, the
+join of ``termlang.check_invariant``, one relation per coordinate, within
+the same pair budget. Homogeneous sequences embed into k-ary trees of
+colored lists: each new point descends from the root, at every node
+following the child edge colored by the first decreasing coordinate, and
+becomes a new leaf. Along one branch, the elements followed by color-h
+edges therefore build one strictly h-decreasing list per color
+simultaneously.
 
 Every tree node gets an ordinal label below ``w * k`` from the
 coordinates of its nearest ancestors per color; labels strictly decrease
@@ -117,28 +118,84 @@ class _Column:
         return list(map(at.__getitem__, keys))
 
 
+def _bitset(flags: Sequence[bool]) -> int:
+    """The int whose bit j is ``flags[j]``."""
+    return int(bytes(reversed(flags)).translate(bytes.maketrans(b"\0\1", b"01")) or b"0", 2)
+
+
+def _low_bits(mask: int, limit: int) -> list[int]:
+    """Positions of the lowest ``limit`` set bits of ``mask``, ascending."""
+    out = []
+    while mask and len(out) < limit:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def cover_pairs(n: int, plans: Sequence[tuple], limit: int) -> tuple[list, list, int, int]:
+    """Join ranked relations over the pairs (i < j) of n positions; bit j is position j.
+
+    A plan ``(name, pre_ok, post_mask, mixed, below)`` holds on (i, j) when
+    ``pre_ok[i]`` is true and bit j is set in ``post_mask`` and in ``masks[i]``
+    for each ``masks`` in ``mixed``; its rank falls there when bit j of
+    ``below[i]`` is set. Returns the first ``limit`` uncovered pairs (i, j),
+    the first ``limit`` rank violations (i, j, name), both in order of i, j
+    and plan, and the total of each.
+    """
+    full = (1 << n) - 1
+    uncovered, violations, uncovered_total, violation_total = [], [], 0, 0
+    for i in range(n - 1):
+        after = full ^ ((2 << i) - 1)
+        covered = 0
+        bad = []
+        for name, pre_ok, post_mask, mixed, below in plans:
+            if not pre_ok[i]:
+                continue
+            m = after & post_mask
+            for masks in mixed:
+                m &= masks[i]
+            hit = m & below[i]
+            covered |= hit
+            if m != hit:
+                violation_total += (m ^ hit).bit_count()
+                bad.append((m ^ hit, name))
+        if missed := after ^ covered:
+            uncovered_total += missed.bit_count()
+            room = limit - len(uncovered)
+            if room > 0:
+                uncovered.extend((i, j) for j in _low_bits(missed, room))
+        room = limit - len(violations)
+        if bad and room > 0:
+            union = 0
+            for v, _ in bad:
+                union |= v
+            for j in _low_bits(union, room):
+                violations.extend((i, j, name) for v, name in bad if v >> j & 1)
+            del violations[limit:]
+    return uncovered, violations, uncovered_total, violation_total
+
+
 def _first_uncovered(pts: list[Point]) -> tuple[int, int] | None:
     """The least pair (i, j), i < j, with no h such that pts[j][h] < pts[i][h], or None.
 
     The points are checked ones, all of one length k (``_check_point``).
-    Coordinate h is one ``_Column``; with k = 0 there is none and no pair is
-    covered.
+    Coordinate h is one ``cover_pairs`` plan, ranked by itself, so with no
+    rank violation; with k = 0 there is none and no pair is covered.
     """
     pairs_in_budget(len(pts), "is_homogeneous")
-    full, covered = (1 << len(pts)) - 1, [0] * len(pts)
-    for col in zip(*pts):  # covered[i]: the points below point i in some coordinate
-        covered = list(map(or_, covered, _Column(col).masks(col, "<")))
-    for i in range(len(pts) - 1):
-        if uncovered := (full ^ ((2 << i) - 1)) & ~covered[i]:
-            return i, (uncovered & -uncovered).bit_length() - 1
+    everywhere = [True] * len(pts)
+    below = [_Column(col).masks(col, "<") for col in zip(*pts)]
+    plans = [(h, everywhere, _bitset(everywhere), [b], b) for h, b in enumerate(below)]
+    uncovered = cover_pairs(len(pts), plans, 1)[0]
+    return uncovered[0] if uncovered else None
 
 
 def is_homogeneous(s: Sequence[Sequence[int]], k: int) -> bool:
     """True when every later point descends below every earlier point.
 
     For all i < j some coordinate h has s[j][h] < s[i][h]; the empty and
-    singleton sequences are vacuously homogeneous. The pairs are tested as
-    one bitset join, as in ``check_invariant``, within the same pair budget.
+    singleton sequences are vacuously homogeneous.
     """
     return _first_uncovered([_check_point(p, k) for p in s]) is None
 

@@ -38,7 +38,7 @@ from itertools import repeat
 from operator import add, and_, contains, eq, itemgetter, lt, sub
 
 from .bounds import SequenceFn, all_natural, bound_g
-from .erdos import MAX_CHECK_PAIRS, ErdosTree, _Column, pairs_in_budget
+from .erdos import MAX_CHECK_PAIRS, ErdosTree, _bitset, _Column, cover_pairs, pairs_in_budget
 from .errors import BudgetExceeded, NotHomogeneous, ParseError, Record
 from .ordinals import MAX_NESTING, is_nat, nat_value
 
@@ -492,28 +492,12 @@ class InvariantReport(Record):
 _OPS = {"<": lt, "=": eq}
 
 
-def _bitset(flags: Sequence[bool]) -> int:
-    """The int whose bit j is ``flags[j]``."""
-    return int(bytes(reversed(flags)).translate(bytes.maketrans(b"\0\1", b"01")) or b"0", 2)
-
-
-def _low_bits(mask: int, limit: int) -> list[int]:
-    """Positions of the lowest ``limit`` set bits of ``mask``, ascending."""
-    out = []
-    while mask and len(out) < limit:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 class _TraceColumns:
     """The leaf values of every trace state: the trace's own ``locations``,
     and one pass over its ``envs`` per variable."""
 
     def __init__(self, p: Program, trace: Trace):
         self.p, self.envs, self.n = p, trace.envs, len(trace)
-        self.full = (1 << self.n) - 1
         self._values: dict = {"loc": trace.locations}
         self._columns: dict = {}
 
@@ -552,12 +536,7 @@ class _TraceColumns:
 def _relation_sets(
     rel: ConstraintRelation, cols: _TraceColumns, ranks: list[int]
 ) -> tuple[list[bool], int, list[list[int]], list[int]]:
-    """Split ``rel`` for the bitset join, given its rank on every state.
-
-    Returns, per earlier state i, whether the pre-side tests hold; the mask
-    of later states passing the post-only tests; per mixed atom, per i, the
-    mask of later states it admits; and per i the states ranked below i.
-    """
+    """``rel`` as a ``cover_pairs`` plan but its name, given its rank on every state."""
     n = cols.n
     pre_ok, post_ok, mixed = [True] * n, [True] * n, []
     if rel.pre_locations is not None:
@@ -593,16 +572,16 @@ def check_invariant(
     must strictly decrease its rank on it. Violations are collected, not
     raised. A passing report thus proves the rank tuples homogeneous.
 
-    The pairs are checked as a join over bitsets of later states (bit j
-    for state j). Every atom compares two leaves, so once the earlier
-    state i is fixed it is one of three things: a test on state i alone
-    (or a constant); a fixed mask of later states (post-only atoms); or a
-    column of the later states compared with a value of state i, which is
-    a dict lookup or a bisect into that column's prefix ORs. The states
-    ranked below state i form such a prefix too. A trace with more than
-    ``MAX_CHECK_PAIRS`` pairs raises ``BudgetExceeded`` before any bitset
-    is built. The per-pair check, one ``compile_member`` call per pair and
-    relation, is kept in the tests as the oracle of this one.
+    The pairs are checked by ``erdos.cover_pairs``, one plan per relation.
+    Every atom compares two leaves, so once the earlier state i is fixed
+    it is one of three things: a test on state i alone (or a constant); a
+    fixed mask of later states (post-only atoms); or a column of the later
+    states compared with a value of state i, which is a dict lookup or a
+    bisect into that column's prefix ORs. The states ranked below state i
+    form such a prefix too. A trace with more than ``MAX_CHECK_PAIRS``
+    pairs raises ``BudgetExceeded`` before any bitset is built. The
+    per-pair check, one ``compile_member`` call per pair and relation, is
+    kept in the tests as the oracle of this one.
     """
     n = len(trace)
     pairs = pairs_in_budget(n, "check_invariant")
@@ -612,38 +591,8 @@ def check_invariant(
         (r.name, *_relation_sets(r, cols, rank_values))
         for r, rank_values in zip(inv.relations, values)
     ]
-    limit = InvariantReport.MAX_LISTED
-    uncovered, violations, uncovered_total, violation_total = [], [], 0, 0
-    for i in range(n - 1):
-        after = cols.full ^ ((2 << i) - 1)
-        covered = 0
-        bad = []
-        for name, pre_ok, post_mask, mixed, below in plans:
-            if not pre_ok[i]:
-                continue
-            m = after & post_mask
-            for masks in mixed:
-                m &= masks[i]
-            hit = m & below[i]
-            covered |= hit
-            if m != hit:
-                violation_total += (m ^ hit).bit_count()
-                bad.append((m ^ hit, name))
-        if missed := after ^ covered:
-            uncovered_total += missed.bit_count()
-            room = limit - len(uncovered)
-            if room > 0:
-                uncovered.extend((i, j) for j in _low_bits(missed, room))
-        room = limit - len(violations)
-        if bad and room > 0:
-            union = 0
-            for v, _ in bad:
-                union |= v
-            for j in _low_bits(union, room):
-                violations.extend((i, j, name) for v, name in bad if v >> j & 1)
-            del violations[limit:]
     return InvariantReport(
-        n, trace.complete, pairs, uncovered, violations, uncovered_total, violation_total,
+        n, trace.complete, pairs, *cover_pairs(n, plans, InvariantReport.MAX_LISTED),
         list(zip(*values)),
     )
 
@@ -684,7 +633,7 @@ class PhiSequence:
         self.vectors = list(map(ErdosTree(self.k).insert, self.points))
 
     def sequence(self) -> SequenceFn:
-        return SequenceFn(self.vectors, self.k, len(self.vectors) - 1)
+        return SequenceFn(self.vectors)
 
 
 def step_bound(report: InvariantReport) -> int:

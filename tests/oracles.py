@@ -408,6 +408,8 @@ def bound_g_literal(sigma: SequenceFn, n: int) -> int:
 
 def find_nondescent_pointwise(sigma: SequenceFn, n: int, limit: int) -> int:
     """``find_nondescent`` one point at a time: two sigma calls per point."""
+    if not 0 <= n <= limit:
+        raise ValueError(f"no interval [{n}, {limit}] of naturals to scan")
     end = min(limit, n + bounds.DEFAULT_MAX_ITERATIONS)
     later = sigma(n)
     for m in range(n, end + 1):

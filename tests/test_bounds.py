@@ -121,6 +121,18 @@ class TestFindNondescent:
         sigma = SequenceFn.from_rows([(1, 1), (1, 0), (0, 5), (0, 4), (0, 4)])
         assert find_nondescent(sigma, 0, bound_g(sigma, 0)) == 3
 
+    def test_rejects_negative_n(self):
+        sigma = SequenceFn.from_rows([[3], [2], [1], [0]])
+        with pytest.raises(ValueError, match="^n must be a natural number$"):
+            find_nondescent(sigma, -1, 3)
+
+    def test_rejects_limit_below_n(self):
+        # [2, 1] is empty: no point in it, so no descent throughout it either.
+        sigma = SequenceFn.from_rows([[3], [2], [1], [0]])
+        with pytest.raises(ValueError, match=r"^limit 1 is below n = 2$"):
+            find_nondescent(sigma, 2, 1)
+        assert find_nondescent(sigma, 2, 3) == 3
+
     def test_within_bound_on_corpus(self):
         corpus = [
             SequenceFn.constant((2,)),
@@ -140,10 +152,10 @@ class TestFindNondescent:
 
 
 def outcome(fn, *args):
-    """The result of ``fn(*args)``, or the type of the package error it raised."""
+    """The result of ``fn(*args)``, or the type of the error it raised."""
     try:
         return fn(*args)
-    except (BudgetExceeded, LemmaViolated) as exc:
+    except (BudgetExceeded, LemmaViolated, ValueError) as exc:
         return type(exc)
 
 
@@ -193,6 +205,26 @@ class TestAgainstOracles:
     def test_bound_g(self, rows, n):
         sigma = SequenceFn.from_rows(rows)
         assert bound_g(sigma, n) == bound_g_literal(sigma, n)
+
+
+class TestSequenceFn:
+    """A ``SequenceFn`` is its rows: the last one is the freeze point."""
+
+    def test_takes_rows_only(self):
+        with pytest.raises(TypeError, match="^SequenceFn takes 1 fields$"):
+            SequenceFn([[2], [1], [0]], 1, 5)
+
+    def test_freezes_at_the_last_row(self):
+        sigma = SequenceFn([[2], [1], [0]])
+        assert sigma.k == 1 and [sigma(m) for m in range(5)] == [(2,), (1,), (0,), (0,), (0,)]
+        assert bound_g(sigma, 0) == 3
+        assert find_nondescent(sigma, 0, 3) == 2
+
+    def test_no_rows_has_no_component(self):
+        sigma = SequenceFn([])
+        assert sigma.k == 0
+        with pytest.raises(ValueError, match="^sequence must have at least one component$"):
+            bound_g(sigma, 0)
 
 
 class TestFromRows:

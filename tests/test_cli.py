@@ -345,6 +345,8 @@ class TestCommands:
              "error: duplicate variable declaration"),
             ({"bad.prog": "vars x\n0: x = 1\n"}, ["run", "bad.prog"], 2,
              "error: bad command 'x = 1'"),
+            ({"cond.prog": "vars x y\n0: while x < y < x\n"}, ["run", "cond.prog"], 2,
+             "error: bad condition 'x < y < x'"),
             ({"arity.pr": "(comp (p 1 2) s (z 2))"}, ["compile", "arity.pr"], 2,
              "error: inner functions disagree on arity: [1, 2]"),
             ({"open.pr": "(p 1 2 3)"}, ["compile", "open.pr"], 2,
@@ -352,7 +354,8 @@ class TestCommands:
             ({}, ["tree-height", "--k", "0", "w"], 2, "error: arity must be at least 1"),
         ],
         ids=["pipeline-inputs", "pipeline-budget", "embed-coordinates", "run-duplicate-var",
-             "run-bad-command", "compile-arity", "compile-unclosed", "tree-height-k-0"],
+             "run-bad-command", "run-bad-condition", "compile-arity", "compile-unclosed",
+             "tree-height-k-0"],
     )
     def test_error_exit_code_and_message(self, tmp_path, monkeypatch, capsys, files, argv, code, line):
         monkeypatch.chdir(tmp_path)
@@ -648,6 +651,24 @@ class TestInputValidation:
         path = tmp_path / "input.txt"
         path.write_text(text)
         code, err = run_main(command, str(path))
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    # The decoder's own message is not pinned: one "error:" line, exit 2.
+    @pytest.mark.parametrize(
+        "command, data",
+        [("bound", b"{"), ("bound", b"\xff\xfe"), ("check", b"[")],
+        ids=["bound-not-json", "bound-not-utf8", "check-not-json"],
+    )
+    def test_unreadable_json_is_one_error_line(self, tmp_path, command, data):
+        path = tmp_path / "input.json"
+        path.write_bytes(data)
+        if command == "bound":
+            code, err = run_main("bound", str(path))
+        else:
+            prog = tmp_path / "count.prog"
+            prog.write_text(COUNTING_PROGRAM)
+            code, err = run_main("check", str(prog), "--invariant", str(path))
         assert code == 2
         assert err.startswith("error:") and err.count("\n") == 1
 

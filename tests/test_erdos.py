@@ -267,6 +267,25 @@ class TestEmbed:
             "not homogeneous: no coordinate falls from (1, 0) (point 999) to (1, 0) (point 1000)"
         )
 
+    def test_one_join_per_call(self):
+        # One cover_pairs plan per coordinate, ranked by it: the join that
+        # check_invariant runs, with no rank violation and a listing of one.
+        chain = [(3, 0, 2), (2, 5, 1), (1, 9, 0)]
+        with mock.patch.object(erdos, "cover_pairs", wraps=erdos.cover_pairs) as join:
+            assert [n.point for n in embed(chain, 3).nodes] == chain
+        assert join.call_count == 1
+        n, plans, limit = join.call_args.args
+        assert (n, len(plans), limit) == (3, 3, 1)
+        assert erdos.cover_pairs(n, plans, 5) == ([], [], 0, 0)
+        with mock.patch.object(erdos, "cover_pairs", wraps=erdos.cover_pairs) as join:
+            assert not is_homogeneous(chain + chain, 3)
+        assert join.call_count == 1
+        uncovered, violations, uncovered_total, violation_total = erdos.cover_pairs(
+            *join.call_args.args[:2], 5
+        )
+        assert uncovered == [(0, 3), (1, 4), (2, 5)] and uncovered_total == 3
+        assert violations == [] and violation_total == 0
+
     def test_checks_each_point_once(self):
         # The homogeneity join and the inserts share the checked points, and
         # a bad point is still refused before either runs.

@@ -83,6 +83,14 @@ class TestLabelledTree:
         with pytest.raises(LabelNotDecreasing):
             LabelledTree(2, node(o("w*2"), None, node(1, node(o("w"), k=2), k=2), k=2))
 
+    def test_rejects_arity_zero(self):
+        with pytest.raises(ValueError, match="^arity must be at least 1$"):
+            LabelledTree(0)
+
+    def test_node_rejects_more_children_than_slots(self):
+        with pytest.raises(ValueError, match="^more children than slots$"):
+            node(1, None, None, k=1)
+
     @pytest.mark.parametrize("slots", [1, 3])
     def test_rejects_wrong_slot_count(self, slots):
         child = Node(Ordinal.from_int(0), (None,) * slots)

@@ -76,6 +76,14 @@ class TestConstruction:
         with pytest.raises(error):
             call()
 
+    def test_rejects_an_exponent_that_is_not_an_ordinal(self):
+        with pytest.raises(TypeError, match="^exponent must be an Ordinal, got 1$"):
+            Ordinal([(1, 1)])
+
+    def test_to_int_of_an_infinite_ordinal(self):
+        with pytest.raises(ValueError, match="^w is not finite$"):
+            OMEGA.to_int()
+
     def test_canonical_rejects_nondecreasing_exponents(self):
         with pytest.raises(ValueError):
             Ordinal(((ZERO, 1), (ONE, 1)))

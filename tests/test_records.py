@@ -101,7 +101,7 @@ VALUES = {
     ),
     "SequenceFn": (
         lambda: SequenceFn.from_rows([[1, 2], [0, 0]]),
-        "SequenceFn(rows=[[1, 2], [0, 0]], k=2, eventually_constant_from=1)",
+        "SequenceFn(rows=[[1, 2], [0, 0]])",
     ),
 }
 

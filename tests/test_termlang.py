@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from oracles import check_invariant_pairwise, f_star_vec, run_commands
 
-from termbound import termlang
+from termbound import erdos, termlang
 from termbound.bounds import SequenceFn, bound_g
-from termbound.erdos import embed, height_of_tree, is_homogeneous
+from termbound.erdos import _bitset, embed, height_of_tree, is_homogeneous
 from termbound.errors import BudgetExceeded, NotHomogeneous, ParseError
 from termbound.ordinals import MAX_NESTING, to_vector
 from termbound.prcompile import ADD, MULT, PRED, SUB, compile_term, parse_term
@@ -45,7 +45,6 @@ from termbound.termlang import (
     trace_to_doc,
     PRE_LOC,
     POST_LOC,
-    _bitset,
     _TraceColumns,
 )
 
@@ -290,13 +289,13 @@ class TestPhi:
     def test_lexicographically_decreasing_until_final(self):
         p, s0, inv = self.make(3)
         seq = PhiSequence(checked(p, s0, inv)).sequence()
-        for x in range(seq.eventually_constant_from):
+        for x in range(len(seq.rows) - 1):
             assert seq(x + 1) < seq(x)
 
     def test_frozen_after_final(self):
         p, s0, inv = self.make(2)
         seq = PhiSequence(checked(p, s0, inv)).sequence()
-        final = seq.eventually_constant_from
+        final = len(seq.rows) - 1
         assert seq(final + 7) == seq(final)
 
     def test_invalid_invariant_detected(self):
@@ -462,11 +461,22 @@ class TestCheckAgainstOracle:
         trace = run_trace(p, initial_state(p, {"y": 20}))
         n = len(trace)
         never = ConstraintRelation("never", (Atom(const(0), "<", const(0)),), const(0))
-        with mock.patch.object(termlang, "_low_bits", wraps=termlang._low_bits) as low_bits:
+        with mock.patch.object(erdos, "_low_bits", wraps=erdos._low_bits) as low_bits:
             report = check_invariant(p, trace, TransitionInvariant((never,)))
         assert low_bits.call_count == 1
         assert report.uncovered == [(0, j) for j in range(1, report.MAX_LISTED + 1)]
         assert report.uncovered_total == n * (n - 1) // 2
+
+    def test_one_join_per_check(self):
+        # The check builds one plan per relation and hands them all to one join.
+        unit = compile_term(ADD)
+        s0 = initial_state(unit.program, dict(zip(unit.input_vars, (13, 1))))
+        trace = run_trace(unit.program, s0)
+        with mock.patch.object(termlang, "cover_pairs", wraps=termlang.cover_pairs) as join:
+            report = check_invariant(unit.program, trace, unit.invariant)
+        assert report.ok and join.call_count == 1
+        n, plans, limit = join.call_args.args
+        assert (n, len(plans), limit) == (len(trace), unit.invariant.k, report.MAX_LISTED)
 
     @pytest.mark.parametrize(
         "name,args,change,relation",
@@ -603,8 +613,10 @@ class TestRankTerms:
         [
             const(-1), ("const", True), ("const", 1.0), post("x"), POST_LOC,
             ("times", pre("x"), const(2)), ("add", pre("x")), ("add", pre("x"), const(-1000)),
+            "x",
         ],
-        ids=["negative", "bool", "float", "post", "postloc", "unknown", "short", "nested"],
+        ids=["negative", "bool", "float", "post", "postloc", "unknown", "short", "nested",
+             "not-a-tuple"],
     )
     def test_refused(self, rank):
         message = f"^rank {re.escape(repr(rank))} is not a natural-valued term of the pre state$"
