@@ -26,7 +26,6 @@ values stay exact however large.
 
 from __future__ import annotations
 
-import re
 from collections.abc import Sequence
 from itertools import chain, compress, count, islice
 from operator import le
@@ -34,6 +33,8 @@ from operator import le
 from .errors import BudgetExceeded, LemmaViolated, Record
 
 DEFAULT_MAX_ITERATIONS = 2_000_000
+PROOF_CHUNK = 1 << 16  # characters of text encoded at a time by text_proves_natural
+_UNCOUNTED = b"0123456789 \t\n\r],}:krows"
 
 
 class SequenceFn(Record):
@@ -42,8 +43,8 @@ class SequenceFn(Record):
     The last row is the freeze point: every read at or past its index
     returns that row, as a tuple. ``from_rows`` and ``constant`` check the
     rows once and keep the row objects they are given, all lists or all
-    tuples, uncopied; ``PhiSequence.sequence`` builds one from tree
-    heights, which are naturals by construction.
+    tuples, uncopied, and a list of them as it is; ``PhiSequence.sequence``
+    builds one from tree heights, which are naturals by construction.
     """
 
     __slots__ = ("rows",)
@@ -73,9 +74,11 @@ class SequenceFn(Record):
         ``proven_natural`` skips: pass it only with a proof that rows of the
         right shape hold naturals alone, such as ``text_proves_natural``.
         The shape checks run either way, so errors come in the same order.
+        A ``list`` of rows is kept as it is, not copied; any other sequence
+        of rows is copied into one.
         """
         try:
-            rows = list(rows)
+            rows = rows if type(rows) is list else list(rows)
         except TypeError:
             raise ValueError("every row must be a list of naturals") from None
         if not rows:
@@ -113,15 +116,24 @@ def text_proves_natural(text: str, doc: dict) -> bool:
        string takes two, and each distinct key is one, so the keys, none
        repeated, are the only strings.
 
-    So every coordinate is a number written in digits alone. Each
-    condition is one C-level scan of the text, a few times cheaper than
-    the two passes over every coordinate that it replaces.
+    So every coordinate is a number written in digits alone. The text is
+    read in one pass, ``PROOF_CHUNK`` characters at a time: each slice is
+    encoded (an ASCII text encodes one byte a character) and loses every
+    allowed character but ``[``, ``{`` and ``"``. What is left, about a byte
+    a row, then decides all four conditions by its length and three counts.
     """
+    if not text.isascii():
+        return False
+    left = b"".join(
+        text[at : at + PROOF_CHUNK].encode().translate(None, _UNCOUNTED)
+        for at in range(0, len(text), PROOF_CHUNK)
+    )
+    lists, objects, quotes = left.count(b"["), left.count(b"{"), left.count(b'"')
     return (
-        re.fullmatch(r'[0-9 \t\n\r\[\],{}:"krows]*', text) is not None
-        and text.count("[") == len(doc["rows"]) + 1
-        and text.count("{") == 1
-        and text.count('"') == 2 * len(doc)
+        lists + objects + quotes == len(left)
+        and lists == len(doc["rows"]) + 1
+        and objects == 1
+        and quotes == 2 * len(doc)
     )
 
 

@@ -177,7 +177,7 @@ def _read_sigma(path: str) -> SequenceFn:
     if not isinstance(doc, dict) or not isinstance(doc.get("rows"), list):
         raise ParseError('sigma file must be a JSON object with a list "rows"')
     proven_natural = text_proves_natural(text, doc)
-    del text  # before from_rows copies the list of rows
+    del text  # the rows are all that is kept
     sigma = SequenceFn.from_rows(doc["rows"], proven_natural=proven_natural)
     if (k := doc.get("k")) is not None and (type(k) is not int or k != sigma.k):
         raise ParseError(f'"k" must be null or {sigma.k}, the length of every row')

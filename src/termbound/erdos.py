@@ -133,7 +133,9 @@ def _low_bits(mask: int, limit: int) -> list[int]:
     return out
 
 
-def cover_pairs(n: int, plans: Sequence[tuple], limit: int) -> tuple[list, list, int, int]:
+def cover_pairs(
+    n: int, plans: Sequence[tuple], limit: int, *, stop_when_listed: bool = False
+) -> tuple[list, list, int, int]:
     """Join ranked relations over the pairs (i < j) of n positions; bit j is position j.
 
     A plan ``(name, pre_ok, post_mask, mixed, below)`` holds on (i, j) when
@@ -141,7 +143,9 @@ def cover_pairs(n: int, plans: Sequence[tuple], limit: int) -> tuple[list, list,
     for each ``masks`` in ``mixed``; its rank falls there when bit j of
     ``below[i]`` is set. Returns the first ``limit`` uncovered pairs (i, j),
     the first ``limit`` rank violations (i, j, name), both in order of i, j
-    and plan, and the total of each.
+    and plan, and the total of each. With ``stop_when_listed`` it returns
+    as soon as the uncovered listing is full, and the totals and the
+    violation listing are then partial.
     """
     full = (1 << n) - 1
     uncovered, violations, uncovered_total, violation_total = [], [], 0, 0
@@ -165,6 +169,8 @@ def cover_pairs(n: int, plans: Sequence[tuple], limit: int) -> tuple[list, list,
             room = limit - len(uncovered)
             if room > 0:
                 uncovered.extend((i, j) for j in _low_bits(missed, room))
+                if stop_when_listed and len(uncovered) == limit:
+                    break
         room = limit - len(violations)
         if bad and room > 0:
             union = 0
@@ -181,13 +187,14 @@ def _first_uncovered(pts: list[Point]) -> tuple[int, int] | None:
 
     The points are checked ones, all of one length k (``_check_point``).
     Coordinate h is one ``cover_pairs`` plan, ranked by itself, so with no
-    rank violation; with k = 0 there is none and no pair is covered.
+    rank violation; with k = 0 there is none and no pair is covered. The
+    join stops at the first i with an uncovered pair.
     """
     pairs_in_budget(len(pts), "is_homogeneous")
     everywhere = [True] * len(pts)
     below = [_Column(col).masks(col, "<") for col in zip(*pts)]
     plans = [(h, everywhere, _bitset(everywhere), [b], b) for h, b in enumerate(below)]
-    uncovered = cover_pairs(len(pts), plans, 1)[0]
+    uncovered = cover_pairs(len(pts), plans, 1, stop_when_listed=True)[0]
     return uncovered[0] if uncovered else None
 
 

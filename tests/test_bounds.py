@@ -5,9 +5,10 @@ import tracemalloc
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import bound_g_literal, find_nondescent_pointwise
+from test_cli import sigma_text
 from termbound import bounds
 from termbound.bounds import SequenceFn, bound_g, find_nondescent, text_proves_natural
 from termbound.cli import _gc_paused
@@ -251,8 +252,21 @@ class TestFromRows:
         finally:
             tracemalloc.stop()
         assert all(kept is row for kept, row in zip(sigma.rows, rows))
-        # The outer list is copied (8 bytes a row); a tuple per row would be 6 MB.
+        # The list of rows is kept too; a tuple per row would be 6 MB.
         assert peak < 1_200_000
+
+    def test_keeps_a_list_of_rows(self):
+        rows = [[2, 1], [1, 0], [0, 0]]
+        assert SequenceFn.from_rows(rows).rows is rows
+        assert SequenceFn.from_rows(rows, proven_natural=True).rows is rows
+
+    @pytest.mark.parametrize("make", [tuple, lambda rows: (row for row in rows)],
+                             ids=["tuple", "generator"])
+    def test_copies_other_sequences_of_rows(self, make):
+        rows = [[2, 1], [1, 0], [0, 0]]
+        sigma = SequenceFn.from_rows(make(rows))
+        assert type(sigma.rows) is list and sigma.rows == rows
+        assert all(kept is row for kept, row in zip(sigma.rows, rows))
 
     @pytest.mark.parametrize(
         "rows",
@@ -281,9 +295,10 @@ class TestFromRows:
         assert SequenceFn.from_rows(rows, proven_natural=True) == SequenceFn.from_rows(rows)
 
 
-def conditions(text: str) -> tuple[bool, bool, bool, bool]:
-    """The four conditions of ``text_proves_natural``, each on its own."""
-    doc = json.loads(text)
+def conditions(text: str, doc: dict | None = None) -> tuple[bool, bool, bool, bool]:
+    """The four conditions of ``text_proves_natural``, each on its own;
+    ``doc`` is ``json.loads(text)`` unless given."""
+    doc = json.loads(text) if doc is None else doc
     return (
         re.fullmatch(r'[0-9 \t\n\r\[\],{}:"krows]*', text) is not None,
         text.count("[") == len(doc["rows"]) + 1,
@@ -343,3 +358,34 @@ class TestTextProvesNatural:
             assert not natural and str(exc) == "every coordinate must be a natural number"
         else:
             assert natural
+
+    @settings(max_examples=300, deadline=None)
+    @given(sigma_text())
+    def test_one_pass_matches_the_definition(self, text):
+        doc = json.loads(text)
+        assume(isinstance(doc["rows"], list))
+        assert text_proves_natural(text, doc) == all(conditions(text))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        sigma_text(),
+        st.sampled_from([bounds.PROOF_CHUNK, 2 * bounds.PROOF_CHUNK]),
+        st.integers(0, 200),
+        st.sampled_from([None, 65535, 65536, 131071, 131072, -1]),
+        st.sampled_from(["-", ".", "e", "\\", "\x00", "\u00e9", "\uff11"]),
+    )
+    def test_one_pass_across_chunk_edges(self, text, edge, at, where, odd):
+        # Whitespace after the "{" puts character ``at`` of the document just
+        # before the chunk edge ``edge``, so the rows can straddle it. Then
+        # one odd character may replace the one on either side of a chunk
+        # edge, or the last. ``doc`` is the padded text's, before that.
+        doc = json.loads(text)
+        assume(isinstance(doc["rows"], list))
+        at = min(at, len(text) - 1)
+        text = "{" + " " * (edge - 1 - at) + text[1:]
+        assert len(text) >= edge
+        if where is not None:
+            assume(where < len(text))
+            where %= len(text)
+            text = text[:where] + odd + text[where + 1 :]
+        assert text_proves_natural(text, doc) == all(conditions(text, doc))

@@ -1190,6 +1190,7 @@ class TestSigmaTextProof:
             tracemalloc.stop()
         assert len(read.rows) == 100_000
         # What the reader keeps is the decoded rows. On top of them the text
-        # is held once while it is decoded and dropped before from_rows
-        # copies the outer list; a second copy would add its size again.
+        # is held once while it is decoded and proved natural, 64 KiB at a
+        # time, and dropped before from_rows checks the rows; a second copy
+        # would add its size again.
         assert peak - kept < sys.getsizeof(text) * 1.25

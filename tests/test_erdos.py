@@ -106,6 +106,49 @@ class TestHomogeneous:
         )
         assert is_homogeneous(s, k) == literal
 
+    @given(st.integers(0, 3).flatmap(
+        lambda k: st.lists(st.tuples(*[st.integers(0, 2)] * k), max_size=12)
+    ))
+    def test_first_uncovered_pair_matches_definition(self, pts):
+        # The join stops once its listing of one is full; the pair it names
+        # is still the least uncovered one, in order of i, then j.
+        least = next(
+            (
+                (i, j)
+                for i in range(len(pts))
+                for j in range(i + 1, len(pts))
+                if not any(map(lt, pts[j], pts[i]))
+            ),
+            None,
+        )
+        assert erdos._first_uncovered(pts) == least
+
+    def test_stops_at_the_first_uncovered_pair(self):
+        # Point 0 is not above point 1, so the listing is full at position 0
+        # and the join reads no later position of any plan.
+        s = [(0, 0)] + [(y, 0) for y in range(1000, 0, -1)]
+        read = set()
+
+        class Reads(list):
+            def __getitem__(self, i):
+                read.add(i)
+                return super().__getitem__(i)
+
+        cover_pairs = erdos.cover_pairs
+
+        def join(n, plans, limit, **options):
+            plans = [(name, Reads(pre_ok), *rest) for name, pre_ok, *rest in plans]
+            return cover_pairs(n, plans, limit, **options)
+
+        with mock.patch.object(erdos, "cover_pairs", join):
+            assert not is_homogeneous(s, 2)
+        assert read == {0}
+        # A homogeneous sequence is read at every position but the last.
+        read.clear()
+        with mock.patch.object(erdos, "cover_pairs", join):
+            assert is_homogeneous(s[1:], 2)
+        assert read == set(range(len(s) - 2))
+
     def test_pair_budget(self):
         # Identical points: every pair is uncovered at the first point.
         points = [(0, 0)] * 14_143

@@ -478,6 +478,19 @@ class TestCheckAgainstOracle:
         n, plans, limit = join.call_args.args
         assert (n, len(plans), limit) == (len(trace), unit.invariant.k, report.MAX_LISTED)
 
+    def test_join_never_stops_early(self):
+        # The report's totals are exact, so the check never asks the join to
+        # stop once its listings are full, on a passing or a failing trace.
+        unit = compile_term(ADD)
+        s0 = initial_state(unit.program, dict(zip(unit.input_vars, (13, 1))))
+        trace = run_trace(unit.program, s0)
+        never = ConstraintRelation("never", (Atom(const(0), "<", const(0)),), const(0))
+        with mock.patch.object(termlang, "cover_pairs", wraps=termlang.cover_pairs) as join:
+            assert check_invariant(unit.program, trace, unit.invariant).ok
+            report = check_invariant(unit.program, trace, TransitionInvariant((never,)))
+        assert report.uncovered_total == len(trace) * (len(trace) - 1) // 2
+        assert [call.kwargs for call in join.call_args_list] == [{}, {}]
+
     @pytest.mark.parametrize(
         "name,args,change,relation",
         [
