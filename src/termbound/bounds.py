@@ -41,10 +41,10 @@ class SequenceFn(Record):
     """A sequence of k-tuples of naturals: ``rows``, then its last row forever.
 
     The last row is the freeze point: every read at or past its index
-    returns that row, as a tuple. ``from_rows`` and ``constant`` check the
-    rows once and keep the row objects they are given, all lists or all
-    tuples, uncopied, and a list of them as it is; ``PhiSequence.sequence``
-    builds one from tree heights, which are naturals by construction.
+    returns that row, as a tuple. ``from_rows`` checks the rows once and
+    keeps the row objects it is given, all lists or all tuples, uncopied,
+    and a list of them as it is; ``PhiSequence.sequence`` builds one from
+    tree heights, which are naturals by construction.
     """
 
     __slots__ = ("rows",)
@@ -57,10 +57,6 @@ class SequenceFn(Record):
     def k(self) -> int:
         """The length of every row; 0 for no rows."""
         return len(self.rows[0]) if self.rows else 0
-
-    @classmethod
-    def constant(cls, values: Sequence[int]) -> "SequenceFn":
-        return cls.from_rows([values])
 
     @classmethod
     def from_rows(

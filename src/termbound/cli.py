@@ -206,9 +206,9 @@ def _parse_assignments(pairs: list[str]) -> dict[str, int]:
     env = {}
     for item in pairs:
         name, _, value = item.partition("=")
-        if not name or not is_nat(value):
+        if not name.isidentifier() or not is_nat(value):
             raise ParseError(f"bad assignment {item!r}; expected name=nat")
-        env[name.strip()] = nat_value(value)
+        env[name] = nat_value(value)
     return env
 
 

@@ -413,7 +413,7 @@ def to_labelled_tree(t: ErdosTree) -> LabelledTree:
     LabelNotDecreasing.
     """
     if not t.nodes:
-        return LabelledTree.empty(t.k)
+        return LabelledTree(t.k)
     # A parent comes before its children: each node's nearest ancestor per
     # color is its parent's plus the parent itself, and building in reverse
     # order finds every child built.

@@ -44,10 +44,6 @@ class LabelledTree(Record):
         _validate(root, k)
         super().__init__(k, root)
 
-    @classmethod
-    def empty(cls, k: int) -> "LabelledTree":
-        return cls(k, None)
-
     def empty_slots(self) -> list[tuple[tuple[int, ...], Ordinal]]:
         """All (path, owner label) pairs addressing an empty slot."""
         out: list[tuple[tuple[int, ...], Ordinal]] = []
@@ -75,17 +71,6 @@ def _validate(root: Node | None, k: int) -> None:
                 f"label {node.label} not below parent {parent_label}"
             )
         stack.extend((child, node.label) for child in reversed(node.children))
-
-
-def node(label: Ordinal | int, *children: Node | None, k: int | None = None) -> Node:
-    """Convenience constructor; missing slots are filled with empties."""
-    label = label if isinstance(label, Ordinal) else Ordinal.from_int(label)
-    if k is None:
-        k = len(children)
-    if len(children) > k:
-        raise ValueError("more children than slots")
-    slots = tuple(children) + (None,) * (k - len(children))
-    return Node(label, slots)
 
 
 def height_nil(k: int, alpha: Ordinal | int) -> Ordinal:

@@ -169,19 +169,6 @@ def eval_pr(t: PRTerm, args: Sequence[int]) -> int:
 MAX_ARITY = 100
 
 
-def term_to_text(t: PRTerm) -> str:
-    if isinstance(t, Zero):
-        return "z" if t.n == 1 else f"(z {t.n})"
-    if isinstance(t, Succ):
-        return "s"
-    if isinstance(t, Proj):
-        return f"(p {t.i} {t.n})"
-    if isinstance(t, Comp):
-        inner = " ".join(term_to_text(g) for g in t.gs)
-        return f"(comp {term_to_text(t.h)} {inner})"
-    return f"(rec {term_to_text(t.h)} {term_to_text(t.g)})"
-
-
 def _tokenize(text: str) -> list[str]:
     return text.replace("(", " ( ").replace(")", " ) ").split()
 

@@ -38,7 +38,7 @@ from itertools import repeat
 from operator import add, and_, contains, eq, itemgetter, lt, sub
 
 from .bounds import SequenceFn, all_natural, bound_g
-from .erdos import MAX_CHECK_PAIRS, ErdosTree, _bitset, _Column, cover_pairs, pairs_in_budget
+from .erdos import ErdosTree, _bitset, _Column, cover_pairs, pairs_in_budget
 from .errors import BudgetExceeded, NotHomogeneous, ParseError, Record
 from .ordinals import MAX_NESTING, is_nat, nat_value
 
@@ -177,20 +177,14 @@ def is_final(p: Program, s: State) -> bool:
     return not 0 <= s.location < len(p._table)
 
 
-def step(p: Program, s: State) -> State:
-    """One small step; final states repeat themselves."""
-    trace = run_trace(p, s, 1)
-    return State(trace.locations[-1], trace.envs[-1])
-
-
 class Trace(Record):
     """States from an initial one up to the first final state, inclusive,
     as two lists: state j is at ``locations[j]`` with env tuple ``envs[j]``.
 
-    No ``State`` is kept per step; ``states`` builds the list when asked.
-    ``complete`` is False when the step budget ran out first; that is a
-    reported condition, not an error. Lists without a state, or of unequal
-    lengths, raise ValueError; the lists are kept, not copied.
+    No ``State`` is kept per step. ``complete`` is False when the step
+    budget ran out first; that is a reported condition, not an error. Lists
+    without a state, or of unequal lengths, raise ValueError; the lists are
+    kept, not copied.
     """
 
     __slots__ = ("locations", "envs", "complete")
@@ -206,10 +200,6 @@ class Trace(Record):
     @property
     def steps(self) -> int:
         return len(self.locations) - 1
-
-    @property
-    def states(self) -> list[State]:
-        return list(map(State, self.locations, self.envs))
 
 
 def run_trace(p: Program, s0: State, max_steps: int = DEFAULT_MAX_STEPS) -> Trace:
@@ -435,10 +425,6 @@ class ConstraintRelation(Record):
 
         return member
 
-    def compile_rank(self, p: Program) -> Callable[[State], int]:
-        f = _compile(self.rank, p)
-        return lambda s: f(s.location, s.env, s.location, s.env)
-
 
 class TransitionInvariant(Record):
     """A nonempty list of ranked relations; ``k`` is its length."""
@@ -521,9 +507,9 @@ class _TraceColumns:
     def term_values(self, t: tuple) -> Iterable[int]:
         """The values of a one-state term (a rank) on every state, in order.
 
-        ``compile_rank`` on each state, as C-level passes over the leaf
-        columns; a term that is not a leaf is ``add`` or ``monus``, as in
-        ``_compile``.
+        ``_compile(t, p)`` evaluated on each state, as C-level passes over
+        the leaf columns; a term that is not a leaf is ``add`` or ``monus``,
+        as in ``_compile``.
         """
         if t[0] in _LEAF_KINDS:
             return self.values(t)
@@ -578,7 +564,7 @@ def check_invariant(
     fixed mask of later states (post-only atoms); or a column of the later
     states compared with a value of state i, which is a dict lookup or a
     bisect into that column's prefix ORs. The states ranked below state i
-    form such a prefix too. A trace with more than ``MAX_CHECK_PAIRS``
+    form such a prefix too. A trace with more than ``erdos.MAX_CHECK_PAIRS``
     pairs raises ``BudgetExceeded`` before any bitset is built. The
     per-pair check, one ``compile_member`` call per pair and relation, is
     kept in the tests as the oracle of this one.

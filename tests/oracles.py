@@ -7,17 +7,22 @@ the new branch of an insertion by reading the descent path
 (``insert_branch``), the growing tree's measure node by node with ordinal
 labels (``WalkTree``), a program's run by walking its commands with no
 instruction table (``run_commands``), the invariant check one pair at a time
-(``check_invariant_pairwise``), the descent bound by its recursion with no
+(``check_invariant_pairwise``, over the trace's ``states`` and each state's
+rank by ``compile_rank``), the descent bound by its recursion with no
 closed form (``bound_g_literal``), the non-descent scan one point at a
 time (``find_nondescent_pointwise``), a sigma file read with every
 coordinate checked, never proved natural from its text
 (``read_sigma_checked_in_full``), and the command line parsed with every
 command's parser built up front (``eager_parser``).
+
+Beside them are helpers the package has no use for: one small step of a
+program (``step``), a term printed back to its text (``term_to_text``), and
+a labelled tree node with its empty slots filled in (``node``).
 """
 
 import argparse
 import json
-from typing import Sequence
+from typing import Callable, Sequence
 from unittest import mock
 
 from termbound import bounds, cli
@@ -26,9 +31,11 @@ from termbound.erdos import ColoredList, ErdosTree, _label, color_of, embed, hei
 from termbound.errors import BudgetExceeded, LabelNotDecreasing, LemmaViolated, ParseError
 from termbound.ktree import LabelledTree, Node, height_nil
 from termbound.ordinals import Ordinal, cmp, to_vector
+from termbound.prcompile import Comp, PRTerm, Proj, Succ, Zero
 from termbound.termlang import (
     Assign,
     Cmd,
+    ConstraintRelation,
     If,
     InvariantReport,
     Program,
@@ -36,6 +43,8 @@ from termbound.termlang import (
     Trace,
     TransitionInvariant,
     While,
+    _compile,
+    run_trace,
 )
 
 # --- the exhaustive height oracle ---------------------------------------------
@@ -183,6 +192,17 @@ def brute_force_height(k: int, m: int, max_trees: int = 1_000_000) -> HeightTabl
     return HeightTable(k, m, intern, heights)
 
 
+def node(label: Ordinal | int, *children: Node | None, k: int | None = None) -> Node:
+    """A tree node; missing slots are filled with empties."""
+    label = label if isinstance(label, Ordinal) else Ordinal.from_int(label)
+    if k is None:
+        k = len(children)
+    if len(children) > k:
+        raise ValueError("more children than slots")
+    slots = tuple(children) + (None,) * (k - len(children))
+    return Node(label, slots)
+
+
 # --- the rebuild-from-scratch measure ----------------------------------------
 
 
@@ -269,6 +289,17 @@ def f_star_vec(s: Sequence[Sequence[int]], k: int) -> tuple[int, ...]:
 # --- the interpreter ----------------------------------------------------------
 
 
+def step(p: Program, s: State) -> State:
+    """One small step; final states repeat themselves."""
+    trace = run_trace(p, s, 1)
+    return State(trace.locations[-1], trace.envs[-1])
+
+
+def states(trace: Trace) -> list[State]:
+    """The trace's states, state j built from ``locations[j]`` and ``envs[j]``."""
+    return list(map(State, trace.locations, trace.envs))
+
+
 def _points(cmds: Sequence[Cmd]) -> int:
     """Commands in ``cmds``, nested ones included."""
     total = 0
@@ -292,7 +323,7 @@ def _assigned(expr: tuple, env: dict[str, int]) -> int:
 
 
 def run_commands(p: Program, s0: State, max_steps: int) -> list[State]:
-    """``run_trace(p, s0, max_steps).states`` by walking ``p.body`` itself.
+    """``states(run_trace(p, s0, max_steps))`` by walking ``p.body`` itself.
 
     No instruction table: a stack of ``[block, index, location]`` frames
     points at the next command, its location being the command's preorder
@@ -349,21 +380,27 @@ def run_commands(p: Program, s0: State, max_steps: int) -> list[State]:
 # --- the per-pair invariant check ---------------------------------------------
 
 
+def compile_rank(relation: ConstraintRelation, p: Program) -> Callable[[State], int]:
+    """The rank of ``relation`` on one state of ``p``."""
+    f = _compile(relation.rank, p)
+    return lambda s: f(s.location, s.env, s.location, s.env)
+
+
 def check_invariant_pairwise(
     p: Program, trace: Trace, inv: TransitionInvariant
 ) -> InvariantReport:
     """``check_invariant`` one pair at a time: a member call per pair and relation."""
-    states = trace.states
-    n = len(states)
+    trace_states = states(trace)
+    n = len(trace_states)
     members = [r.compile_member(p) for r in inv.relations]
-    ranks = [r.compile_rank(p) for r in inv.relations]
-    values = [[rank(s) for s in states] for rank in ranks]
+    ranks = [compile_rank(r, p) for r in inv.relations]
+    values = [[rank(s) for s in trace_states] for rank in ranks]
     limit = InvariantReport.MAX_LISTED
     uncovered, violations, uncovered_total, violation_total = [], [], 0, 0
     for i in range(n):
-        si = states[i]
+        si = trace_states[i]
         for j in range(i + 1, n):
-            sj = states[j]
+            sj = trace_states[j]
             covered = False
             for r, member in enumerate(members):
                 if member(si, sj):
@@ -454,3 +491,20 @@ def eager_parser() -> argparse.ArgumentParser:
     default."""
     with mock.patch.object(cli, "_CommandParser", _EagerCommandParser):
         return _build_parser()
+
+
+# --- the term printer ---------------------------------------------------------
+
+
+def term_to_text(t: PRTerm) -> str:
+    """The text of ``t`` that ``parse_term`` reads back to ``t``."""
+    if isinstance(t, Zero):
+        return "z" if t.n == 1 else f"(z {t.n})"
+    if isinstance(t, Succ):
+        return "s"
+    if isinstance(t, Proj):
+        return f"(p {t.i} {t.n})"
+    if isinstance(t, Comp):
+        inner = " ".join(term_to_text(g) for g in t.gs)
+        return f"(comp {term_to_text(t.h)} {inner})"
+    return f"(rec {term_to_text(t.h)} {term_to_text(t.g)})"

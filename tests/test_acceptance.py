@@ -87,7 +87,7 @@ def test_criterion_1_closed_form_matches_brute_force():
     for k in (1, 2, 3):
         for m in range(5):
             table = brute_force_height(k, m)
-            empty_height = table[LabelledTree.empty(k)]
+            empty_height = table[LabelledTree(k)]
             assert height_nil(k, m) == empty_height, (k, m)
             for tree, h in table.items():
                 assert height_tree(tree, m) == Ordinal.from_int(h), (k, m, tree)
@@ -178,12 +178,12 @@ def test_criterion_4_embedding_pipeline_invariants():
 
 def test_criterion_5_descent_bound_holds():
     corpus: list[tuple[str, SequenceFn]] = [
-        ("const-0", SequenceFn.constant((0,))),
-        ("const-5", SequenceFn.constant((5,))),
-        ("const-00", SequenceFn.constant((0, 0))),
-        ("const-23", SequenceFn.constant((2, 3))),
-        ("const-231", SequenceFn.constant((2, 3, 1))),
-        ("const-555", SequenceFn.constant((5, 5, 5))),
+        ("const-0", SequenceFn.from_rows([(0,)])),
+        ("const-5", SequenceFn.from_rows([(5,)])),
+        ("const-00", SequenceFn.from_rows([(0, 0)])),
+        ("const-23", SequenceFn.from_rows([(2, 3)])),
+        ("const-231", SequenceFn.from_rows([(2, 3, 1)])),
+        ("const-555", SequenceFn.from_rows([(5, 5, 5)])),
         ("desc-1", SequenceFn.from_rows([(5,), (4,), (3,), (2,), (1,), (0,)])),
         ("desc-stall", SequenceFn.from_rows([(4,), (4,), (2,), (2,), (1,)])),
         (
@@ -209,7 +209,7 @@ def test_criterion_5_descent_bound_holds():
             ),
         ),
         ("wide", SequenceFn.from_rows([(0, 9), (0, 8), (0, 7), (0, 7)])),
-        ("flat-3", SequenceFn.constant((1, 0, 1))),
+        ("flat-3", SequenceFn.from_rows([(1, 0, 1)])),
     ]
     for name, term, args in [
         ("phi-zero", Zero(1), (3,)),

@@ -20,7 +20,7 @@ class TestLexLe:
     ``SequenceFn`` keeps every value at one length."""
 
     def test_reflexive(self):
-        assert find_nondescent(SequenceFn.constant((0, 0)), 0, 5) == 0
+        assert find_nondescent(SequenceFn.from_rows([(0, 0)]), 0, 5) == 0
 
     def test_first_coordinate_decides(self):
         assert find_nondescent(SequenceFn.from_rows([(1, 9), (2, 0)]), 0, 5) == 0
@@ -38,7 +38,7 @@ class TestLexLe:
 
 class TestBoundG:
     def test_one_component_constant(self):
-        sigma = SequenceFn.constant((7,))
+        sigma = SequenceFn.from_rows([(7,)])
         assert bound_g(sigma, 0) == 8
 
     def test_one_component_descending(self):
@@ -46,7 +46,7 @@ class TestBoundG:
         assert bound_g(sigma, 0) == 6
 
     def test_two_components_unfolds_twice(self):
-        sigma = SequenceFn.constant((0, 0))
+        sigma = SequenceFn.from_rows([(0, 0)])
         # H(2, 0) with the tail bound g1(x) = x + 1.
         assert bound_g(sigma, 0) == 4
 
@@ -55,7 +55,7 @@ class TestBoundG:
             bound_g(SequenceFn.from_rows([[1]]), -1)
 
     def test_value_ceiling(self):
-        sigma = SequenceFn.constant((10**6, 10**6, 10**6))
+        sigma = SequenceFn.from_rows([(10**6, 10**6, 10**6)])
         with pytest.raises(BudgetExceeded, match="^bound value exceeded ceiling 1000000000$"):
             bound_g(sigma, 0, max_value=10**9)
 
@@ -105,13 +105,13 @@ class TestBoundG:
     def test_k_one_sharpness(self):
         # A strict descent from a constant c lasts at most c steps.
         for c in range(6):
-            sigma = SequenceFn.constant((c,))
+            sigma = SequenceFn.from_rows([(c,)])
             assert bound_g(sigma, 0) == c + 1
 
 
 class TestFindNondescent:
     def test_constant(self):
-        sigma = SequenceFn.constant((3, 3))
+        sigma = SequenceFn.from_rows([(3, 3)])
         assert find_nondescent(sigma, 0, bound_g(sigma, 0)) == 0
 
     def test_scalar_descent(self):
@@ -136,9 +136,9 @@ class TestFindNondescent:
 
     def test_within_bound_on_corpus(self):
         corpus = [
-            SequenceFn.constant((2,)),
-            SequenceFn.constant((0, 0)),
-            SequenceFn.constant((3, 1, 4)),
+            SequenceFn.from_rows([(2,)]),
+            SequenceFn.from_rows([(0, 0)]),
+            SequenceFn.from_rows([(3, 1, 4)]),
             SequenceFn.from_rows([(3,), (2,), (1,), (0,), (0,)]),
             SequenceFn.from_rows([(2, 2), (2, 1), (2, 0), (1, 5), (1, 4), (0, 0), (0, 0)]),
             SequenceFn.from_rows(

@@ -625,6 +625,16 @@ class TestInputValidation:
         assert code == 2
         assert err == "error: 'loc' names the location and cannot be declared\n"
 
+    # A --set name is an identifier as written, the rule for declared names:
+    # a blank or padded name is a bad assignment, not an undeclared variable.
+    @pytest.mark.parametrize("item", ["x", "=3", " =3", "x =3", "x= 3", "x=-1", "x=3=4", "x=1_0"])
+    def test_run_rejects_a_bad_assignment(self, tmp_path, item):
+        prog = tmp_path / "count.prog"
+        prog.write_text(COUNTING_PROGRAM)
+        code, err = run_main("run", str(prog), "--set", item)
+        assert code == 2
+        assert err == f"error: bad assignment {item!r}; expected name=nat\n"
+
     @pytest.mark.parametrize("locations", [5, "01", [0, "a"]], ids=["int", "string", "mixed"])
     @pytest.mark.parametrize("key", ["pre_locations", "post_locations"])
     def test_check_rejects_bad_locations(self, tmp_path, key, locations):

@@ -8,7 +8,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import WalkTree, f_star, f_star_vec, insert_branch
+from oracles import WalkTree, f_star, f_star_vec, insert_branch, node
 from termbound import erdos
 from termbound.erdos import (
     MAX_CHECK_PAIRS,
@@ -29,7 +29,7 @@ from termbound.errors import (
     NotHomogeneous,
     TermboundError,
 )
-from termbound.ktree import LabelledTree, height_nil, node
+from termbound.ktree import LabelledTree, height_nil
 from termbound.ordinals import (
     MAX_POWER_BITS,
     OMEGA,
@@ -396,7 +396,7 @@ class TestLabelAlpha:
 
 class TestToLabelledTree:
     def test_empty(self):
-        assert to_labelled_tree(ErdosTree(2)) == LabelledTree.empty(2)
+        assert to_labelled_tree(ErdosTree(2)) == LabelledTree(2)
 
     def test_single(self):
         t = to_labelled_tree(embed([(0, 0)], 2))

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from oracles import brute_force_height
+from oracles import brute_force_height, node
 from termbound.errors import BudgetExceeded, LabelNotDecreasing
-from termbound.ktree import LabelledTree, Node, height_nil, height_tree, node
+from termbound.ktree import LabelledTree, Node, height_nil, height_tree
 from termbound.ordinals import OMEGA, Ordinal, cmp, nat_prod_nat, parse_ordinal
 
 o = parse_ordinal
@@ -134,7 +134,7 @@ class TestHeightNil:
 
 class TestHeightTree:
     def test_empty_delegates(self):
-        assert height_tree(LabelledTree.empty(2), 3) == 7
+        assert height_tree(LabelledTree(2), 3) == 7
 
     def test_single_root(self):
         t = LabelledTree(2, node(2, k=2))
@@ -149,7 +149,7 @@ class TestHeightTree:
         alpha = o("w*2")
         labels = [o("0"), o("1"), o("5"), o("w"), o("w+3"), o("w*2") ]
         for _ in range(200):
-            t = LabelledTree.empty(2)
+            t = LabelledTree(2)
             for _ in range(rng.randint(0, 6)):
                 slots = [((), alpha)] if t.root is None else t.empty_slots()
                 if not slots:
@@ -166,15 +166,15 @@ class TestHeightTree:
 class TestBruteForce:
     def test_bound_one(self):
         table = brute_force_height(2, 1)
-        assert table[LabelledTree.empty(2)] == 1
+        assert table[LabelledTree(2)] == 1
 
     def test_bound_two(self):
         table = brute_force_height(2, 2)
-        assert table[LabelledTree.empty(2)] == 3
+        assert table[LabelledTree(2)] == 3
 
     def test_arity_one(self):
         table = brute_force_height(1, 2)
-        assert table[LabelledTree.empty(1)] == 2
+        assert table[LabelledTree(1)] == 2
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
@@ -194,7 +194,7 @@ class TestBruteForce:
         for t, h in naive.items():
             assert table[to_labelled(t, k)] == h
         # Same number of height classes as distinct naive heights per class:
-        assert table[LabelledTree.empty(k)] == naive[None]
+        assert table[LabelledTree(k)] == naive[None]
 
     def test_class_count_small_space(self):
         # 2-trees below 2: empty, (0), (1), (1 (0) _), (1 (0) (0)).

@@ -3,7 +3,7 @@ from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import check_invariant_pairwise
+from oracles import check_invariant_pairwise, states, step, term_to_text
 
 from termbound.errors import ArityMismatch, BudgetExceeded, ParseError
 from termbound.ordinals import MAX_NESTING
@@ -22,7 +22,6 @@ from termbound.prcompile import (
     compile_term,
     eval_pr,
     parse_term,
-    term_to_text,
 )
 from termbound.termlang import (
     check_invariant,
@@ -195,7 +194,7 @@ class TestCompileComposite:
         unit = compile_term(MULT)
         # every state carries every variable
         s0 = initial_state(unit.program, {"y": 1, "x1": 1})
-        for s in run_trace(unit.program, s0).states:
+        for s in states(run_trace(unit.program, s0)):
             assert len(s.env) == len(unit.program.variables)
 
     def test_relation_count_stays_small(self):
@@ -258,11 +257,11 @@ class TestMeasureSequence:
 
 class TestStepFunctionShape:
     def test_transition_is_total_on_non_final_states(self):
-        from termbound.termlang import is_final, step
+        from termbound.termlang import is_final
 
         unit = compile_term(ADD)
         s0 = initial_state(unit.program, {"y": 2, "x1": 2})
-        for s in run_trace(unit.program, s0).states:
+        for s in states(run_trace(unit.program, s0)):
             if not is_final(unit.program, s):
                 step(unit.program, s)  # never stuck
             else:

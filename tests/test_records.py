@@ -187,7 +187,7 @@ def test_construction_errors():
     with pytest.raises(ValueError, match="one color per edge"):
         ColoredList(((1,),), (1,))
     assert Zero() == Zero(1)
-    assert LabelledTree(2) == LabelledTree.empty(2)
+    assert LabelledTree(2) == LabelledTree(2, None)
     assert ConstraintRelation(name="r", atoms=(), rank=const(0)) == ConstraintRelation(
         "r", (), const(0), None, None
     )

@@ -5,16 +5,22 @@ from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from oracles import check_invariant_pairwise, f_star_vec, run_commands
+from oracles import (
+    check_invariant_pairwise,
+    compile_rank,
+    f_star_vec,
+    run_commands,
+    states,
+    step,
+)
 
 from termbound import erdos, termlang
 from termbound.bounds import SequenceFn, bound_g
-from termbound.erdos import _bitset, embed, height_of_tree, is_homogeneous
+from termbound.erdos import MAX_CHECK_PAIRS, _bitset, embed, height_of_tree, is_homogeneous
 from termbound.errors import BudgetExceeded, NotHomogeneous, ParseError
 from termbound.ordinals import MAX_NESTING, to_vector
 from termbound.prcompile import ADD, MULT, PRED, SUB, compile_term, parse_term
 from termbound.termlang import (
-    MAX_CHECK_PAIRS,
     Assign,
     Atom,
     ConstraintRelation,
@@ -38,7 +44,6 @@ from termbound.termlang import (
     program_to_text,
     rank_monus,
     run_trace,
-    step,
     step_bound,
     term_str,
     Trace,
@@ -198,15 +203,15 @@ class TestRunTraceAgainstWalk:
         s0 = initial_state(p, dict(zip(p.variables, values)))
         trace = run_trace(p, s0, budget)
         walked = run_commands(p, s0, budget)
-        assert trace.states == walked
+        assert states(trace) == walked
         assert (trace.locations, trace.envs) == (
             [s.location for s in walked], [s.env for s in walked]
         )
         assert trace.complete == (len(run_commands(p, s0, budget + 1)) == len(walked))
-        for s, s2 in zip(trace.states, trace.states[1:]):
+        for s, s2 in zip(states(trace), states(trace)[1:]):
             assert step(p, s) == s2
         if trace.complete:
-            assert step(p, trace.states[-1]) == trace.states[-1]
+            assert step(p, states(trace)[-1]) == states(trace)[-1]
 
     @pytest.mark.parametrize("location", [-1, 2, 3, 50])
     def test_initial_state_already_final(self, location):
@@ -215,7 +220,7 @@ class TestRunTraceAgainstWalk:
         s0 = State(location, (7,))
         for budget in (0, 1, 10):
             trace = run_trace(p, s0, budget)
-            assert trace.states == [s0] and trace.complete
+            assert states(trace) == [s0] and trace.complete
         assert step(p, s0) == s0
 
 
@@ -401,9 +406,9 @@ class TestCheckIsTheDescentProof:
     def test_passing_check_implies_homogeneous_rank_tuples(self, case):
         p, trace, inv = case
         report = check_invariant(p, trace, inv)
-        ranks = [r.compile_rank(p) for r in inv.relations]
+        ranks = [compile_rank(r, p) for r in inv.relations]
         assert report.rank_tuples == [
-            tuple(rank(s) for rank in ranks) for s in trace.states
+            tuple(rank(s) for rank in ranks) for s in states(trace)
         ]
         if report.ok:
             assert is_homogeneous(report.rank_tuples, inv.k)
@@ -573,18 +578,18 @@ class TestColumnHelpers:
     def test_leaf_columns_are_the_states_values(self, body, values, budget):
         p = Program(("x", "y", "z"), body)
         trace = run_trace(p, initial_state(p, dict(zip(p.variables, values))), budget)
-        states = trace.states
+        trace_states = states(trace)
         cols = _TraceColumns(p, trace)
         for i, name in enumerate(p.variables):
-            assert cols.values(pre(name)) == [s.env[i] for s in states]
-            assert cols.values(post(name)) == [s.env[i] for s in states]
-        assert cols.values(PRE_LOC) == cols.values(POST_LOC) == [s.location for s in states]
+            assert cols.values(pre(name)) == [s.env[i] for s in trace_states]
+            assert cols.values(post(name)) == [s.env[i] for s in trace_states]
+        assert cols.values(PRE_LOC) == cols.values(POST_LOC) == [s.location for s in trace_states]
 
     @settings(max_examples=200, deadline=None)
     @given(ranked_traces())
     def test_rank_columns_are_compile_rank(self, case):
         p, trace, rank = case
-        per_state = list(map(ConstraintRelation("r", (), rank).compile_rank(p), trace.states))
+        per_state = list(map(compile_rank(ConstraintRelation("r", (), rank), p), states(trace)))
         assert list(_TraceColumns(p, trace).term_values(rank)) == per_state
         inv = TransitionInvariant((ConstraintRelation("r", (), rank),))
         assert check_invariant(p, trace, inv).rank_tuples == [(v,) for v in per_state]
@@ -596,7 +601,7 @@ class TestColumnHelpers:
         # x - 40 truncates to 0 before 3 is added: 3 - y = 1, not x - 39.
         assert list(cols.term_values(parse_rank("x - 40 + 3 - y"))) == [1] * len(trace)
         assert list(cols.term_values(parse_rank("40 - x - 38"))) == [
-            2 - s.env[0] for s in trace.states
+            2 - s.env[0] for s in states(trace)
         ]
 
 
@@ -860,8 +865,8 @@ class TestInvariantJson:
     def test_monus_evaluates_truncated(self):
         p = Program(("a",), ())
         rel = ConstraintRelation("r", (), parse_rank("a - 5"))
-        assert rel.compile_rank(p)(State(0, (3,))) == 0
-        assert rel.compile_rank(p)(State(0, (9,))) == 4
+        assert compile_rank(rel, p)(State(0, (3,))) == 0
+        assert compile_rank(rel, p)(State(0, (9,))) == 4
 
 
 class TestTraceJson:
@@ -870,8 +875,8 @@ class TestTraceJson:
         trace = run_trace(p, initial_state(p, {"y": 2}))
         doc = trace_to_doc(p, trace)
         back = json.loads(json.dumps(doc))
-        states = [
+        read = [
             State(e["location"], tuple(e["env"][name] for name in p.variables))
             for e in back
         ]
-        assert states == trace.states
+        assert read == states(trace)
