@@ -132,9 +132,6 @@ def _printable(value):
 @contextmanager
 def _digit_limit(digits: int):
     """Python's int-string conversion limit set to ``digits`` for the block."""
-    if not hasattr(sys, "set_int_max_str_digits"):  # before 3.10.7: no limit
-        yield
-        return
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(digits)
     try:
@@ -155,14 +152,23 @@ def _gc_paused():
             gc.enable()
 
 
+def _read_text(path: str) -> str:
+    """The text of the file at ``path``, read as UTF-8; a file that is not UTF-8
+    is a ParseError that names it, like every other malformed input file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
 def _read_json(path: str):
     """The text of the file at ``path`` and the JSON document it holds."""
+    text = _read_text(path)
     try:
-        with open(path) as fh:
-            text = fh.read()
         return text, json.loads(text)
-    except (json.JSONDecodeError, UnicodeDecodeError):
-        raise
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
     except ValueError:  # int() refused more digits than Python's limit
         digits = sys.get_int_max_str_digits()
         raise ParseError(f"{path}: a number of more than {digits} digits") from None
@@ -263,8 +269,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    with open(args.term_file) as fh:
-        term = parse_term(fh.read())
+    term = parse_term(_read_text(args.term_file))
     unit = compile_term(term)
     doc = {
         "program": program_to_text(unit.program),
@@ -288,8 +293,7 @@ def cmd_compile(args) -> int:
 
 
 def cmd_run(args) -> int:
-    with open(args.program_file) as fh:
-        program = program_from_text(fh.read())
+    program = program_from_text(_read_text(args.program_file))
     s0 = initial_state(program, _parse_assignments(args.set or []))
     trace = run_trace(program, s0, args.max_steps)
     _printable(max((v for env in trace.envs for v in env), default=0))  # largest printed
@@ -307,8 +311,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_check(args) -> int:
-    with open(args.program_file) as fh:
-        program = program_from_text(fh.read())
+    program = program_from_text(_read_text(args.program_file))
     invariant = invariant_from_doc(_read_json(args.invariant)[1])
     s0 = initial_state(program, _parse_assignments(args.set or []))
     trace = run_trace(program, s0, args.max_steps)
@@ -332,8 +335,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    with open(args.term_file) as fh:
-        term = parse_term(fh.read())
+    term = parse_term(_read_text(args.term_file))
     unit = compile_term(term)
     if len(args.inputs) != len(unit.input_vars):
         raise ParseError(f"term takes {len(unit.input_vars)} inputs, got {len(args.inputs)}")

@@ -226,9 +226,6 @@ class ColoredList(Record):
             raise ValueError("need exactly one color per edge")
         super().__init__(points, colors)
 
-    def __len__(self) -> int:
-        return len(self.points)
-
 
 class _Node:
     __slots__ = ("point", "label", "parent", "color", "children", "run")

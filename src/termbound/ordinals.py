@@ -347,7 +347,7 @@ def is_nat(text: str) -> bool:
 def nat_value(digits: str) -> int:
     """The natural that ``digits`` (``is_nat`` holds) spells; a ParseError,
     not ``int``'s advice to raise the limit, if Python's int-string limit refuses it."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    limit = sys.get_int_max_str_digits()  # 0: no limit
     if limit and len(digits) > limit:
         raise ParseError(f"a natural of {len(digits)} digits; at most {limit} are read")
     return int(digits)

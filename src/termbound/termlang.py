@@ -42,10 +42,6 @@ from .erdos import ErdosTree, _bitset, _Column, cover_pairs, pairs_in_budget
 from .errors import BudgetExceeded, NotHomogeneous, ParseError, Record
 from .ordinals import MAX_NESTING, is_nat, nat_value
 
-# Atom's setter, as a Record's own __setattr__ refuses: through Record.__init__ an
-# atom took 1.5 us, not 0.77 (CPython 3.11, Xeon), and a compile builds tens of atoms.
-_set = object.__setattr__
-
 DEFAULT_MAX_STEPS = 10_000  # run_trace's step budget, and the CLI's --max-steps
 
 # --- commands ----------------------------------------------------------------
@@ -85,16 +81,21 @@ class Program:
 
     Locations number the commands in preorder; the location one past the
     last command is the single final point of a top-level run. Undeclared
-    variable references are rejected at construction, and so is a variable
-    named ``loc``, which atoms and ranks read as the location.
+    variable references are rejected at construction, and so are declared
+    names that are not identifiers, which the text format cannot read back,
+    a variable named ``loc``, which atoms and ranks read as the location,
+    and a name declared twice.
     """
 
     def __init__(self, variables: Sequence[str], body: Sequence[Cmd]):
         self.variables: tuple[str, ...] = tuple(variables)
+        for name in self.variables:
+            if not name.isidentifier():
+                raise ValueError(f"declared name {name!r} is not an identifier")
+            if name == "loc":
+                raise ValueError("'loc' names the location and cannot be declared")
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("duplicate variable declaration")
-        if "loc" in self.variables:
-            raise ValueError("'loc' names the location and cannot be declared")
         self.body: tuple[Cmd, ...] = tuple(body)
         self._index = {name: i for i, name in enumerate(self.variables)}
         self._table: list[list] = []
@@ -349,9 +350,7 @@ class Atom(Record):
         for side in (lhs, rhs):
             if side[0] not in _LEAF_KINDS:
                 raise ValueError(f"atom side {side!r} is not a leaf term")
-        _set(self, "lhs", lhs)
-        _set(self, "op", op)
-        _set(self, "rhs", rhs)
+        super().__init__(lhs, op, rhs)
 
     def __str__(self) -> str:
         return f"{term_str(self.lhs)} {self.op} {term_str(self.rhs)}"
@@ -674,12 +673,6 @@ def program_from_text(text: str) -> Program:
     header = raw[0].split() if raw else []
     if header[:1] != ["vars"]:
         raise ParseError("program text must start with a 'vars' line")
-    variables = tuple(header[1:])
-    for name in variables:
-        if not name.isidentifier():
-            raise ParseError(f"declared name {name!r} is not an identifier")
-        if name == "loc":
-            raise ParseError("'loc' names the location and cannot be declared")
 
     # Each parsed line: (loc or None for else, depth, payload)
     parsed = []
@@ -712,11 +705,15 @@ def program_from_text(text: str) -> Program:
             if d > depth:
                 raise ParseError(f"unexpected indentation in {payload!r}")
             pos += 1
-            if payload.startswith("while "):
-                left, right = _parse_cond(payload[len("while ") :])
+            keyword, space, cond = payload.partition(" ")
+            # No condition starts with ":=": "if := 0" assigns to a variable named if.
+            if not space or keyword not in ("while", "if") or cond.lstrip().startswith(":="):
+                cmds.append(_parse_assign(payload))
+                continue
+            left, right = _parse_cond(cond)
+            if keyword == "while":
                 cmds.append(While(left, right, parse_block(depth + 1)))
-            elif payload.startswith("if "):
-                left, right = _parse_cond(payload[len("if ") :])
+            else:
                 then_body = parse_block(depth + 1)
                 if (
                     pos < len(parsed)
@@ -728,14 +725,15 @@ def program_from_text(text: str) -> Program:
                 else:
                     raise ParseError("if without matching else line")
                 cmds.append(If(left, right, then_body, else_body))
-            else:
-                cmds.append(_parse_assign(payload))
         return tuple(cmds)
 
     body = parse_block(0)
     if pos != len(parsed):
         raise ParseError(f"unparsed trailing line {parsed[pos][2]!r}")
-    program = Program(variables, body)
+    try:
+        program = Program(header[1:], body)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
     locs = [entry[0] for entry in parsed if entry[0] is not None]
     if locs != list(range(len(locs))):
         raise ParseError("locations must number the commands in preorder")

@@ -26,6 +26,7 @@ from termbound.termlang import State, invariant_to_doc, program_to_text
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 TERM_ADD = "(rec (p 1 1) (comp s (p 2 3)))"
+COUNTING_PROGRAM = "vars x y\n0: while x < y\n1:   x := x + 1\n"
 
 
 @pytest.fixture
@@ -352,15 +353,33 @@ class TestCommands:
             ({"open.pr": "(p 1 2 3)"}, ["compile", "open.pr"], 2,
              "error: missing closing parenthesis"),
             ({}, ["tree-height", "--k", "0", "w"], 2, "error: arity must be at least 1"),
+            ({"bad.prog": b"\xffvars x\n"}, ["run", "bad.prog"], 2,
+             "error: bad.prog: 'utf-8' codec can't decode byte 0xff in position 0: "
+             "invalid start byte"),
+            ({"count.prog": COUNTING_PROGRAM, "trunc.json": '[{"name": "r", "atoms": ['},
+             ["check", "count.prog", "--invariant", "trunc.json"], 2,
+             "error: trunc.json: Expecting value: line 1 column 26 (char 25)"),
+            ({"count.prog": COUNTING_PROGRAM,
+              "empty.json": '[{"name": "r", "atoms": [], "rank": ""}]'},
+             ["check", "count.prog", "--invariant", "empty.json"], 2,
+             "error: empty rank expression"),
+            ({"count.prog": COUNTING_PROGRAM,
+              "no-op.json": '[{"name": "r", "atoms": ["x"], "rank": "y - x"}]'},
+             ["check", "count.prog", "--invariant", "no-op.json"], 2,
+             "error: atom 'x' has no comparison operator"),
         ],
         ids=["pipeline-inputs", "pipeline-budget", "embed-coordinates", "run-duplicate-var",
              "run-bad-command", "run-bad-condition", "compile-arity", "compile-unclosed",
-             "tree-height-k-0"],
+             "tree-height-k-0", "run-not-utf8", "check-truncated-json", "check-empty-rank",
+             "check-atom-without-operator"],
     )
     def test_error_exit_code_and_message(self, tmp_path, monkeypatch, capsys, files, argv, code, line):
         monkeypatch.chdir(tmp_path)
         for name, text in files.items():
-            (tmp_path / name).write_text(text)
+            if isinstance(text, bytes):
+                (tmp_path / name).write_bytes(text)
+            else:
+                (tmp_path / name).write_text(text)
         assert main(argv) == code
         assert capsys.readouterr().err == line + "\n"
 
@@ -520,9 +539,6 @@ def assert_clean_exit(code, err):
         assert err.startswith("error:") and err.count("\n") == 1
 
 
-COUNTING_PROGRAM = "vars x y\n0: while x < y\n1:   x := x + 1\n"
-
-
 def counting_check(tmp_path, invariant):
     prog = tmp_path / "count.prog"
     prog.write_text(COUNTING_PROGRAM)
@@ -664,7 +680,8 @@ class TestInputValidation:
         assert code == 2
         assert err.startswith("error:") and err.count("\n") == 1
 
-    # The decoder's own message is not pinned: one "error:" line, exit 2.
+    # The decoder's own message is not pinned: one "error:" line that names
+    # the file, exit 2.
     @pytest.mark.parametrize(
         "command, data",
         [("bound", b"{"), ("bound", b"\xff\xfe"), ("check", b"[")],
@@ -680,7 +697,7 @@ class TestInputValidation:
             prog.write_text(COUNTING_PROGRAM)
             code, err = run_main("check", str(prog), "--invariant", str(path))
         assert code == 2
-        assert err.startswith("error:") and err.count("\n") == 1
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("kind", ["term", "program", "atom", "rank", "set"])
     def test_non_ascii_digits_are_rejected(self, tmp_path, kind):

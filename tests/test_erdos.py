@@ -175,7 +175,7 @@ class TestColumnMasks:
         # beyond both ends; the column's own values are keys too.
         keys = keys + values
         holds = {"=": eq, "<": lt, ">": gt}[op]
-        literal = [sum(1 << j for j, v in enumerate(values) if holds(v, key)) for key in keys]
+        literal = [erdos._bitset([holds(v, key) for v in values]) for key in keys]
         column = erdos._Column(values)
         assert column.masks(keys, op) == literal
         assert column.masks(keys, op) == literal  # ``>`` again, from its kept prefix masks
@@ -205,12 +205,10 @@ class TestColumnRuns:
         if as_tuple:
             values = tuple(values)
         column = erdos._Column(values)
-        assert column.eq == {
-            v: sum(1 << j for j, x in enumerate(values) if x == v) for v in set(values)
-        }
+        assert column.eq == {v: erdos._bitset([x == v for x in values]) for v in set(values)}
         keys = list(range(-1, 8))
         for op, holds in (("=", eq), ("<", lt), (">", gt)):
-            literal = [sum(1 << j for j, v in enumerate(values) if holds(v, key)) for key in keys]
+            literal = [erdos._bitset([holds(v, key) for v in values]) for key in keys]
             assert column.masks(keys, op) == literal
 
 

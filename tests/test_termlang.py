@@ -164,24 +164,25 @@ class TestRunTrace:
 
 
 NAMES = st.sampled_from(("x", "y", "z"))
-ASSIGNS = st.builds(
-    Assign,
-    NAMES,
-    st.one_of(
-        st.integers(0, 3).map(const), NAMES.map(pre), NAMES.map(inc), NAMES.map(dec)
-    ),
-)
 
 
-def command_blocks():
-    """Nested blocks of commands over x, y and z; any block may be empty."""
+def command_blocks(names=NAMES):
+    """Nested blocks of commands over ``names``, by default x, y and z; any
+    block may be empty."""
+    assigns = st.builds(
+        Assign,
+        names,
+        st.one_of(
+            st.integers(0, 3).map(const), names.map(pre), names.map(inc), names.map(dec)
+        ),
+    )
     return st.recursive(
-        st.lists(ASSIGNS, max_size=3).map(tuple),
+        st.lists(assigns, max_size=3).map(tuple),
         lambda blocks: st.lists(
             st.one_of(
-                ASSIGNS,
-                st.builds(While, NAMES, NAMES, blocks),
-                st.builds(If, NAMES, NAMES, blocks, blocks),
+                assigns,
+                st.builds(While, names, names, blocks),
+                st.builds(If, names, names, blocks, blocks),
             ),
             max_size=3,
         ).map(tuple),
@@ -568,7 +569,15 @@ class TestColumnHelpers:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.booleans(), max_size=300))
     def test_bitset(self, flags):
-        assert _bitset(flags) == sum(1 << j for j, f in enumerate(flags) if f)
+        # A plan that holds wherever its post mask allows, with no rank
+        # violation, leaves uncovered exactly the later positions whose flag
+        # is false: ``_bitset`` lays flags out as ``cover_pairs`` reads them.
+        n = len(flags)
+        everywhere = _bitset([True] * n)
+        plan = ("r", [True] * n, _bitset(flags), [], [everywhere] * n)
+        uncovered, violations, _, _ = erdos.cover_pairs(n, [plan], n * n)
+        assert violations == []
+        assert uncovered == [(i, j) for i in range(n) for j in range(i + 1, n) if not flags[j]]
 
     def test_bitset_of_nothing(self):
         assert _bitset([]) == 0
@@ -680,6 +689,18 @@ class TestStepBound:
             assert run_trace(p, s0).steps <= bound
 
 
+# Identifiers, the text format's own words among them; then as declared names,
+# also ``loc``, names that are not identifiers and any short text on one line.
+IDENTIFIERS = st.sampled_from(["x", "y", "while", "if", "else", "vars", "\u00e9"]) | st.text(
+    min_size=1, max_size=3
+).filter(str.isidentifier)
+DECLARED_NAMES = (
+    IDENTIFIERS
+    | st.sampled_from(["loc", "x y", "1", "x'", ""])
+    | st.text(st.characters(blacklist_categories=("Cc", "Zl", "Zp")), max_size=3)
+)
+
+
 class TestProgramText:
     def test_round_trip(self):
         p = Program(
@@ -708,6 +729,51 @@ class TestProgramText:
             Program(("loc", "x"), (Assign("loc", pre("x")),))
         with pytest.raises(ParseError, match="'loc' names the location"):
             program_from_text("vars loc x\n0: loc := x\n")
+
+    @pytest.mark.parametrize("name", ["x y", "1", "x'", ""])
+    def test_declared_names_are_identifiers(self, name):
+        # The text format could not read such a name back: ``vars x y``
+        # declares two variables.
+        with pytest.raises(ValueError) as exc:
+            Program((name,), ())
+        assert str(exc.value) == f"declared name {name!r} is not an identifier"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(DECLARED_NAMES, max_size=4))
+    @example(["x y"])
+    @example(["loc", "loc"])
+    @example(["x", "1", "x"])
+    def test_text_refuses_the_names_program_refuses(self, names):
+        text = " ".join(["vars", *names]) + "\n"
+        declared = text.split()[1:]
+        try:
+            expected = Program(declared, ())
+        except ValueError as exc:
+            with pytest.raises(ParseError) as refused:
+                program_from_text(text)
+            assert str(refused.value) == str(exc)
+        else:
+            assert program_from_text(text) == expected
+
+    def test_keywords_are_variable_names(self):
+        # No condition starts with ":=", so "if := 0" is an assignment.
+        p = Program(
+            ("if", "while"),
+            (Assign("if", const(0)), While("if", "while", (Assign("while", pre("if")),))),
+        )
+        text = program_to_text(p)
+        assert text == "vars if while\n0: if := 0\n1: while if < while\n2:   while := if\n"
+        assert program_from_text(text) == p
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_every_program_reads_back(self, data):
+        names = data.draw(st.lists(IDENTIFIERS, min_size=1, max_size=4, unique=True))
+        if "loc" in names:
+            return  # refused, by the text format too (the test above)
+        p = Program(names, data.draw(command_blocks(st.sampled_from(names))))
+        text = program_to_text(p)
+        assert program_from_text(text) == p
 
     @pytest.mark.parametrize(
         "expr",
@@ -742,7 +808,7 @@ class TestProgramText:
             ("x'", ParseError, "bad expression \"x'\""),
             ("5 + 1", ParseError, "bad expression '5 + 1'"),
             ("+ 1", ParseError, "bad expression '+ 1'"),
-            ("loc", ValueError, "undeclared variable 'loc'"),
+            ("loc", ParseError, "undeclared variable 'loc'"),
         ],
     )
     def test_assignment_spellings_rejected(self, rhs, error, message):
