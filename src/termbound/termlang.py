@@ -82,7 +82,7 @@ class Program:
     Locations number the commands in preorder; the location one past the
     last command is the single final point of a top-level run. Undeclared
     variable references are rejected at construction, and so are declared
-    names that are not identifiers, which the text format cannot read back,
+    names that are not identifier strings, which the text format cannot read back,
     a variable named ``loc``, which atoms and ranks read as the location,
     and a name declared twice.
     """
@@ -90,7 +90,7 @@ class Program:
     def __init__(self, variables: Sequence[str], body: Sequence[Cmd]):
         self.variables: tuple[str, ...] = tuple(variables)
         for name in self.variables:
-            if not name.isidentifier():
+            if not isinstance(name, str) or not name.isidentifier():
                 raise ValueError(f"declared name {name!r} is not an identifier")
             if name == "loc":
                 raise ValueError("'loc' names the location and cannot be declared")
@@ -479,49 +479,76 @@ _OPS = {"<": lt, "=": eq}
 
 class _TraceColumns:
     """The leaf values of every trace state: the trace's own ``locations``,
-    and one pass over its ``envs`` per variable."""
+    and one pass over its ``envs`` per variable. It lives for one check and
+    builds each value derived from them once: one ``_Column`` per leaf, one
+    mask list per (column, key, op) and one test list per one-state atom; a
+    pre and a post leaf of one variable share them."""
 
     def __init__(self, p: Program, trace: Trace):
         self.p, self.envs, self.n = p, trace.envs, len(trace)
         self._values: dict = {"loc": trace.locations}
-        self._columns: dict = {}
+        self._columns, self._masks, self._holds = {}, {}, {}
 
     def values(self, leaf: tuple) -> list[int]:
-        if leaf[0] == "const":
-            return [leaf[1]] * self.n
         key = self._key(leaf)
         if key not in self._values:
-            self._values[key] = list(map(itemgetter(key), self.envs))
+            column = [leaf[1]] * self.n if leaf[0] == "const" else map(itemgetter(key), self.envs)
+            self._values[key] = list(column)
         return self._values[key]
 
-    def column(self, leaf: tuple) -> _Column:
-        key = self._key(leaf)
-        if key not in self._columns:
-            self._columns[key] = _Column(self.values(leaf))
-        return self._columns[key]
+    def masks(self, column: tuple, keys: tuple, op: str) -> list[int]:
+        """``_Column(values(column)).masks(values(keys), op)``."""
+        memo = self._key(column), self._key(keys), op
+        if memo not in self._masks:
+            if memo[0] not in self._columns:
+                self._columns[memo[0]] = _Column(self.values(column))
+            self._masks[memo] = self._columns[memo[0]].masks(self.values(keys), op)
+        return self._masks[memo]
+
+    def holds(self, a: Atom) -> list[bool]:
+        memo = self._key(a.lhs), a.op, self._key(a.rhs)
+        if memo not in self._holds:
+            self._holds[memo] = list(map(_OPS[a.op], self.values(a.lhs), self.values(a.rhs)))
+        return self._holds[memo]
 
     def _key(self, leaf: tuple):
+        if leaf[0] == "const":
+            return leaf
         return "loc" if leaf[0] in ("preloc", "postloc") else self.p.var_index(leaf[1])
 
     def term_values(self, t: tuple) -> Iterable[int]:
         """The values of a one-state term (a rank) on every state, in order.
 
         ``_compile(t, p)`` evaluated on each state, as C-level passes over
-        the leaf columns; a term that is not a leaf is ``add`` or ``monus``,
-        as in ``_compile``.
+        the leaf columns, with no Python function call per state; a term
+        that is not a leaf is ``add`` or ``monus``, as in ``_compile``.
         """
         if t[0] in _LEAF_KINDS:
             return self.values(t)
         left, right = self.term_values(t[1]), self.term_values(t[2])
         if t[0] == "add":
             return map(add, left, right)
-        return map(max, repeat(0), map(sub, left, right))
+        return [d if d > 0 else 0 for d in map(sub, left, right)]
+
+    def below(self, rank: tuple, ranks: list[int]) -> list[int]:
+        """For each state, the states whose ``rank`` (valued ``ranks``) is lower. A
+        leaf rank b takes b's ``<`` masks, and ``c - b`` b's ``>`` masks when c is
+        constant over the trace and at least b's maximum, so it never truncates;
+        any other rank gets a column of its own."""
+        if rank[0] in _LEAF_KINDS:
+            return self.masks(rank, rank, "<")
+        if rank[0] == "monus" and rank[2][0] in _LEAF_KINDS:
+            top = set(self.term_values(rank[1]))
+            if len(top) == 1 and min(top) >= max(self.values(rank[2])):
+                return self.masks(rank[2], rank[2], ">")
+        return _Column(ranks).masks(ranks, "<")
 
 
 def _relation_sets(
     rel: ConstraintRelation, cols: _TraceColumns, ranks: list[int]
 ) -> tuple[list[bool], int, list[list[int]], list[int]]:
-    """``rel`` as a ``cover_pairs`` plan but its name, given its rank on every state."""
+    """``rel`` as a ``cover_pairs`` plan but its name, given its rank on every
+    state; its atom tests and masks come from ``cols``, built once per check."""
     n = cols.n
     pre_ok, post_ok, mixed = [True] * n, [True] * n, []
     if rel.pre_locations is not None:
@@ -533,18 +560,14 @@ def _relation_sets(
         lpre, rpre = a.lhs[0] in ("pre", "preloc"), a.rhs[0] in ("pre", "preloc")
         if lpost or rpost:
             if not (lpre or rpre):
-                holds = map(_OPS[a.op], cols.values(a.lhs), cols.values(a.rhs))
-                post_ok = list(map(and_, post_ok, holds))
+                post_ok = list(map(and_, post_ok, cols.holds(a)))
             elif lpre:  # x < y': the later value lies above state i's
-                op = ">" if a.op == "<" else "="
-                mixed.append(cols.column(a.rhs).masks(cols.values(a.lhs), op))
+                mixed.append(cols.masks(a.rhs, a.lhs, ">" if a.op == "<" else "="))
             else:  # x' < y: the later value lies below state i's
-                mixed.append(cols.column(a.lhs).masks(cols.values(a.rhs), a.op))
+                mixed.append(cols.masks(a.lhs, a.rhs, a.op))
         else:
-            holds = map(_OPS[a.op], cols.values(a.lhs), cols.values(a.rhs))
-            pre_ok = list(map(and_, pre_ok, holds))
-    below = _Column(ranks).masks(ranks, "<")
-    return pre_ok, _bitset(post_ok), mixed, below
+            pre_ok = list(map(and_, pre_ok, cols.holds(a)))
+    return pre_ok, _bitset(post_ok), mixed, cols.below(rel.rank, ranks)
 
 
 def check_invariant(
@@ -563,10 +586,12 @@ def check_invariant(
     fixed mask of later states (post-only atoms); or a column of the later
     states compared with a value of state i, which is a dict lookup or a
     bisect into that column's prefix ORs. The states ranked below state i
-    form such a prefix too. A trace with more than ``erdos.MAX_CHECK_PAIRS``
-    pairs raises ``BudgetExceeded`` before any bitset is built. The
-    per-pair check, one ``compile_member`` call per pair and relation, is
-    kept in the tests as the oracle of this one.
+    form such a prefix too, a leaf's own where the rank orders the states as
+    the leaf does; ``_TraceColumns`` derives each of these once per call. A
+    trace with more than ``erdos.MAX_CHECK_PAIRS`` pairs raises
+    ``BudgetExceeded`` before any bitset is built. The per-pair check, one
+    ``compile_member`` call per pair and relation, is kept in the tests as
+    the oracle of this one.
     """
     n = len(trace)
     pairs = pairs_in_budget(n, "check_invariant")

@@ -4,6 +4,7 @@ its exit code, its whole standard error and its standard output pinned:
 whole, line by line where it holds numbers of hundreds of digits, or by the
 fields of its JSON document."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -183,8 +184,10 @@ def test_whole_output(work, argv, code, out, err):
     assert console(*argv, cwd=work) == (code, out, err)
 
 
-# (id, arguments, {line index: that line of standard output}); each exits 0
-# with nothing on standard error.
+# (id, arguments, {line index: that line of standard output, or for a
+# "step bound: " line of hundreds of digits, "sha256:" and the line's sha256});
+# each exits 0 with nothing on standard error. The step bound comes from the
+# check's rank tuples, so its digest pins them too.
 LINE_CHECKS = [
     # A 1,000-point descending chain: one tree level per point, and the
     # homogeneity test as one bitset join over the 499,500 pairs.
@@ -197,14 +200,17 @@ LINE_CHECKS = [
     # A 9,005-step trace: the measure bisects each run of one color on a
     # point's descent path instead of walking all of it.
     ("pipeline-add-600-3", ["pipeline", "add.pr", "600", "3"],
-     {0: "result: 603 (oracle 603)", 2: "steps: 9005", -1: "verdict: pass"}),
+     {0: "result: 603 (oracle 603)", 2: "steps: 9005", -1: "verdict: pass",
+      3: "sha256:2e4836f0e042fb4159d35bcbbc83502514ec91c417bcadab5f8e4e4ab6a86099"}),
     # A 12,185-step trace with k = 5: the runs of colors 2-5 on a descent
     # path bisect coordinate columns for up to four earlier coordinates each.
     ("pipeline-mult-12-12", ["pipeline", "mult.pr", "12", "12", "--max-steps", "20000"],
-     {0: "result: 144 (oracle 144)", 2: "steps: 12185", -1: "verdict: pass"}),
+     {0: "result: 144 (oracle 144)", 2: "steps: 12185", -1: "verdict: pass",
+      3: "sha256:6209ccf5e6299db0e2fc21f2dda5ec1aaf85be8d9d09ab001e9baf1c2236a34f"}),
     # exp(5, 2) = 2^5: 5,562 steps with k = 8, the widest measure here.
     ("pipeline-exp-5-2", ["pipeline", "exp.pr", "5", "2"],
-     {0: "result: 32 (oracle 32)", 2: "steps: 5562", -1: "verdict: pass"}),
+     {0: "result: 32 (oracle 32)", 2: "steps: 5562", -1: "verdict: pass",
+      3: "sha256:e26d3a047df3ca3f0026d5c4339521e535dee8a0508152acedf2c1adb2ebb8b2"}),
     # run prints the same 12,186 states, each built from the trace's
     # location and env lists only when it is printed.
     ("run-mult", ["run", *MULT_RUN], {-1: "steps: 12185 (final)"}),
@@ -220,7 +226,14 @@ def test_output_lines(work, argv, lines):
     code, out, err = console(*argv, cwd=work)
     assert (code, err) == (0, "")
     out_lines = out.splitlines()
-    assert {i: out_lines[i] for i in lines} == lines
+    assert {i: pinned(out_lines[i], want) for i, want in lines.items()} == lines
+
+
+def pinned(line, want):
+    """``line``, or its ``sha256:`` digest where ``want`` is one."""
+    if want.startswith("sha256:"):
+        return "sha256:" + hashlib.sha256(line.encode()).hexdigest()
+    return line
 
 
 def structured(*argv, cwd):

@@ -371,21 +371,38 @@ class TestPhiAgainstRebuild:
 def mutated_checks(draw):
     """A compiled add/sub/mult trace and its invariant after at most one change.
 
-    The change sets one relation's rank to a constant, drops one relation,
-    or removes one atom of one relation.
+    The change drops one relation, removes one atom of one relation, or sets
+    one relation's rank to a constant, to a leaf b (a variable or ``loc``), to
+    ``c - b`` with c from b's maximum on the trace - 2 to + 2, or to ``v - b``
+    for a variable v: the ranks that the check reads off b's own masks when
+    ``c`` or ``v`` is constant over the trace and at least b's maximum, and
+    the ones beside them where the monus truncates.
     """
     name = draw(st.sampled_from(["add", "sub", "mult"]))
     unit = compile_term({"add": ADD, "sub": SUB, "mult": MULT}[name])
     top = 2 if name == "mult" else 4
     args = draw(st.tuples(*[st.integers(0, top)] * len(unit.input_vars)))
+    s0 = initial_state(unit.program, dict(zip(unit.input_vars, args)))
+    trace = run_trace(unit.program, s0)
     relations = list(unit.invariant.relations)
     idx = draw(st.integers(0, len(relations) - 1))
     rel = relations[idx]
     change = draw(st.sampled_from(["none", "rank", "drop", "atom"]))
     if change == "rank":
+        variables = [pre(v) for v in unit.program.variables]
+        leaf = draw(st.sampled_from([*variables, PRE_LOC]))
+        leaf_max = max(map(compile_rank(ConstraintRelation("b", (), leaf), unit.program),
+                           states(trace)))
+        rank = draw(
+            st.builds(const, st.integers(0, 3))
+            | st.just(leaf)
+            | st.builds(const, st.integers(max(0, leaf_max - 2), leaf_max + 2)).map(
+                lambda c: rank_monus(c, leaf)
+            )
+            | st.sampled_from(variables).map(lambda v: rank_monus(v, leaf))
+        )
         relations[idx] = ConstraintRelation(
-            rel.name, rel.atoms, const(draw(st.integers(0, 3))),
-            rel.pre_locations, rel.post_locations,
+            rel.name, rel.atoms, rank, rel.pre_locations, rel.post_locations
         )
     elif change == "drop":
         del relations[idx]
@@ -395,8 +412,7 @@ def mutated_checks(draw):
             rel.name, rel.atoms[:gone] + rel.atoms[gone + 1 :], rel.rank,
             rel.pre_locations, rel.post_locations,
         )
-    s0 = initial_state(unit.program, dict(zip(unit.input_vars, args)))
-    return unit.program, run_trace(unit.program, s0), TransitionInvariant(tuple(relations))
+    return unit.program, trace, TransitionInvariant(tuple(relations))
 
 
 class TestCheckIsTheDescentProof:
@@ -433,11 +449,46 @@ def located_checks(draw):
     return p, trace, TransitionInvariant(tuple(relations))
 
 
+def add_with_line_rank(rank):
+    """add(2, 1)'s program and trace (locations 0-19, y = 2), and its invariant
+    with the ``line`` relation ranked by ``rank``."""
+    unit = compile_term(ADD)
+    s0 = initial_state(unit.program, dict(zip(unit.input_vars, (2, 1))))
+    relations = tuple(
+        ConstraintRelation(r.name, r.atoms, rank, r.pre_locations, r.post_locations)
+        if r.name == "line" else r
+        for r in unit.invariant.relations
+    )
+    return unit.program, run_trace(unit.program, s0), TransitionInvariant(relations)
+
+
+def one_column_two_keys():
+    """The counting loop to y = 3 under ``x < y'`` and ``y < y'``: both atoms
+    compare y's later values, one with x, one with y."""
+    p = counting_program()
+    inv = TransitionInvariant((
+        ConstraintRelation("a", (Atom(pre("x"), "<", post("y")),), parse_rank("y - x")),
+        ConstraintRelation("b", (Atom(pre("y"), "<", post("y")),), const(0)),
+    ))
+    return p, run_trace(p, initial_state(p, {"y": 3})), inv
+
+
 class TestCheckAgainstOracle:
     """The bitset join against the per-pair check."""
 
     @settings(max_examples=200, deadline=None)
     @given(located_checks())
+    # A monus of a trace constant below loc's maximum (19) truncates to 0 on
+    # the last locations, so it does not order the states as loc does; one
+    # at loc's maximum does.
+    @example(add_with_line_rank(rank_monus(const(18), PRE_LOC)))
+    @example(add_with_line_rank(rank_monus(pre("y"), PRE_LOC)))
+    @example(add_with_line_rank(rank_monus(const(19), PRE_LOC)))
+    # 21 - loc varies, so 21 - loc - y does not order the states as y does,
+    # though it never truncates.
+    @example(add_with_line_rank(parse_rank("19 - loc + 2 - y")))
+    # Two mask lists on y's column, keyed by x and by y.
+    @example(one_column_two_keys())
     def test_same_report(self, case):
         p, trace, inv = case
         fast = check_invariant(p, trace, inv)
@@ -483,6 +534,32 @@ class TestCheckAgainstOracle:
         assert report.ok and join.call_count == 1
         n, plans, limit = join.call_args.args
         assert (n, len(plans), limit) == (len(trace), unit.invariant.k, report.MAX_LISTED)
+
+    def test_each_column_and_mask_list_once(self):
+        # mult(8, 1) under its emitted invariant. Its atoms across relations
+        # read 7 leaves in 9 (column, key, op) triples, and four of its five
+        # ranks order the states as one of those leaves does: 43 - loc,
+        # y - z, 4 - c1_a and 3 - c1_c2_c1_a (y is constant on the trace).
+        # c1_c2_y varies, so c1_c2_y - c1_c2_z gets a column of its own.
+        unit = compile_term(MULT)
+        p = unit.program
+        trace = run_trace(p, initial_state(p, dict(zip(unit.input_vars, (8, 1)))))
+        column = erdos._Column
+        with mock.patch.object(
+            column, "__init__", autospec=True, side_effect=column.__init__
+        ) as init, mock.patch.object(
+            column, "masks", autospec=True, side_effect=column.masks
+        ) as masks:
+            report = check_invariant(p, trace, unit.invariant)
+        assert report.ok and (len(trace), unit.invariant.k) == (626, 5)
+        cols = _TraceColumns(p, trace)
+        leaves = [PRE_LOC, *map(pre, ("y", "z", "c1_a", "c1_c2_z", "c1_c2_y", "c1_c2_c1_a"))]
+        own = list(cols.term_values(parse_rank("c1_c2_y - c1_c2_z")))
+        assert sorted(call.args[1] for call in init.call_args_list) == sorted(
+            [*map(cols.values, leaves), own]
+        )
+        triples = {(id(col), tuple(keys), op) for (col, keys, op), _ in masks.call_args_list}
+        assert len(triples) == masks.call_count == 9 + 1
 
     def test_join_never_stops_early(self):
         # The report's totals are exact, so the check never asks the join to
@@ -737,6 +814,26 @@ class TestProgramText:
         with pytest.raises(ValueError) as exc:
             Program((name,), ())
         assert str(exc.value) == f"declared name {name!r} is not an identifier"
+
+    @pytest.mark.parametrize(
+        "names,message",
+        [
+            ((1,), "declared name 1 is not an identifier"),
+            (("x", None), "declared name None is not an identifier"),
+            ((b"x",), "declared name b'x' is not an identifier"),
+            # Per name: identifier, then ``loc``; then duplicates.
+            (("loc", 1), "'loc' names the location and cannot be declared"),
+            ((1, "loc"), "declared name 1 is not an identifier"),
+            (("x", "x", [1]), "declared name [1] is not an identifier"),
+        ],
+        ids=["int", "none-after-x", "bytes", "loc-first", "int-first", "list-after-duplicate"],
+    )
+    def test_declared_names_are_strings(self, names, message):
+        # A name that is not a str is refused like any other non-identifier,
+        # not with an AttributeError from ``isidentifier``.
+        with pytest.raises(ValueError) as exc:
+            Program(names, ())
+        assert str(exc.value) == message
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(DECLARED_NAMES, max_size=4))
