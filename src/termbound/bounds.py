@@ -43,8 +43,9 @@ class SequenceFn(Record):
     The last row is the freeze point: every read at or past its index
     returns that row, as a tuple. ``from_rows`` checks the rows once and
     keeps the row objects it is given, all lists or all tuples, uncopied,
-    and a list of them as it is; ``PhiSequence.sequence`` builds one from
-    tree heights, which are naturals by construction.
+    and a list of them as it is; ``PhiSequence.sequence`` builds one on
+    ``erdos.MeasureRows``, tree heights that are naturals by construction,
+    held as they are: any ``rows`` with ``len`` and indexing will do.
     """
 
     __slots__ = ("rows",)

@@ -378,7 +378,7 @@ def cmd_pipeline(args) -> int:
         f"({report.uncovered_total} uncovered, "
         f"{report.rank_violation_total} rank violations)",
         f"steps: {trace.steps}",
-        f"step bound: {bound}",
+        f"step bound: {bound if report.ok else 'none (invariant failed)'}",
         f"verdict: {'pass' if ok else 'FAIL'}",
     ]
     _emit(args, doc, lines)

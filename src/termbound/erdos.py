@@ -25,7 +25,8 @@ and ``is_homogeneous``, by ``bounds.all_natural`` in ``termlang.PhiSequence``.
 ``ErdosTree.insert`` takes checked points as they are.
 
 ``ErdosTree`` is the one tree: it grows in place, labels each new leaf as
-it is added and keeps the measure vector up to date. Its nodes sit in one
+it is added and counts each label's empty slots, from which ``vector``
+and, for every prefix, ``MeasureRows`` give the measure. Its nodes sit in one
 list in insertion order, each with its parent's index and edge color, so
 a parent precedes its children; the structured document
 (``erdos_to_doc``) is that list, one entry per point. A descent bisects
@@ -35,15 +36,16 @@ the int pair ``(m, n)`` whose height vector has a closed form
 ``to_labelled_tree`` and ``height_of_tree`` recompute every label and the
 height with ordinals from the points alone; they are the rebuild path
 that the test oracles (``f_star_vec`` and the node-by-node ``WalkTree``
-in ``tests/oracles.py``) check the vector against.
+in ``tests/oracles.py``, which updates a vector on every insert) check the
+vector and the rows against.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections.abc import Sequence
-from itertools import accumulate, chain, compress, count, repeat
-from operator import add, getitem, lt, mul, ne, or_, sub, xor
+from collections.abc import Iterator, Sequence
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import add, mul, ne, or_, sub, xor
 
 from .errors import BudgetExceeded, LabelNotDecreasing, NoRelation, NotHomogeneous, Record
 from .ktree import LabelledTree, Node, height_tree
@@ -207,15 +209,6 @@ def is_homogeneous(s: Sequence[Sequence[int]], k: int) -> bool:
     return _first_uncovered([_check_point(p, k) for p in s]) is None
 
 
-def color_of(y: Sequence[int], x: Sequence[int]) -> int:
-    """First color (1-based) in which ``y`` descends below ``x``."""
-    if len(y) != len(x):
-        raise ValueError("points of different dimensions")
-    if h := next(compress(count(1), map(lt, y, x)), 0):
-        return h
-    raise NoRelation(f"{tuple(y)} does not descend below {tuple(x)}")
-
-
 class ColoredList(Record):
     """A list of points with a color on each of its n-1 edges."""
 
@@ -256,7 +249,8 @@ def height_vector(k: int, m: int, n: int) -> tuple[int, ...]:
 
 class ErdosTree:
     """A prefix-closed trie of colored lists, keyed by color sequences,
-    with the measure vector of the sequence inserted so far.
+    with the labels and free slots that give the measure of the sequence
+    inserted so far.
 
     The empty colored list is always present; a nonempty tree has a single
     root point and at most one child per color at every node, so each
@@ -271,19 +265,32 @@ class ErdosTree:
     its empty slots, of ``h_k`` at the slot owner's label, and below
     ``w^k`` a natural sum is a coefficient-wise vector sum. A label
     ``w * m + n`` is kept as the pair ``(m, n)``, so labels compare as
-    tuples. A label depends only on the node's ancestors, so adding a leaf
-    labelled ``L`` in a slot owned by a node labelled ``P`` changes no
-    existing label and moves the vector by ``k * vec(h_k(L)) -
-    vec(h_k(P))``. The first point replaces the empty tree, whose one slot
-    is owned by ``w * k``, so nothing is subtracted. ``vector`` is ``()``
-    while the tree is empty.
+    tuples. A label depends only on the node's ancestors and never changes
+    once its leaf exists, so the tree keeps no vector: ``free`` maps each
+    label to the number of empty child slots that nodes with that label
+    own, and ``vector`` is the sum over ``free`` of each count times the
+    label's ``height_vector``, computed when it is read (``()`` while the
+    tree is empty). Adding a leaf labelled ``L`` in a slot owned by a node
+    labelled ``P`` adds k to ``free[L]`` and takes 1 from ``free[P]``; the
+    first point fills the one slot of the empty tree, owned by ``w * k``,
+    which is not counted. ``MeasureRows`` gives the vector after each
+    point from the labels alone.
     """
 
     def __init__(self, k: int):
         self.k = k
         self.nodes: list[_Node] = []
-        self.vector: tuple[int, ...] = ()
+        self.free: dict[tuple[int, int], int] = {}
         self._height_vec: dict[tuple[int, int], tuple[int, ...]] = {}
+
+    @property
+    def vector(self) -> tuple[int, ...]:
+        """The measure vector: each ``free`` count times its label's height vector, summed."""
+        if not self.nodes:
+            return ()
+        slots = list(self.free.values())
+        columns = zip(*map(self._height_vec.__getitem__, self.free))
+        return tuple(sum(map(mul, slots, column)) for column in columns)
 
     def branch_count(self) -> int:
         """Number of nonempty branches, i.e. nodes."""
@@ -301,8 +308,8 @@ class ErdosTree:
         out.sort(key=lambda b: b.colors)
         return out
 
-    def insert(self, y: Point) -> tuple[int, ...]:
-        """Add ``y`` as a new leaf on its descent path; the new measure vector.
+    def insert(self, y: Point) -> None:
+        """Add ``y`` as a new leaf on its descent path.
 
         From the root, ``y`` follows at every node the child edge colored
         by the first coordinate in which it descends below that node's
@@ -315,53 +322,113 @@ class ErdosTree:
         ends at the least of them; a node's color is computed only at the
         node after that end. The caller hands ``y`` checked and guarantees
         homogeneity, as ``embed`` and ``PhiSequence`` do, so only the
-        descent path is compared with ``y``.
+        descent path is compared with ``y``. The new label's height vector
+        is memoized here, so a label past the ``MAX_POWER_BITS`` budget
+        raises BudgetExceeded here.
         Raises NoRelation when ``y`` does not descend below a node on the
         path, and LabelNotDecreasing, like ``to_labelled_tree``, if the new
         label is not below its parent's; the tree is then unchanged.
         """
         k, nodes, memo = self.k, self.nodes, self._height_vec
-        nearest: dict[int, Point] = {}  # coordinate h: the nearest color-(h+1) ancestor
-        parent, color = -1, 0
+        nearest: dict[int, int] = {}  # h: coordinate h of the nearest color-(h+1) ancestor
+        parent, h = -1, -1
         cur = 0 if nodes else -1
         while cur >= 0:
             n = nodes[cur]
-            color = color_of(y, n.point)
-            nearest[color - 1] = n.point
-            parent, cur = cur, n.children[color - 1]
+            point = n.point
+            h = 0  # the first coordinate in which y falls below point, 0-based
+            while h < k and y[h] >= point[h]:
+                h += 1
+            if h == k:
+                raise NoRelation(f"{tuple(y)} does not descend below {tuple(point)}")
+            nearest[h] = point[h]
+            parent, cur = cur, n.children[h]
             if cur >= 0:
-                # n's own edge is not colored ``color``, so cur heads its run.
+                # n's own edge is not colored h + 1, so cur heads its run.
                 indices, neg, prior = nodes[cur].run
-                end = bisect_left(neg, -y[color - 1])
+                end = bisect_left(neg, -y[h])
                 if prior:
                     end = min(end, *map(bisect_right, prior, y))
                 if end:
                     parent = indices[end - 1]
-                    nearest[color - 1] = nodes[parent].point
+                    nearest[h] = -neg[end - 1]
                 cur = indices[end] if end < len(indices) else -1
+        color = h + 1
+        free = self.free
         if parent < 0:
             label, run = (k - 1, max(y) + 1), None
-            gained = memo[label] = height_vector(k, *label)
-            self.vector = tuple(k * g for g in gained)
+            memo[label] = height_vector(k, *label)
         else:
-            label = (k - len(nearest), sum(map(getitem, nearest.values(), nearest)))
-            gained = memo.get(label) or memo.setdefault(label, height_vector(k, *label))
+            label = (k - len(nearest), sum(nearest.values()))
+            if label not in memo:
+                memo[label] = height_vector(k, *label)
             owner = nodes[parent]
             if label >= owner.label:
                 raise LabelNotDecreasing(
                     f"label {from_vector(label)} of {y} not below parent label "
                     f"{from_vector(owner.label)}"
                 )
-            lost = memo[owner.label]
+            free[owner.label] -= 1
             owner.children[color - 1] = len(nodes)
-            self.vector = tuple(map(sub, map(add, self.vector, map(mul, repeat(k), gained)), lost))
             run = owner.run if owner.color == color else ([], [], [[] for _ in range(color - 1)])
             run[0].append(len(nodes))
             run[1].append(-y[color - 1])
             for column, value in zip(run[2], y):
                 column.append(value)
+        free[label] = free.get(label, 0) + k
         nodes.append(_Node(y, label, parent, color, [-1] * k, run))
-        return self.vector
+
+
+class MeasureRows:
+    """The measure vector of a tree after each of its points: row m is the
+    ``vector`` of the tree of points 0..m.
+
+    The rows are not stored. The first point's row is ``k * vec(L_0)``,
+    and point i > 0 adds ``k * vec(L_i) - vec(P_i)`` for its label ``L_i``
+    and its parent's label ``P_i`` (``vec`` the label's ``height_vector``),
+    so row m is a prefix sum over the nodes, which keep both labels.
+    Iteration replays every row from row 0; indexing replays with one
+    cursor, so reads in increasing order cost one step per row passed in
+    all, and a read below the cursor restarts it from row 0. The last
+    row is the tree's ``vector``, from its free-slot counts, taken when
+    the rows are made; a tree that grows later adds no rows.
+    """
+
+    def __init__(self, tree: ErdosTree):
+        self._tree = tree
+        self._len = len(tree.nodes)
+        self._last = tree.vector
+        self._replay = iter(self)
+        self._at, self._row = -1, ()
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        k, nodes, memo = self._tree.k, self._tree.nodes, self._tree._height_vec
+        row: tuple[int, ...] = ()
+        for node in islice(nodes, self._len):
+            gained = memo[node.label]
+            if node.parent < 0:
+                row = tuple(k * g for g in gained)
+            else:
+                lost = memo[nodes[node.parent].label]
+                row = tuple(map(sub, map(add, row, map(mul, repeat(k), gained)), lost))
+            yield row
+
+    def __getitem__(self, m: int) -> tuple[int, ...]:
+        if m < 0:
+            m += self._len
+        if not 0 <= m < self._len:
+            raise IndexError("row index out of range")
+        if m == self._len - 1:
+            return self._last
+        if m < self._at:
+            self._replay, self._at = iter(self), -1
+        while self._at < m:
+            self._row = next(self._replay)
+            self._at += 1
+        return self._row
 
 
 def embed(s: Sequence[Sequence[int]], k: int) -> ErdosTree:

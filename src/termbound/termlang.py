@@ -38,7 +38,7 @@ from itertools import repeat
 from operator import add, and_, contains, eq, itemgetter, lt, sub
 
 from .bounds import SequenceFn, all_natural, bound_g
-from .erdos import ErdosTree, _bitset, _Column, cover_pairs, pairs_in_budget
+from .erdos import ErdosTree, MeasureRows, _bitset, _Column, cover_pairs, pairs_in_budget
 from .errors import BudgetExceeded, NotHomogeneous, ParseError, Record
 from .ordinals import MAX_NESTING, is_nat, nat_value
 
@@ -620,8 +620,10 @@ class PhiSequence:
     after which the value is constant; that freeze point makes the
     sequence usable by the closed-form path of ``bound_g``.
 
-    One ``erdos.ErdosTree`` keeps the vector up to date, one tree descent
-    per state; rebuilding the labelled tree of every prefix
+    One ``erdos.ErdosTree`` takes every state, one tree descent each, and
+    keeps labels and free-slot counts; ``rows``, an ``erdos.MeasureRows``,
+    replays the vector of each prefix from them on demand, and the last
+    from the counts. Rebuilding the labelled tree of every prefix
     (``f_star_vec`` in ``tests/oracles.py``) gives the same vectors and is
     kept as the test oracle. The passing check is what makes the bound
     sound. The rank tuples are checked natural here, a ValueError before
@@ -640,10 +642,13 @@ class PhiSequence:
         if not all_natural(self.points):
             raise ValueError("the rank tuples are not all naturals")
         self.k = len(self.points[0])
-        self.vectors = list(map(ErdosTree(self.k).insert, self.points))
+        tree = ErdosTree(self.k)
+        for y in self.points:
+            tree.insert(y)
+        self.rows = MeasureRows(tree)
 
     def sequence(self) -> SequenceFn:
-        return SequenceFn(self.vectors)
+        return SequenceFn(self.rows)
 
 
 def step_bound(report: InvariantReport) -> int:
@@ -652,7 +657,9 @@ def step_bound(report: InvariantReport) -> int:
     The measure sequence of the covered trace descends lexicographically
     while the program runs, and the descent bound of that sequence
     therefore caps the step count. The result is exact but can be
-    astronomically loose.
+    astronomically loose. ``bound_g`` reads the rows in non-decreasing
+    order, so the measure replays each row once at most, and none past
+    the highest row it reads below the last.
     """
     return bound_g(PhiSequence(report).sequence(), 0)
 

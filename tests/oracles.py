@@ -22,13 +22,21 @@ a labelled tree node with its empty slots filled in (``node``).
 
 import argparse
 import json
+from itertools import compress, count
+from operator import lt
 from typing import Callable, Sequence
 from unittest import mock
 
 from termbound import bounds, cli
 from termbound.bounds import SequenceFn
-from termbound.erdos import ColoredList, ErdosTree, _label, color_of, embed, height_of_tree
-from termbound.errors import BudgetExceeded, LabelNotDecreasing, LemmaViolated, ParseError
+from termbound.erdos import ColoredList, ErdosTree, _label, embed, height_of_tree
+from termbound.errors import (
+    BudgetExceeded,
+    LabelNotDecreasing,
+    LemmaViolated,
+    NoRelation,
+    ParseError,
+)
 from termbound.ktree import LabelledTree, Node, height_nil
 from termbound.ordinals import Ordinal, cmp, to_vector
 from termbound.prcompile import Comp, PRTerm, Proj, Succ, Zero
@@ -204,6 +212,15 @@ def node(label: Ordinal | int, *children: Node | None, k: int | None = None) -> 
 
 
 # --- the rebuild-from-scratch measure ----------------------------------------
+
+
+def color_of(y: Sequence[int], x: Sequence[int]) -> int:
+    """First color (1-based) in which ``y`` descends below ``x``."""
+    if len(y) != len(x):
+        raise ValueError("points of different dimensions")
+    if h := next(compress(count(1), map(lt, y, x)), 0):
+        return h
+    raise NoRelation(f"{tuple(y)} does not descend below {tuple(x)}")
 
 
 def insert_branch(t: ErdosTree, y: Sequence[int]) -> ColoredList:

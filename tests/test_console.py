@@ -107,8 +107,9 @@ PROGRAMS = {
 def work(tmp_path_factory):
     """A directory with the term and program files, and the stages one at a
     time: the program and invariant that ``compile`` prints for add and mult,
-    mult's without its ``cross_round`` relations, and add's with the ``line``
-    relation ranked by ``loc``, which rises on every pair the relation holds."""
+    mult's without its ``cross_round`` relations, add's with the ``line``
+    relation ranked by ``loc``, which rises on every pair the relation holds,
+    and an invariant of that relation alone ranked by ``0 - loc``."""
     work = tmp_path_factory.mktemp("console")
     for name, text in TERMS.items():
         (work / f"{name}.pr").write_text(text + "\n")
@@ -127,6 +128,7 @@ def work(tmp_path_factory):
         "add.loc.json": [
             dict(r, rank="loc") if r["name"] == "line" else r for r in invariants["add"]
         ],
+        "stuck.json": [{"name": "line", "atoms": ["loc < loc'"], "rank": "0 - loc"}],
     }
     for name, doc in derived.items():
         (work / name).write_text(json.dumps(doc))
@@ -162,6 +164,11 @@ WHOLE_CHECKS = [
     ("embed-equal-points", ["embed", "1,1,1", "1,1,1"], 1, "",
      "check failed: not homogeneous: no coordinate falls from (1, 1, 1) (point 0)"
      " to (1, 1, 1) (point 1)\n"),
+    # A failing invariant gives no step bound, and the line says so in words:
+    # one relation whose rank, 0 - loc, never falls.
+    ("pipeline-invariant-fails", ["pipeline", "add.pr", "1", "1", "--invariant", "stuck.json"],
+     1, "result: 2 (oracle 2)\ninvariant: FAIL (210 uncovered, 195 rank violations)\n"
+     "steps: 20\nstep bound: none (invariant failed)\nverdict: FAIL\n", ""),
     # A trace cut off by the step budget is never a pass.
     ("pipeline-budget", ["pipeline", "add.pr", "50", "3", "--max-steps", "10"], 3,
      "", "budget exceeded: no final state within 10 steps\n"),

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from functools import lru_cache
 from itertools import product
 from operator import eq, gt, lt
@@ -8,13 +9,13 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import WalkTree, f_star, f_star_vec, insert_branch, node
+from oracles import WalkTree, color_of, f_star, f_star_vec, insert_branch, node
 from termbound import erdos
+from termbound.bounds import SequenceFn, find_nondescent
 from termbound.erdos import (
     MAX_CHECK_PAIRS,
     ColoredList,
     ErdosTree,
-    color_of,
     embed,
     erdos_to_doc,
     height_of_tree,
@@ -472,13 +473,16 @@ class TestInsertMeasure:
         t = ErdosTree(k)
         assert t.vector == ()
         for n, y in enumerate(s):
-            assert t.insert(y) == t.vector == f_star_vec(s[: n + 1], k)
+            assert t.insert(y) is None
+            assert t.vector == f_star_vec(s[: n + 1], k)
 
     def test_rejects_point_off_the_descent_path(self):
         t = ErdosTree(2)
         t.insert((3, 4))
+        before = state_of(t)
         with pytest.raises(NoRelation):
             t.insert((3, 4))
+        assert state_of(t) == before
         assert t.branch_count() == 1
 
     def test_rejects_point_of_wrong_dimension(self):
@@ -504,12 +508,14 @@ class TestInsertMeasure:
             t.insert((3, 4))
         tree.nodes[0].label = (0, 2)
         walk.nodes[0][1] = Ordinal.from_int(2)
+        before = state_of(tree)
         message = "label w+3 of (1, 4) not below parent label 2"
         for t in (tree, walk):
             with pytest.raises(LabelNotDecreasing) as err:
                 t.insert((1, 4))
             assert str(err.value) == message
         assert [n.children for n in tree.nodes] == [[-1, -1]]
+        assert state_of(tree) == before
         assert tree.vector == walk.vector == f_star_vec([(3, 4)], 2)
 
     def test_power_budget_holds(self):
@@ -517,15 +523,15 @@ class TestInsertMeasure:
         t = ErdosTree(2)
         with pytest.raises(BudgetExceeded):
             t.insert((MAX_POWER_BITS, 0))
-        assert (t.nodes, t.vector) == ([], ())
+        assert (t.nodes, t.vector, t.free) == ([], (), {})
         # ... and at a node whose label sums two colors' coordinates.
         half = MAX_POWER_BITS * 3 // 4
         t.insert((half, 0))
         t.insert((0, half))
-        before = (list(t.vector), [list(n.children) for n in t.nodes])
+        before = state_of(t)
         with pytest.raises(BudgetExceeded):
             t.insert((0, 0))
-        assert (list(t.vector), [list(n.children) for n in t.nodes]) == before
+        assert state_of(t) == before
         assert t.branch_count() == 2
 
 
@@ -546,19 +552,37 @@ class TestHeightVector:
             height_vector(3, 0, MAX_POWER_BITS)
 
 
+def state_of(t: ErdosTree):
+    """Everything an insert may change: the vector, the free counts and the nodes."""
+    nodes = [(n.point, n.label, n.parent, n.color, list(n.children)) for n in t.nodes]
+    return t.vector, dict(t.free), nodes
+
+
+def free_slots(t: ErdosTree) -> dict:
+    """Label -> empty child slots, counted over the nodes."""
+    counts = Counter()
+    for n in t.nodes:
+        counts[n.label] += n.children.count(-1)
+    return dict(+counts)
+
+
 def assert_insert_matches_oracles(k, s):
     """Insert ``s`` into an ErdosTree and a WalkTree, comparing after every point.
 
-    Both give the same vector or the same exception, keep the same nodes
-    and labels, and a kept prefix's vector is its rebuilt measure
-    (``f_star_vec`` when the prefix is homogeneous).
+    Both give the same vector (the walk's per-insert vector update, the
+    tree's sum over its free counts) or the same exception, keep the same
+    nodes and labels, and a kept prefix's vector is its rebuilt measure
+    (``f_star_vec`` when the prefix is homogeneous). The free counts are
+    the empty slots of the nodes, and a refused point changes nothing.
     """
     tree, walk, kept = ErdosTree(k), WalkTree(k), []
     for y in s:
+        before = state_of(tree)
         outcomes = []
         for t in (tree, walk):
             try:
-                outcomes.append(("vector", t.insert(y)))
+                t.insert(y)
+                outcomes.append(("vector", t.vector))
             except TermboundError as exc:
                 outcomes.append((type(exc), str(exc)))
         assert outcomes[0] == outcomes[1]
@@ -567,7 +591,10 @@ def assert_insert_matches_oracles(k, s):
             for n in tree.nodes
         ] == [tuple(n) for n in walk.nodes]
         assert tree.vector == walk.vector
-        if outcomes[0][0] == "vector":
+        assert {label: slots for label, slots in tree.free.items() if slots} == free_slots(tree)
+        if outcomes[0][0] != "vector":
+            assert state_of(tree) == before
+        else:
             kept.append(y)
             if is_homogeneous(kept, k):
                 assert tree.vector == f_star_vec(kept, k)
@@ -677,6 +704,69 @@ class TestInsertAgainstWalk:
         assert_insert_matches_oracles(*trace_rank_tuples(name, args))
 
 
+def walk_rows(k, s):
+    """The points of ``s`` that a WalkTree keeps, and its vector after each,
+    by the per-insert vector update."""
+    walk, kept, rows = WalkTree(k), [], []
+    for y in s:
+        try:
+            rows.append(walk.insert(y))
+        except TermboundError:
+            continue
+        kept.append(y)
+    return kept, rows
+
+
+def outcome(f, *args):
+    """``f(*args)``, or the type of the TermboundError it raises."""
+    try:
+        return f(*args)
+    except TermboundError as exc:
+        return type(exc)
+
+
+class TestMeasureRows:
+    """Rows replayed from the tree's labels against the walk's per-insert vectors."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(homogeneous_sequences() | any_sequences() | alternating_colors(), st.data())
+    def test_reads_in_any_order(self, case, data):
+        k, s = case
+        kept, want = walk_rows(k, s)
+        n = len(want)
+        # Rows made at a prefix keep that prefix's rows while the tree grows.
+        cut = data.draw(st.integers(0, n))
+        tree = ErdosTree(k)
+        for y in kept[:cut]:
+            tree.insert(y)
+        early = erdos.MeasureRows(tree)
+        for y in kept[cut:]:
+            tree.insert(y)
+        rows = erdos.MeasureRows(tree)
+        for got, rows_want in ((rows, want), (early, want[:cut])):
+            assert len(got) == len(rows_want)
+            assert list(got) == rows_want
+            if rows_want:
+                assert got[-1] == rows_want[-1]
+            for m in (len(rows_want), -len(rows_want) - 1):
+                with pytest.raises(IndexError):
+                    got[m]
+        assert tree.vector == (want[-1] if n else ())
+        up = list(range(n))
+        assert [rows[m] for m in up] == want
+        assert [rows[m] for m in up for _ in "ab"] == [row for row in want for _ in "ab"]
+        assert [rows[m] for m in reversed(up)] == want[::-1]
+        order = data.draw(st.lists(st.integers(-n, n - 1), max_size=2 * n)) if n else []
+        assert [rows[m] for m in order] == [want[m] for m in order]
+        if n:
+            # find_nondescent iterates the rows: two replays from row 0 side by side.
+            start = data.draw(st.integers(0, n))
+            limit = start + data.draw(st.integers(0, n))
+            assert outcome(find_nondescent, SequenceFn(rows), start, limit) == outcome(
+                find_nondescent, SequenceFn.from_rows(want), start, limit
+            )
+
+
 class TestRunBoundaries:
     """A point that ties a run member on one coordinate, at the run's bisects.
 
@@ -697,13 +787,12 @@ class TestRunBoundaries:
         for y in self.RUN:
             tree.insert(y)
         assert [n.color for n in tree.nodes] == [0, 2, 2, 2]
-        before = [(n.point, n.label, n.parent, n.color, list(n.children)) for n in tree.nodes]
+        before = state_of(tree)
         if raise_first:
             message = r"^\(2, 5, 9\) does not descend below \(2, 5, 9\)$"
             with pytest.raises(NoRelation, match=message):
                 tree.insert(self.UNRELATED)
-            after = [(n.point, n.label, n.parent, n.color, n.children) for n in tree.nodes]
-            assert after == before
+            assert state_of(tree) == before
         tree.insert(self.STAYS)
         assert (tree.nodes[-1].parent, tree.nodes[-1].color) == (3, 1)
         tree.insert(self.LEAVES)

@@ -359,7 +359,11 @@ class TestPhiAgainstRebuild:
             to_vector(height_of_tree(embed(seq.points[: n + 1], k)), k)
             for n in range(len(seq.points))
         ]
-        assert seq.vectors == rebuilt
+        # Every row replayed in order, each row read by index, and the last
+        # row, which comes from the free-slot counts.
+        assert list(seq.rows) == rebuilt
+        assert [seq.rows[m] for m in range(len(rebuilt))] == rebuilt
+        assert (len(seq.rows), seq.rows[-1]) == (len(rebuilt), rebuilt[-1])
         text = program_to_text(unit.program)
         assert program_from_text(text) == unit.program
         assert step_bound(report) == bound_g(
@@ -429,8 +433,12 @@ class TestCheckIsTheDescentProof:
         ]
         if report.ok:
             assert is_homogeneous(report.rank_tuples, inv.k)
-            phi = PhiSequence(report)  # builds its SequenceFn without from_rows
-            assert phi.sequence() == SequenceFn.from_rows(phi.vectors)
+            # PhiSequence builds its SequenceFn without from_rows, on its
+            # replayed rows as they are; from_rows accepts every row.
+            phi = PhiSequence(report)
+            assert phi.sequence().rows is phi.rows
+            rows = list(phi.rows)
+            assert SequenceFn.from_rows(rows) == SequenceFn(rows)
 
 
 @st.composite
@@ -749,6 +757,39 @@ class TestRankTerms:
 
 
 class TestStepBound:
+    def test_measure_rows_replayed_once(self):
+        # Every bound_g evaluation returns more than its argument, so it reads
+        # the rows in non-decreasing order: one cursor replays each row once,
+        # and past row k - 1 every read is at or past the last row, which the
+        # free-slot counts give. mult(12, 12): 12,186 states, k = 5.
+        unit = compile_term(MULT)
+        s0 = initial_state(unit.program, dict(zip(unit.input_vars, (12, 12))))
+        report = checked(unit.program, s0, unit.invariant, max_steps=20_000)
+        replays, built, reads = [], [], []
+        replay, read = erdos.MeasureRows.__iter__, erdos.MeasureRows.__getitem__
+
+        def counted_replay(rows):
+            replays.append(rows)
+            for row in replay(rows):
+                built.append(row)
+                yield row
+
+        def recorded_read(rows, m):
+            reads.append(m)
+            return read(rows, m)
+
+        with (
+            mock.patch.object(erdos.MeasureRows, "__iter__", counted_replay),
+            mock.patch.object(erdos.MeasureRows, "__getitem__", recorded_read),
+        ):
+            bound = step_bound(report)
+        assert (len(report.rank_tuples), unit.invariant.k) == (12186, 5)
+        assert len(replays) == 1  # made with the rows, never restarted
+        assert len(built) <= unit.invariant.k + 1
+        forward = [m for m in reads if m >= 0]
+        assert forward == sorted(forward)
+        assert bound == bound_g(SequenceFn.from_rows(list(PhiSequence(report).rows)), 0)
+
     def test_final_initial_state(self):
         p = Program(("x",), ())
         inv = TransitionInvariant(
