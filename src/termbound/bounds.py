@@ -46,6 +46,8 @@ class SequenceFn(Record):
     and a list of them as it is; ``PhiSequence.sequence`` builds one on
     ``erdos.MeasureRows``, tree heights that are naturals by construction,
     held as they are: any ``rows`` with ``len`` and indexing will do.
+    Equality and the hash go by ``rows``, so a sequence on ``MeasureRows``
+    compares and hashes by the identity of that rows object.
     """
 
     __slots__ = ("rows",)

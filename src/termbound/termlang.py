@@ -4,11 +4,11 @@ Programs operate on unbounded natural variables and compare them only
 with ``<``. The right side of an assignment is a term of the one term
 language that atoms and ranks also use, restricted to four forms:
 constant ``n``, copy ``x``, increment ``x + 1`` and truncated decrement
-``x - 1``; it is printed and evaluated like every other term. Structured
-commands lower to a flat table of numbered program points; a state is a
-location plus one value per declared variable, and the interpreter takes
-one small step at a time. A state whose location carries no instruction
-is final and steps to itself.
+``x - 1``; it is printed like every other term and lowers to plain data.
+Structured commands lower to a flat table of numbered program points; a
+state is a location plus one value per declared variable, and the
+interpreter takes one small step at a time. A state whose location
+carries no instruction is final and steps to itself.
 
 A ranked relation is a binary relation on states together with a rank
 into the naturals that must strictly decrease on every member pair; a
@@ -52,7 +52,8 @@ class Assign(Record):
     that atoms and ranks use, in one of four forms: a constant
     ``const(n)``, a copy ``pre(x)``, an increment
     ``("add", pre(x), const(1))`` or a truncated decrement
-    ``("monus", pre(x), const(1))``. ``Program`` refuses any other term."""
+    ``("monus", pre(x), const(1))``. ``Program`` lowers it to data and refuses
+    any other term."""
 
     __slots__ = ("var", "expr")
 
@@ -70,7 +71,8 @@ Cmd = Assign | While | If
 
 # Flat instruction table entries, one list per command; locations are
 # preorder command indices, so each entry is appended at its own location.
-# ["assign", var_index, value, next_loc], value(loc, env, loc, env) the assigned value
+# ["assign", var_index, source, value, next_loc]: the constant ``value`` if
+#   ``source`` is -1, else env[source] + value (0, 1 or -1) truncated at zero
 # ["branch", left_index, right_index, true_loc, false_loc]
 # A jump that leaves its block is filled in once the lowering reaches the
 # location it lands on, in the same pass.
@@ -120,15 +122,21 @@ class Program:
             for entry, slot in exits:
                 entry[slot] = here
             if isinstance(c, Assign):
-                if not _is_assign_expr(c.expr):
-                    raise ValueError(
-                        f"assignment to {c.var!r}: {c.expr!r} is not a constant, "
-                        "a copy, an increment or a decrement"
-                    )
-                value = _compile(c.expr, self)
-                entry = ["assign", self.var_index(c.var), value, None]
+                match c.expr if _is_rank_term(c.expr) else None:
+                    case ("const", value):
+                        source = -1
+                    case ("pre", name):
+                        source, value = self.var_index(name), 0
+                    case ("add" | "monus" as op, ("pre", name), ("const", 1)):
+                        source, value = self.var_index(name), 1 if op == "add" else -1
+                    case _:
+                        raise ValueError(
+                            f"assignment to {c.var!r}: {c.expr!r} is not a constant, "
+                            "a copy, an increment or a decrement"
+                        )
+                entry = ["assign", self.var_index(c.var), source, value, None]
                 table.append(entry)
-                exits = [(entry, 3)]
+                exits = [(entry, 4)]
                 continue
             left, right = self.var_index(c.left), self.var_index(c.right)
             entry = ["branch", left, right, here + 1, None]
@@ -219,9 +227,11 @@ def run_trace(p: Program, s0: State, max_steps: int = DEFAULT_MAX_STEPS) -> Trac
     for _ in range(max_steps):
         instr = table[loc]
         if instr[0] == "assign":
-            _, vidx, value, nxt = instr
+            _, vidx, source, value, nxt = instr
+            if source >= 0:
+                value += env[source]
             new = list(env)
-            new[vidx] = value(loc, env, loc, env)
+            new[vidx] = value if value > 0 else 0
             loc, env = nxt, tuple(new)
         else:
             _, li, ri, t, f = instr
@@ -239,7 +249,7 @@ def run_trace(p: Program, s0: State, max_steps: int = DEFAULT_MAX_STEPS) -> Trac
 # | ("add", l, r) | ("monus", l, r), where monus truncates at zero. An atom
 # compares two leaf terms of a (pre, post) pair; a rank is a term over the
 # pre state alone, and so is an assignment's right side (one of the four
-# forms ``_is_assign_expr`` admits).
+# forms that ``Program`` lowers to table data).
 
 
 def pre(name: str) -> tuple:
@@ -292,55 +302,28 @@ def _parse_leaf(tok: str) -> tuple:
     raise ParseError(f"bad term {tok!r}")
 
 
-def _compile(t: tuple, p: Program) -> Callable[[int, tuple, int, tuple], int]:
-    """The value of ``t`` on a (pre, post) pair of states of ``p``, given as
-    the pre location and env tuple, then the post location and env tuple."""
-    kind = t[0]
-    if kind == "const":
-        v = t[1]
-        return lambda loc, env, loc2, env2: v
-    if kind == "pre":
-        i = p.var_index(t[1])
-        return lambda loc, env, loc2, env2: env[i]
-    if kind == "post":
-        i = p.var_index(t[1])
-        return lambda loc, env, loc2, env2: env2[i]
-    if kind == "preloc":
-        return lambda loc, env, loc2, env2: loc
-    if kind == "postloc":
-        return lambda loc, env, loc2, env2: loc2
-    lf, rf = _compile(t[1], p), _compile(t[2], p)
-    if kind == "add":
-        return lambda *pair: lf(*pair) + rf(*pair)
-    return lambda *pair: max(0, lf(*pair) - rf(*pair))
+def _is_leaf(t, post: bool = False) -> bool:
+    """Whether ``t`` is a leaf term: ``const`` of a natural ``int``, ``pre`` of a
+    name (a ``str``) or ``preloc``; with ``post``, also ``post`` of a name or
+    ``postloc``. Only atoms read the post state."""
+    if type(t) is not tuple or len(t) != 2:
+        return type(t) is tuple and (t == PRE_LOC or (post and t == POST_LOC))
+    if t[0] == "const":
+        return type(t[1]) is int and t[1] >= 0
+    return t[0] in (("pre", "post") if post else ("pre",)) and type(t[1]) is str
 
 
 def _is_rank_term(t) -> bool:
-    """Whether ``t`` is a natural-valued term of the pre state: a leaf ``const``
-    of a natural, ``pre`` or ``preloc``, or ``add``/``monus`` of two such terms."""
-    if type(t) is not tuple or not t:
-        return False
-    if t[0] in ("add", "monus"):
-        return len(t) == 3 and _is_rank_term(t[1]) and _is_rank_term(t[2])
-    if t[0] == "const":
-        return len(t) == 2 and type(t[1]) is int and t[1] >= 0
-    return t == PRE_LOC or (len(t) == 2 and t[0] == "pre" and type(t[1]) is str)
-
-
-def _is_assign_expr(t) -> bool:
-    """Whether ``t`` is one of the four right sides of an assignment: a
-    natural ``const``, a ``pre`` copy, or ``add``/``monus`` of a ``pre``
-    and ``const(1)``."""
-    if not _is_rank_term(t) or t == PRE_LOC:
-        return False
-    return len(t) == 2 or (t[1][0] == "pre" and t[2] == const(1))
-
-
-_LEAF_KINDS = ("const", "pre", "post", "preloc", "postloc")
+    """Whether ``t`` is a natural-valued term of the pre state: a leaf that
+    reads no post state, or ``add``/``monus`` of two such terms."""
+    if type(t) is tuple and len(t) == 3 and t[0] in ("add", "monus"):
+        return _is_rank_term(t[1]) and _is_rank_term(t[2])
+    return _is_leaf(t)
 
 
 class Atom(Record):
-    """``lhs op rhs`` over two leaf terms; ``op`` is ``<`` or ``=``."""
+    """``lhs op rhs`` over two leaf terms; ``op`` is ``<`` or ``=``. A side
+    that is not a leaf, by the rule ranks use too, raises ValueError."""
 
     __slots__ = ("lhs", "op", "rhs")
 
@@ -348,7 +331,7 @@ class Atom(Record):
         if op not in ("<", "="):
             raise ValueError(f"atom operator must be '<' or '=', not {op!r}")
         for side in (lhs, rhs):
-            if side[0] not in _LEAF_KINDS:
+            if not _is_leaf(side, post=True):
                 raise ValueError(f"atom side {side!r} is not a leaf term")
         super().__init__(lhs, op, rhs)
 
@@ -410,8 +393,19 @@ class ConstraintRelation(Record):
 
     def compile_member(self, p: Program) -> Callable[[State, State], bool]:
         """Membership of one (pre, post) pair; ``check_invariant`` tests
-        whole sets of pairs at once instead."""
-        checks = [(_OPS[a.op], _compile(a.lhs, p), _compile(a.rhs, p)) for a in self.atoms]
+        whole sets of pairs at once instead. Atoms compare leaves, so each
+        side is read directly off one of the two states, or is a constant."""
+
+        def value(leaf: tuple, s: State, s2: State) -> int:
+            match leaf:
+                case ("const", n):
+                    return n
+                case ("pre", name):
+                    return s.env[p.var_index(name)]
+                case ("post", name):
+                    return s2.env[p.var_index(name)]
+            return s.location if leaf == PRE_LOC else s2.location
+
         pre_locs, post_locs = self.pre_locations, self.post_locations
 
         def member(s: State, s2: State) -> bool:
@@ -419,8 +413,7 @@ class ConstraintRelation(Record):
                 return False
             if post_locs is not None and s2.location not in post_locs:
                 return False
-            pair = s.location, s.env, s2.location, s2.env
-            return all(op(lf(*pair), rf(*pair)) for op, lf, rf in checks)
+            return all(_OPS[a.op](value(a.lhs, s, s2), value(a.rhs, s, s2)) for a in self.atoms)
 
         return member
 
@@ -519,11 +512,12 @@ class _TraceColumns:
     def term_values(self, t: tuple) -> Iterable[int]:
         """The values of a one-state term (a rank) on every state, in order.
 
-        ``_compile(t, p)`` evaluated on each state, as C-level passes over
-        the leaf columns, with no Python function call per state; a term
-        that is not a leaf is ``add`` or ``monus``, as in ``_compile``.
+        The only evaluator of rank terms: C-level passes over the leaf
+        columns, with no Python function call per state. A leaf gives its
+        column; ``add`` sums two terms' values, and ``monus`` subtracts
+        them, truncated at zero.
         """
-        if t[0] in _LEAF_KINDS:
+        if _is_leaf(t):
             return self.values(t)
         left, right = self.term_values(t[1]), self.term_values(t[2])
         if t[0] == "add":
@@ -535,9 +529,9 @@ class _TraceColumns:
         leaf rank b takes b's ``<`` masks, and ``c - b`` b's ``>`` masks when c is
         constant over the trace and at least b's maximum, so it never truncates;
         any other rank gets a column of its own."""
-        if rank[0] in _LEAF_KINDS:
+        if _is_leaf(rank):
             return self.masks(rank, rank, "<")
-        if rank[0] == "monus" and rank[2][0] in _LEAF_KINDS:
+        if rank[0] == "monus" and _is_leaf(rank[2]):
             top = set(self.term_values(rank[1]))
             if len(top) == 1 and min(top) >= max(self.values(rank[2])):
                 return self.masks(rank[2], rank[2], ">")

@@ -51,7 +51,6 @@ from termbound.termlang import (
     Trace,
     TransitionInvariant,
     While,
-    _compile,
     run_trace,
 )
 
@@ -398,9 +397,23 @@ def run_commands(p: Program, s0: State, max_steps: int) -> list[State]:
 
 
 def compile_rank(relation: ConstraintRelation, p: Program) -> Callable[[State], int]:
-    """The rank of ``relation`` on one state of ``p``."""
-    f = _compile(relation.rank, p)
-    return lambda s: f(s.location, s.env, s.location, s.env)
+    """The rank of ``relation`` on one state of ``p``, by recursion on the
+    term: independent of ``_TraceColumns.term_values``, its column passes."""
+
+    def value(t: tuple, s: State) -> int:
+        match t:
+            case ("const", n):
+                return n
+            case ("pre", name):
+                return s.env[p.var_index(name)]
+            case ("preloc",):
+                return s.location
+            case ("add", left, right):
+                return value(left, s) + value(right, s)
+            case ("monus", left, right):
+                return max(0, value(left, s) - value(right, s))
+
+    return lambda s: value(relation.rank, s)
 
 
 def check_invariant_pairwise(

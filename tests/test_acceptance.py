@@ -294,11 +294,16 @@ def test_criterion_7_invariants_valid_and_mutation_detected():
 
 def test_criterion_8_step_bound_dominates_termination():
     results = []
-    for term, args in [(ADD, (1, 1)), (ADD, (2, 1)), (MULT, (2, 2))]:
+    # add(600, 3) is a long trace: 9,005 steps.
+    for term, args in [(ADD, (1, 1)), (ADD, (2, 1)), (MULT, (2, 2)), (ADD, (600, 3))]:
         unit = compile_term(term)
         _, trace = _unit_states(unit, args)
-        bound = step_bound(check_invariant(unit.program, trace, unit.invariant))
+        report = check_invariant(unit.program, trace, unit.invariant)
+        bound = step_bound(report)
         assert trace.steps <= bound, (args, trace.steps)
+        # The bound reads only the freeze index, trace.steps; the measure must
+        # also fall at every step before it, and first pause at the final state.
+        assert find_nondescent(PhiSequence(report).sequence(), 0, bound) == trace.steps
         results.append((args, trace.steps, len(str(bound))))
     summary = ", ".join(
         f"{args}: {steps} steps <= bound of {digits} digits"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import check_invariant_pairwise, states, step, term_to_text
 
+from termbound.bounds import find_nondescent
 from termbound.errors import ArityMismatch, BudgetExceeded, ParseError
 from termbound.ordinals import MAX_NESTING
 from termbound.prcompile import (
@@ -24,6 +25,7 @@ from termbound.prcompile import (
     parse_term,
 )
 from termbound.termlang import (
+    PhiSequence,
     check_invariant,
     initial_state,
     program_from_text,
@@ -315,4 +317,7 @@ class TestRandomTerms:
                 assert report == check_invariant_pairwise(
                     unit.program, trace, unit.invariant
                 )
-            assert trace.steps <= step_bound(report)
+            bound = step_bound(report)
+            assert trace.steps <= bound
+            # The measure falls at every step and first pauses at the final state.
+            assert find_nondescent(PhiSequence(report).sequence(), 0, bound) == trace.steps

@@ -146,8 +146,7 @@ class TestRecordContract:
     def test_copy_and_pickle(self, name):
         value = VALUES[name][0]()
         assert copy.copy(value) == value and copy.deepcopy(value) == value
-        if name != "CompiledUnit":  # a Program holds compiled closures
-            assert pickle.loads(pickle.dumps(value)) == value
+        assert pickle.loads(pickle.dumps(value)) == value
 
     def test_repr_is_the_dataclass_form(self, name):
         build, text = VALUES[name]
@@ -163,6 +162,22 @@ def test_every_record_class_is_covered():
         and obj.__module__ == module.__name__
     }
     assert records == set(VALUES)
+
+
+def test_measure_sequences_compare_by_rows_identity():
+    # A SequenceFn compares and hashes by its rows; erdos.MeasureRows defines
+    # no equality, so two measures of one report are unequal sequences.
+    unit = compile_term(Succ())
+    s0 = termlang.initial_state(unit.program, {"x1": 2})
+    report = termlang.check_invariant(
+        unit.program, termlang.run_trace(unit.program, s0), unit.invariant
+    )
+    phi, again = termlang.PhiSequence(report), termlang.PhiSequence(report)
+    assert list(phi.rows) == list(again.rows)
+    assert phi.sequence() != again.sequence()
+    assert phi.sequence() == phi.sequence()
+    assert hash(phi.sequence()) == hash(phi.sequence()) == hash((phi.rows,))
+    assert SequenceFn(phi.rows) != SequenceFn.from_rows(list(phi.rows))
 
 
 def test_classes_with_equal_fields_differ():

@@ -1,4 +1,5 @@
 import json
+import pickle
 import re
 from itertools import product
 from unittest import mock
@@ -188,6 +189,31 @@ def command_blocks(names=NAMES):
         ).map(tuple),
         max_leaves=12,
     )
+
+
+class TestProgramIsData:
+    def test_four_forms_lower_to_source_and_value(self):
+        p = Program(
+            ("x", "y"),
+            (Assign("x", const(5)), Assign("y", pre("x")), Assign("x", inc("y")),
+             Assign("y", dec("y"))),
+        )
+        assert p._table == [
+            ["assign", 0, -1, 5, 1], ["assign", 1, 0, 0, 2], ["assign", 0, 1, 1, 3],
+            ["assign", 1, 1, -1, 4],
+        ]
+        trace = run_trace(p, initial_state(p))
+        assert trace.envs == [(0, 0), (5, 0), (5, 5), (6, 5), (6, 4)]
+
+    def test_pickle_round_trip_runs_the_same_trace(self):
+        unit = compile_term(MULT)
+        p = pickle.loads(pickle.dumps(unit.program))
+        assert p == unit.program
+        assert all(type(v) in (int, str) for entry in p._table for v in entry)
+        inputs = dict(zip(unit.input_vars, (3, 2)))
+        trace = run_trace(p, initial_state(p, inputs))
+        assert trace.complete
+        assert trace == run_trace(unit.program, initial_state(unit.program, inputs))
 
 
 class TestRunTraceAgainstWalk:
@@ -716,6 +742,28 @@ class TestAtomSides:
         with pytest.raises(ValueError, match="operator"):
             Atom(pre("x"), "<=", post("x"))
 
+    @pytest.mark.parametrize(
+        "side",
+        [
+            ("const", "a"), ("pre",), const(-1), ("const", True), ("pre", 3), ("post", None),
+            ("preloc", 0), ("postloc", "x"), ("loc",), ["pre", "x"], (), "x",
+        ],
+        ids=["const-str", "pre-no-name", "negative", "bool", "pre-int", "post-none",
+             "preloc-arg", "postloc-arg", "loc", "list", "empty", "not-a-tuple"],
+    )
+    def test_rejects_malformed_leaf(self, side):
+        # A leaf is the one rule ranks use too: a const holds a natural int, a
+        # name is a str, and the locations are the exact tokens.
+        for lhs, rhs in ((side, pre("x")), (const(1), side)):
+            with pytest.raises(ValueError) as exc:
+                Atom(lhs, "<", rhs)
+            assert str(exc.value) == f"atom side {side!r} is not a leaf term"
+
+    def test_accepts_every_leaf(self):
+        leaves = [const(0), const(7), pre("x"), post("x"), PRE_LOC, POST_LOC]
+        for lhs, rhs in product(leaves, repeat=2):
+            assert str(Atom(lhs, "=", rhs)) == f"{term_str(lhs)} = {term_str(rhs)}"
+
 
 class TestRankTerms:
     """A relation's rank is a natural-valued term of the pre state."""
@@ -725,10 +773,10 @@ class TestRankTerms:
         [
             const(-1), ("const", True), ("const", 1.0), post("x"), POST_LOC,
             ("times", pre("x"), const(2)), ("add", pre("x")), ("add", pre("x"), const(-1000)),
-            "x",
+            "x", ("const", "a"), ("pre",), ("preloc", 0),
         ],
         ids=["negative", "bool", "float", "post", "postloc", "unknown", "short", "nested",
-             "not-a-tuple"],
+             "not-a-tuple", "const-str", "pre-no-name", "preloc-arg"],
     )
     def test_refused(self, rank):
         message = f"^rank {re.escape(repr(rank))} is not a natural-valued term of the pre state$"
@@ -923,12 +971,35 @@ class TestProgramText:
             post("x"),
             const(-1),
             ("add", pre("x"), ("const", True)),
+            ("monus", pre("x"), ("const", 1.0)),
+            ("add", ["pre", "x"], const(1)),
+            ["pre", "x"],
+            ("pre",),
+            ("add", const(1), pre("x")),
         ],
-        ids=["x + y", "3 - x", "x + 2", "loc", "x'", "-1", "x + True"],
+        ids=["x + y", "3 - x", "x + 2", "loc", "x'", "-1", "x + True", "x - 1.0",
+             "list-operand", "list", "pre-no-name", "1 + x"],
     )
     def test_program_rejects_other_right_sides(self, expr):
         with pytest.raises(ValueError, match="not a constant, a copy"):
             Program(("x", "y"), (Assign("x", expr),))
+
+    @pytest.mark.parametrize(
+        "cmd,message",
+        [
+            (Assign("z", ("add", pre("w"), const(2))),
+             "assignment to 'z': ('add', ('pre', 'w'), ('const', 2)) is not a constant, "
+             "a copy, an increment or a decrement"),
+            (Assign("z", rank_monus(pre("w"), const(1))), "undeclared variable 'w'"),
+            (Assign("z", pre("x")), "undeclared variable 'z'"),
+        ],
+        ids=["form", "operand", "target"],
+    )
+    def test_assignment_refusals_in_order(self, cmd, message):
+        # The right side's form is checked first, then its operand, then the target.
+        with pytest.raises(ValueError) as exc:
+            Program(("x", "y"), (cmd,))
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize(
         "rhs,printed",
